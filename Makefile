@@ -5,7 +5,7 @@ GO ?= go
 # for a quick smoke run.
 BENCHFLAGS ?=
 
-.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-json bench-smoke bench-compare bench-compare-wal bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
+.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-json bench-smoke bench-compare bench-compare-wal bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
 
 all: build test
 
@@ -19,6 +19,7 @@ help:
 	@echo "  cluster-soak 3-node cluster soak: chaos timeline through a non-owner plus a live mid-soak migration (CI)"
 	@echo "  crash-smoke  WAL crash-injection matrix: kill writes mid-append/rotate/compact, assert exact recovery (CI)"
 	@echo "  bench        one benchmark run per table/figure plus ablations"
+	@echo "  bench-check  vet + short tests of the placebench module (CI)"
 	@echo "  bench-json   machine-readable benchmark snapshot (BENCH_<date>.json)"
 	@echo "  bench-smoke  single-iteration benchmark compile-and-run gate (CI)"
 	@echo "  bench-compare  registry-overhead run gated against the archived seed baseline (CI)"
@@ -79,6 +80,12 @@ crash-smoke:
 # One benchmark run per table/figure plus the ablations.
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# The end-to-end benchmark (placebench/) is its own Go module, so the
+# root `go build ./...` and `go test ./...` never compile it; this vets
+# and short-tests it against the facade in this checkout.
+bench-check:
+	cd placebench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Single-iteration smoke over a cheap benchmark: proves the benchmark
 # harness still compiles and runs without paying for a real measurement.

@@ -9,6 +9,7 @@ package placemon
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitset"
@@ -80,13 +81,11 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkLazyPlacement(b *testing.B) {
 	engines := []struct {
 		name string
-		run  func(*placement.Instance, placement.Objective) (*placement.Result, error)
+		opts placement.Options
 	}{
-		{"greedy", placement.Greedy},
-		{"lazy", placement.GreedyLazy},
-		{"lazy-parallel", func(inst *placement.Instance, obj placement.Objective) (*placement.Result, error) {
-			return placement.GreedyLazyParallel(inst, obj, 0)
-		}},
+		{"greedy", placement.Options{Engine: placement.Eager}},
+		{"lazy", placement.Options{}},
+		{"lazy-parallel", placement.Options{Workers: runtime.GOMAXPROCS(0)}},
 	}
 	obj, err := placement.NewDistinguishability(1)
 	if err != nil {
@@ -110,7 +109,7 @@ func BenchmarkLazyPlacement(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						res, err := eng.run(inst, obj)
+						res, err := placement.Run(context.Background(), inst, obj, eng.opts)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -196,7 +195,7 @@ func ablationPaths(b *testing.B) *monitor.PathSet {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := placement.Greedy(inst, obj)
+	res, err := placement.Run(context.Background(), inst, obj, placement.Options{Engine: placement.Eager})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -339,7 +338,7 @@ func BenchmarkNodesOfInterest(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := placement.Greedy(inst, tc.obj); err != nil {
+				if _, err := placement.Run(context.Background(), inst, tc.obj, placement.Options{Engine: placement.Eager}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -373,7 +372,7 @@ func BenchmarkGeneralKDistinguishability(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := placement.Greedy(inst, obj)
+	res, err := placement.Run(context.Background(), inst, obj, placement.Options{Engine: placement.Eager})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -483,14 +482,14 @@ func BenchmarkGreedyParallel(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := placement.Greedy(inst, obj); err != nil {
+			if _, err := placement.Run(context.Background(), inst, obj, placement.Options{Engine: placement.Eager}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := placement.GreedyParallel(inst, obj, 0); err != nil {
+			if _, err := placement.Run(context.Background(), inst, obj, placement.Options{Engine: placement.Eager, Workers: runtime.GOMAXPROCS(0)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -563,6 +562,15 @@ func hierarchyBenchInstance(b *testing.B, spec topology.HierarchySpec, numServic
 	return inst
 }
 
+// groundSize is the number of (service, candidate host) pairs of inst.
+func groundSize(inst *placement.Instance) int {
+	n := 0
+	for s := 0; s < inst.NumServices(); s++ {
+		n += len(inst.Candidates(s))
+	}
+	return n
+}
+
 // BenchmarkStochasticFrontier (A9) charts the evaluation/quality
 // frontier of the sampled greedy on generated hierarchical ISPs: for
 // each scale, the exact n·k greedy sweep is the baseline, and each ε
@@ -602,7 +610,7 @@ func BenchmarkStochasticFrontier(b *testing.B) {
 		b.Run(sc.name, func(b *testing.B) {
 			obj := sc.obj
 			inst := hierarchyBenchInstance(b, sc.spec, sc.services, sc.clients, nil)
-			exact, err := placement.Greedy(inst, obj)
+			exact, err := placement.Run(context.Background(), inst, obj, placement.Options{Engine: placement.Eager})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -613,7 +621,7 @@ func BenchmarkStochasticFrontier(b *testing.B) {
 				evals := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := placement.Greedy(inst, obj)
+					res, err := placement.Run(context.Background(), inst, obj, placement.Options{Engine: placement.Eager})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -627,7 +635,7 @@ func BenchmarkStochasticFrontier(b *testing.B) {
 					evals, val := 0, 0.0
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						res, err := placement.GreedyStochastic(inst, obj, eps, 42)
+						res, err := placement.Run(context.Background(), inst, obj, placement.Options{Engine: placement.Stochastic, Eps: eps, Seed: 42})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -654,8 +662,8 @@ func BenchmarkStochasticFrontier(b *testing.B) {
 			})
 			b.Run("warm-place", func(b *testing.B) {
 				delta := hierarchyBenchInstance(b, sc.spec, sc.services, sc.clients, [][2]int{chord})
-				w := placement.NewWarmPlacer()
-				if _, _, err := w.Place(context.Background(), inst, obj, 0, nil); err != nil {
+				opts := placement.Options{Workers: runtime.GOMAXPROCS(0), Warm: placement.NewWarmPlacer()}
+				if _, err := placement.Run(context.Background(), inst, obj, opts); err != nil {
 					b.Fatal(err)
 				}
 				var reused, recomputed int
@@ -668,12 +676,12 @@ func BenchmarkStochasticFrontier(b *testing.B) {
 					if i%2 == 1 {
 						next = inst
 					}
-					_, stats, err := w.Place(context.Background(), next, obj, 0, nil)
+					res, err := placement.Run(context.Background(), next, obj, opts)
 					if err != nil {
 						b.Fatal(err)
 					}
-					reused += stats.Reused
-					recomputed += stats.Recomputed
+					reused += res.WarmReused
+					recomputed += groundSize(next) - res.WarmReused
 				}
 				b.ReportMetric(float64(reused)/float64(b.N), "gains-reused/op")
 				b.ReportMetric(float64(recomputed)/float64(b.N), "gains-recomputed/op")

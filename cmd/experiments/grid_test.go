@@ -23,7 +23,7 @@ func writeGridSpec(t *testing.T, spec string) string {
 func TestRunGridEndToEnd(t *testing.T) {
 	silence(t)
 	spec := writeGridSpec(t, `{
-		"defaults": {"seed": 1, "rdseeds": 5, "lazy": true},
+		"defaults": {"seed": 1, "rdseeds": 5},
 		"placements": [
 			{"name": "fig4_abovenet", "kind": "fig4", "topology": "Abovenet", "repeats": 2, "golden": "fig4_abovenet.csv"}
 		],

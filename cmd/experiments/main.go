@@ -37,7 +37,6 @@ func run(args []string) error {
 	only := fs.String("only", "", "run a single artifact: TableI, Fig4, Fig5, Fig6, Fig7, Fig8, K2, OpLoop")
 	rdSeeds := fs.Int("rdseeds", 5, "random-placement seeds averaged per α")
 	seed := fs.Int64("seed", 1, "base seed for randomized series")
-	lazy := fs.Bool("lazy", true, "use the lazy-greedy (CELF) engine for the greedy series; identical curves, fewer evaluations")
 	grid := fs.String("grid", "", "experiments.json grid spec: run declaratively into -runs-dir instead of the fixed artifact list")
 	runsDir := fs.String("runs-dir", "paper_runs", "with -grid: parent directory for the timestamped run tree")
 	goldens := fs.String("goldens", "results", "with -grid: directory holding the golden CSVs runs validate against")
@@ -53,7 +52,7 @@ func run(args []string) error {
 			return err
 		}
 	}
-	r := &runner{out: *out, rdSeeds: *rdSeeds, seed: *seed, lazy: *lazy}
+	r := &runner{out: *out, rdSeeds: *rdSeeds, seed: *seed}
 
 	artifacts := []struct {
 		name string
@@ -89,7 +88,6 @@ type runner struct {
 	out     string
 	rdSeeds int
 	seed    int64
-	lazy    bool
 }
 
 func (r *runner) tableI() error {
@@ -159,7 +157,6 @@ func (r *runner) curves(figure, topo string, includeBF bool) error {
 		IncludeBF: includeBF,
 		RDSeeds:   r.rdSeeds,
 		Seed:      r.seed,
-		Lazy:      r.lazy,
 	})
 	if err != nil {
 		return err

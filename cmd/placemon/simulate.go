@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -74,7 +75,7 @@ func cmdSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := placement.Greedy(inst, obj)
+	res, err := placement.Run(context.Background(), inst, obj, placement.Options{Engine: placement.Eager})
 	if err != nil {
 		return err
 	}

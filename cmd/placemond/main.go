@@ -5,19 +5,19 @@
 // gracefully.
 //
 //	placemond -placement placement.json -addr :8080
-//	placemond -scenario-dir /var/lib/placemond/scenarios -addr :8080
+//	placemond -wal-dir /var/lib/placemond/wal -addr :8080
 //
 // With -placement the document becomes the "default" scenario, served on
-// the classic single-scenario routes. With -scenario-dir (usable with or
-// without -placement) scenarios are created dynamically over
-// PUT /v1/scenarios/{id}, persisted as files, and reloaded at the next
-// boot. With -wal-dir (mutually exclusive with -scenario-dir) the daemon
-// instead persists its full mutable state through a write-ahead log:
-// every mutation is durable before its response is acknowledged, boot
-// replays snapshot + log tail, and a WAL write failure flips the daemon
-// read-only (503 + Placemond-Read-Only) instead of crashing it. Tune
-// durability with -wal-sync (always | group | none) and rotation with
-// -wal-segment-bytes; inspect a log offline with `placemon fsck`.
+// the classic single-scenario routes. Further scenarios are created
+// dynamically over PUT /v1/scenarios/{id}; without -wal-dir they last
+// for the life of the process. With -wal-dir (usable with or without
+// -placement) the daemon persists its full mutable state through a
+// write-ahead log: every mutation is durable before its response is
+// acknowledged, boot replays snapshot + log tail, and a WAL write
+// failure flips the daemon read-only (503 + Placemond-Read-Only) instead
+// of crashing it. Tune durability with -wal-sync (always | group | none)
+// and rotation with -wal-segment-bytes; inspect a log offline with
+// `placemon fsck`.
 //
 // With -node-id and -peers the daemon joins a static cluster: scenario
 // ownership is decided by a consistent-hash ring over the shared peer
@@ -78,7 +78,6 @@ type options struct {
 	slowRequest      time.Duration
 	traceBuffer      int
 	pprof            bool
-	scenarioDir      string
 	maxScenarios     int
 	maxScenarioJobs  int
 	walDir           string
@@ -109,10 +108,9 @@ func parseFlags(args []string) (*options, error) {
 	fs.DurationVar(&o.slowRequest, "slow-request", time.Second, "latency at which a request logs a warning (-1s disables)")
 	fs.IntVar(&o.traceBuffer, "trace-buffer", 64, "request traces retained for GET /debug/traces (-1 disables)")
 	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
-	fs.StringVar(&o.scenarioDir, "scenario-dir", "", "directory persisting dynamically created scenarios across restarts (empty: in-memory only)")
 	fs.IntVar(&o.maxScenarios, "max-scenarios", 0, "concurrently hosted scenario cap (0 = default 64)")
 	fs.IntVar(&o.maxScenarioJobs, "max-jobs-per-scenario", 0, "one scenario's queued+running placement job cap (0 = the whole pool, -1 disables)")
-	fs.StringVar(&o.walDir, "wal-dir", "", "directory for the write-ahead log persisting all daemon state; mutations are durable before they are acknowledged (mutually exclusive with -scenario-dir)")
+	fs.StringVar(&o.walDir, "wal-dir", "", "directory for the write-ahead log persisting all daemon state; mutations are durable before they are acknowledged (empty: scenarios are in-memory only)")
 	fs.StringVar(&o.walSync, "wal-sync", "always", "WAL append durability: always (fsync per mutation), group (group commit), or none (fsync on rotation/shutdown only)")
 	fs.Int64Var(&o.walSegmentBytes, "wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = default 4 MiB)")
 	fs.StringVar(&o.nodeID, "node-id", "", "this node's ID in a cluster deployment (requires -peers)")
@@ -122,11 +120,8 @@ func parseFlags(args []string) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if o.placementFile == "" && o.scenarioDir == "" && o.walDir == "" {
-		return nil, fmt.Errorf("-placement is required (or -scenario-dir / -wal-dir for a scenario-only daemon)")
-	}
-	if o.walDir != "" && o.scenarioDir != "" {
-		return nil, fmt.Errorf("-wal-dir and -scenario-dir are mutually exclusive (the WAL subsumes the scenario store)")
+	if o.placementFile == "" && o.walDir == "" {
+		return nil, fmt.Errorf("-placement is required (or -wal-dir for a scenario-only daemon)")
 	}
 	if (o.nodeID == "") != (o.peers == "") {
 		return nil, fmt.Errorf("-node-id and -peers must be used together")
@@ -161,7 +156,6 @@ func (o *options) serverConfig(logger *slog.Logger) placemon.ServerConfig {
 		Logger:             logger,
 		SlowRequest:        o.slowRequest,
 		TraceBuffer:        o.traceBuffer,
-		ScenarioDir:        o.scenarioDir,
 		MaxScenarios:       o.maxScenarios,
 		MaxJobsPerScenario: o.maxScenarioJobs,
 		WALDir:             o.walDir,
@@ -255,7 +249,6 @@ func run(ctx context.Context, args []string, logOut io.Writer) error {
 	} else {
 		logger.Info("serving (scenario-only)",
 			"addr", ln.Addr().String(),
-			"scenario_dir", o.scenarioDir,
 			"wal_dir", o.walDir,
 			"scenarios", len(srv.Scenarios()),
 			"k", o.k,

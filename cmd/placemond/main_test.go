@@ -204,18 +204,18 @@ func TestResilienceFlags(t *testing.T) {
 	}
 }
 
-// TestScenarioFlags: -scenario-dir lifts the -placement requirement and
-// the multi-tenant knobs parse.
+// TestScenarioFlags: -wal-dir lifts the -placement requirement and the
+// multi-tenant knobs parse.
 func TestScenarioFlags(t *testing.T) {
-	o, err := parseFlags([]string{"-scenario-dir", "/tmp/scenarios"})
+	o, err := parseFlags([]string{"-wal-dir", "/tmp/wal"})
 	if err != nil {
-		t.Fatalf("-scenario-dir without -placement rejected: %v", err)
+		t.Fatalf("-wal-dir without -placement rejected: %v", err)
 	}
-	if o.scenarioDir != "/tmp/scenarios" || o.maxScenarios != 0 || o.maxScenarioJobs != 0 {
-		t.Errorf("scenario flag defaults = %q %d %d", o.scenarioDir, o.maxScenarios, o.maxScenarioJobs)
+	if o.walDir != "/tmp/wal" || o.maxScenarios != 0 || o.maxScenarioJobs != 0 {
+		t.Errorf("scenario flag defaults = %q %d %d", o.walDir, o.maxScenarios, o.maxScenarioJobs)
 	}
 	o, err = parseFlags([]string{"-placement", "x.json",
-		"-scenario-dir", "s", "-max-scenarios", "3", "-max-jobs-per-scenario", "2"})
+		"-wal-dir", "s", "-max-scenarios", "3", "-max-jobs-per-scenario", "2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestScenarioOnlyDaemonLifecycle(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close() // run re-listens on the now-free port
 	url := "http://" + addr
-	args := []string{"-scenario-dir", dir, "-addr", addr}
+	args := []string{"-wal-dir", dir, "-addr", addr}
 
 	boot := func() (context.CancelFunc, chan error) {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -308,7 +308,7 @@ func TestScenarioOnlyDaemonLifecycle(t *testing.T) {
 	}
 	stop(cancel, done)
 
-	// Reboot on the same directory: the scenario is reloaded and serves.
+	// Reboot on the same directory: the scenario is recovered and serves.
 	cancel, done = boot()
 	defer stop(cancel, done)
 	if health := waitHealthz(t, url); health["scenarios"] != float64(1) {

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -205,11 +206,6 @@ type CurvesConfig struct {
 	RDSeeds int
 	// Seed drives the RD series.
 	Seed int64
-	// Lazy routes the greedy series (GC, GI, GD) through the lazy-greedy
-	// (CELF) engine. The curves are identical — the engine is bit-for-bit
-	// equivalent for submodular objectives and falls back to exact greedy
-	// for identifiability — only the evaluation count drops.
-	Lazy bool
 }
 
 // MonitoringCurves reproduces the data behind Figs. 5 (Abovenet, with BF),
@@ -285,11 +281,7 @@ func MonitoringCurves(p *Prepared, cfg CurvesConfig) (Curves, error) {
 			{AlgoGI, ident},
 			{AlgoGD, dist},
 		} {
-			greedy := placement.Greedy
-			if cfg.Lazy {
-				greedy = placement.GreedyLazy
-			}
-			res, err := greedy(inst, run.obj)
+			res, err := placement.Run(context.Background(), inst, run.obj, placement.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s at α=%g: %w", run.algo, alpha, err)
 			}
@@ -371,7 +363,7 @@ func Fig8(p *Prepared, cfg Fig8Config) (map[Algo]stats.Distribution, error) {
 		{AlgoGI, ident},
 		{AlgoGD, dist},
 	} {
-		res, err := placement.Greedy(inst, run.obj)
+		res, err := placement.Run(context.Background(), inst, run.obj, placement.Options{Engine: placement.Eager})
 		if err != nil {
 			return nil, err
 		}

@@ -26,8 +26,6 @@ type GridDefaults struct {
 	Seed int64 `json:"seed"`
 	// RDSeeds is the number of random placements averaged per α.
 	RDSeeds int `json:"rdseeds"`
-	// Lazy routes the greedy series through the lazy-greedy (CELF) engine.
-	Lazy bool `json:"lazy"`
 }
 
 // PlacementRun is one cell of the placement grid. Kind selects the
@@ -249,7 +247,6 @@ func (g GridSpec) executeOnce(run PlacementRun) ([]byte, string, error) {
 			IncludeBF: run.BruteForce,
 			RDSeeds:   rdSeeds,
 			Seed:      seed,
-			Lazy:      g.Defaults.Lazy,
 		})
 		if err != nil {
 			return nil, "", err
@@ -413,7 +410,7 @@ type LoadgenOutcome struct {
 // WriteSummary writes the human entry point of a paper_runs tree.
 func WriteSummary(w io.Writer, ts string, def GridDefaults, runs []RunOutcome, loads []LoadgenOutcome) error {
 	fmt.Fprintf(w, "# Paper runs %s\n\n", ts)
-	fmt.Fprintf(w, "Defaults: seed=%d rdseeds=%d lazy=%v\n\n", def.Seed, def.RDSeeds, def.Lazy)
+	fmt.Fprintf(w, "Defaults: seed=%d rdseeds=%d\n\n", def.Seed, def.RDSeeds)
 	if len(runs) > 0 {
 		fmt.Fprintln(w, "## Placement grid")
 		fmt.Fprintln(w)

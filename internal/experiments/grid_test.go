@@ -35,7 +35,7 @@ func TestParseGridSpecRejectsBadInput(t *testing.T) {
 
 func TestParseGridSpecValid(t *testing.T) {
 	raw := `{
-		"defaults": {"seed": 7, "rdseeds": 3, "lazy": true},
+		"defaults": {"seed": 7, "rdseeds": 3},
 		"placements": [
 			{"name": "a", "kind": "fig4", "topology": "Abovenet", "golden": "fig4_abovenet.csv"},
 			{"name": "b", "kind": "curves", "topology": "Tiscali", "repeats": 2}
@@ -48,7 +48,7 @@ func TestParseGridSpecValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Defaults.Seed != 7 || spec.Defaults.RDSeeds != 3 || !spec.Defaults.Lazy {
+	if spec.Defaults.Seed != 7 || spec.Defaults.RDSeeds != 3 {
 		t.Fatalf("defaults misparsed: %+v", spec.Defaults)
 	}
 	if len(spec.Placements) != 2 || len(spec.Loadgen) != 1 {
@@ -63,7 +63,7 @@ func TestParseGridSpecValid(t *testing.T) {
 // TestExecutePlacementReproducible: the repeats machinery accepts a
 // deterministic run, and the produced CSV carries the expected header.
 func TestExecutePlacementReproducible(t *testing.T) {
-	spec := GridSpec{Defaults: GridDefaults{Seed: 1, RDSeeds: 2, Lazy: true}}
+	spec := GridSpec{Defaults: GridDefaults{Seed: 1, RDSeeds: 2}}
 	run := PlacementRun{Name: "fig4", Kind: "fig4", Topology: "Abovenet", Repeats: 3}
 	csv, text, err := spec.ExecutePlacement(run)
 	if err != nil {
@@ -89,7 +89,7 @@ func TestExecutePlacementReproducible(t *testing.T) {
 // TestExecutePlacementKinds smoke-runs every remaining kind on the
 // smallest topology that supports it.
 func TestExecutePlacementKinds(t *testing.T) {
-	spec := GridSpec{Defaults: GridDefaults{Seed: 1, RDSeeds: 1, Lazy: true}}
+	spec := GridSpec{Defaults: GridDefaults{Seed: 1, RDSeeds: 1}}
 	runs := []PlacementRun{
 		{Name: "c", Kind: "curves", Topology: "Abovenet", Alphas: []float64{0, 1}},
 		{Name: "k", Kind: "k2", Topology: "Abovenet", Alphas: []float64{0, 1}},

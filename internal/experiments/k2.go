@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -70,7 +71,7 @@ func K2Sweep(p *Prepared, cfg K2Config) (K2Curves, error) {
 			}, nil
 		}
 
-		gd, err := placement.Greedy(inst, dist2)
+		gd, err := placement.Run(context.Background(), inst, dist2, placement.Options{Engine: placement.Eager})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: k2 GD at α=%g: %w", alpha, err)
 		}

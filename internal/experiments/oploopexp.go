@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -61,7 +62,7 @@ func OpLoopSweep(p *Prepared, cfg OpLoopConfig) ([]OpLoopRow, error) {
 		return nil, err
 	}
 	placements := map[Algo]placement.Placement{}
-	gd, err := placement.Greedy(inst, dist)
+	gd, err := placement.Run(context.Background(), inst, dist, placement.Options{Engine: placement.Eager})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package failsim
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,7 +106,7 @@ func TestCompareGDBeatsQoSOperationally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd, err := placement.Greedy(inst, obj)
+	gd, err := placement.Run(context.Background(), inst, obj, placement.Options{Engine: placement.Eager})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,9 @@
 //
 // The core is deliberately synchronous and deterministic: callers feed
 // it state transitions (from netsim, from production probes, or from
-// tests) and receive the events the transition triggered. Two wrappers
-// add concurrency safety: Safe puts a mutex around a Monitor, and Loop
-// runs one behind a single-writer event loop — every operation is a
-// message to the owning goroutine, so batch ingest serializes without
-// lock contention. The HTTP serving layer (internal/server) uses Loop;
+// tests) and receive the events the transition triggered. Loop adds
+// concurrency safety by running a Monitor behind a single-writer event
+// loop — every operation is a message to the owning goroutine, so batch
+// ingest serializes without lock contention. The HTTP serving layer (internal/server) uses Loop;
 // everyone else gets single-threaded determinism for free.
 package monitord

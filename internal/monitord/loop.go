@@ -14,13 +14,11 @@ var ErrClosed = fmt.Errorf("monitord: monitor loop closed")
 // Loop wraps a Monitor behind a per-scenario single-writer event loop:
 // one goroutine owns the Monitor and applies commands in arrival order,
 // so the core never needs a lock and writers never contend on a mutex —
-// they queue. This replaces the big-lock Safe wrapper on the serving hot
-// path; Safe remains for embedders that want a synchronous guard.
+// they queue.
 //
 // All operations are synchronous from the caller's point of view
-// (command in, reply out) and the loop serializes them, so Loop provides
-// the same atomicity guarantees as Safe: a ReportBatch never interleaves
-// with another batch or a Snapshot. Commands and their reply channels are
+// (command in, reply out) and the loop serializes them, so a ReportBatch
+// is atomic: it never interleaves with another batch or a Snapshot. Commands and their reply channels are
 // pooled, so a steady-state round-trip allocates nothing.
 //
 // After Close every operation fails with ErrClosed (or returns a zero
@@ -61,6 +59,12 @@ type loopCmd struct {
 	ups   []bool
 	state State
 	reply chan loopReply
+}
+
+// Snapshot is a consistent point-in-time view of the daemon state.
+type Snapshot struct {
+	InOutage bool
+	States   []ConnState
 }
 
 // loopReply carries every result shape a command can produce.
@@ -167,9 +171,10 @@ func (l *Loop) putCmd(cmd *loopCmd) {
 }
 
 // ReportBatch feeds several observations at the same virtual time and
-// returns the concatenated events; same contract as Safe.ReportBatch
-// (length mismatch rejects the whole batch; a bad index keeps the applied
-// prefix and returns its events alongside the error). The batch is
+// returns the concatenated events. A conns/ups length mismatch rejects
+// the whole batch before anything is applied; on a bad connection index
+// the prefix already applied stays applied, and its events are returned
+// alongside the error. The batch is
 // serialized by the event loop, so no other operation interleaves.
 //
 // The conns and ups slices are only read until ReportBatch returns, so

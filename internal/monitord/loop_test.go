@@ -10,7 +10,8 @@ import (
 	"repro/internal/bitset"
 )
 
-// newLoopLine builds a Loop over the same 5-node line as newSafeLine.
+// newLoopLine builds a Loop over a 5-node line 0-1-2-3-4 with two
+// connections: 0→2 (nodes 0,1,2) and 4→2 (nodes 2,3,4).
 func newLoopLine(t *testing.T) *Loop {
 	t.Helper()
 	paths := []*bitset.Set{
@@ -26,9 +27,8 @@ func newLoopLine(t *testing.T) *Loop {
 	return l
 }
 
-// The event loop must present the same sequential semantics as Safe: it
-// replaced Safe on the serving hot path, so this mirrors
-// TestSafeSequentialSemantics through the loop.
+// The event loop must present sequential semantics: a batch applies as
+// one unit, snapshots and diagnoses see whole batches only.
 func TestLoopSequentialSemantics(t *testing.T) {
 	l := newLoopLine(t)
 	events, err := l.ReportBatch(1, []int{0, 1}, []bool{false, true})
@@ -85,13 +85,31 @@ func TestLoopBadConnectionKeepsPrefix(t *testing.T) {
 	}
 }
 
+// TestLoopMismatchedBatchRejected is the regression test for the panic a
+// short ups slice used to cause: ReportBatch indexed ups[i] for every
+// conns entry, so a length mismatch crashed the daemon. The batch must be
+// rejected whole, before any report applies.
 func TestLoopMismatchedBatchRejected(t *testing.T) {
 	l := newLoopLine(t)
-	if _, err := l.ReportBatch(1, []int{0, 1}, []bool{false}); err == nil {
+	events, err := l.ReportBatch(1, []int{0, 1}, []bool{false})
+	if err == nil {
 		t.Fatalf("mismatched batch accepted")
 	}
-	if l.Snapshot().InOutage {
+	if len(events) != 0 {
+		t.Fatalf("events = %v, want none from a rejected batch", events)
+	}
+	snap := l.Snapshot()
+	if snap.InOutage {
 		t.Fatalf("rejected batch still applied a report")
+	}
+	for i, st := range snap.States {
+		if st != StateUnknown {
+			t.Fatalf("connection %d state = %v, want unknown", i, st)
+		}
+	}
+	// The longer-ups direction must be rejected too, not silently truncated.
+	if _, err := l.ReportBatch(2, []int{0}, []bool{false, true}); err == nil {
+		t.Fatalf("oversized ups slice accepted")
 	}
 }
 

@@ -76,18 +76,3 @@ func (m *Monitor) rebuildIncremental() {
 		m.applyTransition(i, StateUnknown, s == StateUp)
 	}
 }
-
-// ExportState captures the monitor's replayable state; see
-// Monitor.ExportState.
-func (s *Safe) ExportState() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.ExportState()
-}
-
-// RestoreState overwrites the monitor's state; see Monitor.RestoreState.
-func (s *Safe) RestoreState(st State) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.RestoreState(st)
-}

@@ -1,6 +1,7 @@
 package oploop
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -32,7 +33,7 @@ func tiscaliSetup(t testing.TB, algo string) (*routing.Router, []netsim.Pair) {
 	var pl placement.Placement
 	switch algo {
 	case "gd":
-		res, err := placement.Greedy(inst, obj)
+		res, err := placement.Run(context.Background(), inst, obj, placement.Options{Engine: placement.Eager})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,92 +17,86 @@ type Result struct {
 	Order []int
 	// Evaluations counts objective evaluations, the dominant cost.
 	Evaluations int
+	// WarmReused counts the round-0 gains a warm start (Options.Warm)
+	// served from its cache instead of evaluating; Evaluations leaves
+	// them out. Zero for every other run.
+	WarmReused int
 }
 
-// Greedy runs Algorithm 2: starting from no placements, it repeatedly
-// chooses the (service, host) pair that maximizes f(P ∪ P(C_s, h)) among
-// unplaced services and their candidates, until every service is placed.
-// Ties break toward the smaller service index, then the smaller host ID,
-// making runs deterministic.
-//
-// For the coverage and distinguishability objectives this is a
-// 1/2-approximation of the optimum (Corollaries 14 and 18); for
-// identifiability it is the GI heuristic without a guarantee
-// (Proposition 15).
-func Greedy(inst *Instance, obj Objective) (*Result, error) {
-	return GreedyWithProgress(inst, obj, nil)
-}
-
-// GreedyWithProgress is Greedy with a per-round progress hook; a nil
-// progress reproduces Greedy exactly (same placement, same evaluation
-// count — the hook never changes the computation, only reports it).
-func GreedyWithProgress(inst *Instance, obj Objective, progress ProgressFunc) (*Result, error) {
-	return GreedyCtx(context.Background(), inst, obj, progress)
-}
-
-// errCanceled wraps ctx.Err() so callers can errors.Is-match
-// context.Canceled / DeadlineExceeded on an abandoned run.
-func errCanceled(ctx context.Context, iter int) error {
-	return fmt.Errorf("placement: run canceled before round %d: %w", iter, ctx.Err())
-}
-
-// GreedyCtx is GreedyWithProgress bounded by ctx: cancellation is
-// observed once per greedy round (the same cadence as the progress
-// hook), so an abandoned placement job stops within one round instead of
-// running every remaining round to completion. The returned error wraps
-// ctx.Err(). A background context reproduces Greedy exactly.
-func GreedyCtx(ctx context.Context, inst *Instance, obj Objective, progress ProgressFunc) (*Result, error) {
-	if obj == nil {
-		return nil, fmt.Errorf("placement: nil objective")
-	}
+// eager is Algorithm 2 as written: every round evaluates every remaining
+// (service, host) candidate against the current placement and adds the
+// first maximum in ground order — the smaller service index, then the
+// smaller host ID. With workers > 1 each round's candidates are split
+// into contiguous chunks evaluated concurrently; each chunk keeps its own
+// first maximum and the chunks are reduced in order, so the winner and
+// the evaluation count are the sequential loop's.
+func eager(ctx context.Context, inst *Instance, obj Objective, workers int, progress ProgressFunc) (*Result, error) {
 	res := &Result{Placement: NewPlacement(inst.NumServices())}
 	base := obj.newEvaluator(inst.NumNodes())
 	baseVal := base.Value()
 	placed := make([]bool, inst.NumServices())
 
+	// pick is the best trial seen so far: its ground element, value, and
+	// evaluator. The winning trial already holds base ∪ P(C_s, h), so it
+	// is adopted as the new base instead of re-refining the old one.
+	type pick struct {
+		elem int
+		val  float64
+		eval evaluator
+	}
+	none := pick{elem: -1, val: -1}
+	picks := make([]pick, workers)
+	var cands []int
 	for iter := 0; iter < inst.NumServices(); iter++ {
 		if ctx.Err() != nil {
 			return nil, errCanceled(ctx, iter)
 		}
 		roundStart := time.Now()
-		evalsBefore := res.Evaluations
-		candidates := 0
-		bestS, bestH, bestVal := -1, -1, -1.0
-		var bestEval evaluator
-		for s := 0; s < inst.NumServices(); s++ {
-			if placed[s] {
-				continue
+		cands = cands[:0]
+		for e := range inst.elements {
+			if !placed[inst.elements[e].service] {
+				cands = append(cands, e)
 			}
-			for i := range inst.candidates[s] {
-				el := &inst.elements[inst.elemIndex[s][i]]
+		}
+		for i := range picks {
+			picks[i] = none
+		}
+		fanOut(len(cands), workers, func(c, lo, hi int) {
+			best := none
+			for _, e := range cands[lo:hi] {
 				trial := base.Clone()
-				trial.Add(el.evalPaths)
-				res.Evaluations++
-				candidates++
-				if v := trial.Value(); v > bestVal {
-					bestS, bestH, bestVal, bestEval = s, el.host, v, trial
+				trial.Add(inst.elements[e].evalPaths)
+				if v := trial.Value(); v > best.val {
+					best = pick{elem: e, val: v, eval: trial}
 				}
 			}
+			picks[c] = best
+		})
+		res.Evaluations += len(cands)
+		best := none
+		for _, p := range picks {
+			if p.val > best.val {
+				best = p
+			}
 		}
-		if bestS < 0 {
+		if best.elem < 0 {
 			return nil, fmt.Errorf("placement: no feasible placement at iteration %d", iter)
 		}
-		// The winning trial already holds base ∪ P(C_s, h): adopt it as
-		// the new base instead of re-refining the old one.
-		base = bestEval
-		placed[bestS] = true
-		res.Placement.Hosts[bestS] = bestH
-		res.Order = append(res.Order, bestS)
+		el := &inst.elements[best.elem]
+		base = best.eval
+		placed[el.service] = true
+		res.Placement.Hosts[el.service] = el.host
+		res.Order = append(res.Order, el.service)
 		progress.emit(Round{
 			Index:       iter,
-			Service:     bestS,
-			Host:        bestH,
-			Gain:        bestVal - baseVal,
-			Candidates:  candidates,
-			Evaluations: res.Evaluations - evalsBefore,
+			Service:     el.service,
+			Host:        el.host,
+			Gain:        best.val - baseVal,
+			Candidates:  len(cands),
+			Evaluations: len(cands),
 			Duration:    time.Since(roundStart),
 		})
-		baseVal = bestVal
+		baseVal = best.val
 	}
 	res.Value = base.Value()
 	return res, nil

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,6 +14,11 @@ import (
 
 // mustObj unwraps an (Objective, error) constructor result, panicking on
 // error; constructors only fail on invalid k, which tests pass correctly.
+// runWith is Run under a background context.
+func runWith(inst *Instance, obj Objective, opts Options) (*Result, error) {
+	return Run(context.Background(), inst, obj, opts)
+}
+
 func mustObj(obj Objective, err error) Objective {
 	if err != nil {
 		panic(err)
@@ -22,14 +28,14 @@ func mustObj(obj Objective, err error) Objective {
 
 func TestGreedyNilObjective(t *testing.T) {
 	inst := fig1Instance(t, 1, 0.5)
-	if _, err := Greedy(inst, nil); err == nil {
+	if _, err := runWith(inst, nil, Options{Engine: Eager}); err == nil {
 		t.Fatal("nil objective should error")
 	}
 }
 
 func TestGreedyPlacesAllServices(t *testing.T) {
 	inst := fig1Instance(t, 5, 0.5)
-	res, err := Greedy(inst, mustObj(NewDistinguishability(1)))
+	res, err := runWith(inst, mustObj(NewDistinguishability(1)), Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +55,7 @@ func TestGreedyDistinguishabilityFig1(t *testing.T) {
 	// identifiability: spreading services across a..d yields unique
 	// signatures for all 9 nodes (the paper's Fig. 1 discussion).
 	inst := fig1Instance(t, 5, 0.5)
-	res, err := Greedy(inst, mustObj(NewDistinguishability(1)))
+	res, err := runWith(inst, mustObj(NewDistinguishability(1)), Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +90,11 @@ func TestGreedyDistinguishabilityFig1(t *testing.T) {
 func TestGreedyDeterministic(t *testing.T) {
 	inst := fig1Instance(t, 3, 0.5)
 	obj := mustObj(NewDistinguishability(1))
-	a, err := Greedy(inst, obj)
+	a, err := runWith(inst, obj, Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Greedy(inst, obj)
+	b, err := runWith(inst, obj, Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +203,7 @@ func TestBruteForceDominatesGreedy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gr, err := Greedy(inst, obj)
+			gr, err := runWith(inst, obj, Options{Engine: Eager})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"fmt"
 )
 
@@ -33,7 +34,7 @@ func BranchAndBound(inst *Instance, obj Objective, nodeBudget int64) (*Result, e
 	}
 
 	// Incumbent: the greedy solution (1/2-approximate ⇒ a strong seed).
-	greedy, err := Greedy(inst, obj)
+	greedy, err := Run(context.Background(), inst, obj, Options{Engine: Eager})
 	if err != nil {
 		return nil, err
 	}

@@ -98,7 +98,7 @@ func TestBranchAndBoundPrunes(t *testing.T) {
 func TestBranchAndBoundNeverBelowGreedy(t *testing.T) {
 	inst := fig1Instance(t, 3, 1)
 	obj := NewCoverage()
-	gr, err := Greedy(inst, obj)
+	gr, err := runWith(inst, obj, Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestGreedyCapacitatedValidation(t *testing.T) {
 func TestGreedyCapacitatedUnlimitedMatchesGreedy(t *testing.T) {
 	inst := fig1Instance(t, 3, 0.5)
 	obj := mustObj(NewDistinguishability(1))
-	plain, err := Greedy(inst, obj)
+	plain, err := runWith(inst, obj, Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestMatroidGreedyAgreesWithAlgorithm2(t *testing.T) {
 	}
 	f := inst.ObjectiveOnElements(obj)
 	sel := matroid.Greedy(sys, f, inst.NumServices())
-	specialized, err := Greedy(inst, obj)
+	specialized, err := runWith(inst, obj, Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}

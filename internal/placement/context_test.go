@@ -37,12 +37,12 @@ func ctxInstance(t *testing.T) (*Instance, Objective) {
 	return inst, obj
 }
 
-// TestCtxEnginesMatchPlainEngines: a background context through the Ctx
-// entry points must reproduce the engine's normal output bit-for-bit —
-// the cancellation check may not perturb anything.
+// TestCtxEnginesMatchPlainEngines: a background context through every
+// engine and worker count must reproduce the sequential eager output
+// bit-for-bit — the cancellation check may not perturb anything.
 func TestCtxEnginesMatchPlainEngines(t *testing.T) {
 	inst, obj := ctxInstance(t)
-	want, err := Greedy(inst, obj)
+	want, err := runWith(inst, obj, Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +50,14 @@ func TestCtxEnginesMatchPlainEngines(t *testing.T) {
 		name string
 		run  func(context.Context) (*Result, error)
 	}{
-		{"greedy", func(ctx context.Context) (*Result, error) { return GreedyCtx(ctx, inst, obj, nil) }},
-		{"lazy", func(ctx context.Context) (*Result, error) { return GreedyLazyCtx(ctx, inst, obj, nil) }},
+		{"greedy", func(ctx context.Context) (*Result, error) { return Run(ctx, inst, obj, Options{Engine: Eager}) }},
+		{"lazy", func(ctx context.Context) (*Result, error) { return Run(ctx, inst, obj, Options{}) }},
 		{"lazy-parallel", func(ctx context.Context) (*Result, error) {
-			return GreedyLazyParallelCtx(ctx, inst, obj, 4, nil)
+			return Run(ctx, inst, obj, Options{Workers: 4})
 		}},
-		{"parallel", func(ctx context.Context) (*Result, error) { return GreedyParallelCtx(ctx, inst, obj, 4) }},
+		{"parallel", func(ctx context.Context) (*Result, error) {
+			return Run(ctx, inst, obj, Options{Engine: Eager, Workers: 4})
+		}},
 	} {
 		got, err := tc.run(context.Background())
 		if err != nil {
@@ -79,10 +81,10 @@ func TestCtxEnginesStopOnCancel(t *testing.T) {
 		name string
 		run  func() (*Result, error)
 	}{
-		{"greedy", func() (*Result, error) { return GreedyCtx(ctx, inst, obj, nil) }},
-		{"lazy", func() (*Result, error) { return GreedyLazyCtx(ctx, inst, obj, nil) }},
-		{"lazy-parallel", func() (*Result, error) { return GreedyLazyParallelCtx(ctx, inst, obj, 4, nil) }},
-		{"parallel", func() (*Result, error) { return GreedyParallelCtx(ctx, inst, obj, 4) }},
+		{"greedy", func() (*Result, error) { return Run(ctx, inst, obj, Options{Engine: Eager}) }},
+		{"lazy", func() (*Result, error) { return Run(ctx, inst, obj, Options{}) }},
+		{"lazy-parallel", func() (*Result, error) { return Run(ctx, inst, obj, Options{Workers: 4}) }},
+		{"parallel", func() (*Result, error) { return Run(ctx, inst, obj, Options{Engine: Eager, Workers: 4}) }},
 	} {
 		res, err := tc.run()
 		if res != nil || !errors.Is(err, context.Canceled) {
@@ -106,9 +108,9 @@ func TestCtxCancelMidRun(t *testing.T) {
 		var err error
 		switch engine {
 		case "greedy":
-			_, err = GreedyCtx(ctx, inst, obj, progress)
+			_, err = Run(ctx, inst, obj, Options{Engine: Eager, Progress: progress})
 		case "lazy":
-			_, err = GreedyLazyCtx(ctx, inst, obj, progress)
+			_, err = Run(ctx, inst, obj, Options{Progress: progress})
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", engine, err)

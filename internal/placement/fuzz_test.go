@@ -53,11 +53,11 @@ func FuzzGreedyLazyEquivalence(f *testing.F) {
 			mustObj(NewIdentifiability(1)),
 			mustObj(NewDistinguishability(1)),
 		} {
-			exact, err := Greedy(inst, obj)
+			exact, err := runWith(inst, obj, Options{Engine: Eager})
 			if err != nil {
 				t.Fatal(err)
 			}
-			lazy, err := GreedyLazy(inst, obj)
+			lazy, err := runWith(inst, obj, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

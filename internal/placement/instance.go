@@ -4,13 +4,10 @@
 // and the QoS-derived candidate host sets; the algorithms in this package
 // select one host per service to maximize a monitoring objective:
 //
-//   - Greedy — Algorithm 2, the 1/2-approximate greedy over the partition
-//     matroid (GC, GI, GD depending on the objective);
-//   - GreedyLazy / GreedyLazyParallel — the same algorithm with CELF lazy
-//     evaluation for submodular objectives: identical placements, far
-//     fewer objective evaluations;
-//   - GreedyParallel — Algorithm 2 with each round's evaluations fanned
-//     out across goroutines;
+//   - Run — Algorithm 2, the 1/2-approximate greedy over the partition
+//     matroid (GC, GI, GD depending on the objective), on the eager,
+//     CELF lazy, or sampled engine, each optionally fanned out across
+//     goroutines and the lazy one optionally warm-started (Options);
 //   - LocalSearch / GreedyWithLocalSearch — swap-based refinement;
 //   - QoS — the best-QoS baseline (minimize worst client distance);
 //   - Random — the random-within-candidates baseline (RD);

@@ -4,8 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 )
 
@@ -18,7 +16,7 @@ import (
 // the top entry when its cache is stale; most candidates are never looked
 // at again after the initial sweep, which is where the evaluation savings
 // in BENCH_*.json come from. The placement produced is bit-for-bit
-// identical to Greedy's, including the deterministic tie-break.
+// identical to the eager engine's, including the deterministic tie-break.
 
 // lazyEntry is one heap slot: a ground element (service, host) with the
 // cached marginal gain and the round it was computed in. eval retains the
@@ -34,8 +32,9 @@ type lazyEntry struct {
 
 // lazyHeap orders entries by gain descending, then ground-element index
 // ascending. Element indices are assigned in (service, candidate-position)
-// scan order, so the secondary key reproduces Greedy's first-maximum
-// tie-break (smaller service index, then smaller host ID) exactly.
+// scan order, so the secondary key reproduces the eager engine's
+// first-maximum tie-break (smaller service index, then smaller host ID)
+// exactly.
 type lazyHeap []lazyEntry
 
 func (h lazyHeap) Len() int { return len(h) }
@@ -60,157 +59,61 @@ func (h *lazyHeap) Pop() any {
 	return e
 }
 
-// GreedyLazy runs Algorithm 2 with CELF-style lazy evaluation: identical
-// output to Greedy — same hosts, same order, same value under the
-// deterministic tie-break — with far fewer objective evaluations, because
-// cached marginal gains are upper bounds under submodularity and only the
-// heap top is ever re-evaluated.
+// lazy is the CELF engine, with an optional warm start. workers > 1
+// fans the initial sweep out in chunks and re-evaluates consecutive stale
+// heap tops as one parallel batch instead of one at a time; the placement
+// is the same, only Result.Evaluations may be slightly higher (a batch
+// can refresh entries the sequential engine would not have reached),
+// never higher than the eager engine's per-round sweeps.
 //
-// The trick is sound only for monotone submodular objectives (coverage
-// and distinguishability, Lemmas 13 and 17). Identifiability is not
-// submodular (Propositions 15 and 16), so it is routed to the exact
-// Greedy automatically; the returned Result is then exactly Greedy's.
-func GreedyLazy(inst *Instance, obj Objective) (*Result, error) {
-	return GreedyLazyWithProgress(inst, obj, nil)
-}
-
-// GreedyLazyWithProgress is GreedyLazy with a per-round progress hook;
-// the hook only observes the computation (round winner, gain, candidate
-// pops, evaluations, duration) and never changes it. Non-submodular
-// objectives route to GreedyWithProgress, so the hook fires either way.
-func GreedyLazyWithProgress(inst *Instance, obj Objective, progress ProgressFunc) (*Result, error) {
-	return GreedyLazyCtx(context.Background(), inst, obj, progress)
-}
-
-// GreedyLazyCtx is GreedyLazyWithProgress bounded by ctx: cancellation
-// is observed once per round, at the same hook sites the progress
-// callback uses, so a drained or abandoned job stops burning CPU within
-// one round. The returned error wraps ctx.Err(). A background context
-// reproduces GreedyLazy exactly.
-func GreedyLazyCtx(ctx context.Context, inst *Instance, obj Objective, progress ProgressFunc) (*Result, error) {
-	if obj == nil {
-		return nil, fmt.Errorf("placement: nil objective")
-	}
-	if !obj.submodular() {
-		return GreedyCtx(ctx, inst, obj, progress)
-	}
-	return greedyLazy(ctx, inst, obj, 1, progress)
-}
-
-// GreedyLazyParallel is GreedyLazy with the evaluations fanned out across
-// worker goroutines: the initial sweep is chunked like GreedyParallel,
-// and within a round consecutive stale heap tops are re-evaluated as one
-// parallel batch instead of one at a time. The placement is identical to
-// Greedy and GreedyLazy; only Result.Evaluations may be slightly higher
-// than GreedyLazy's (a batch can refresh entries the sequential engine
-// would not have reached), never higher than Greedy's ground-set sweep.
-//
-// Non-submodular objectives fall back to GreedyParallel. workers ≤ 0
-// selects GOMAXPROCS.
-func GreedyLazyParallel(inst *Instance, obj Objective, workers int) (*Result, error) {
-	return GreedyLazyParallelWithProgress(inst, obj, workers, nil)
-}
-
-// GreedyLazyParallelWithProgress is GreedyLazyParallel with a per-round
-// progress hook (see GreedyLazyWithProgress). The hook runs on the
-// coordinating goroutine, never inside the evaluation fan-out.
-func GreedyLazyParallelWithProgress(inst *Instance, obj Objective, workers int, progress ProgressFunc) (*Result, error) {
-	return GreedyLazyParallelCtx(context.Background(), inst, obj, workers, progress)
-}
-
-// GreedyLazyParallelCtx is GreedyLazyParallelWithProgress bounded by ctx
-// (see GreedyLazyCtx); the cancellation check runs on the coordinating
-// goroutine between rounds, never inside the evaluation fan-out.
-func GreedyLazyParallelCtx(ctx context.Context, inst *Instance, obj Objective, workers int, progress ProgressFunc) (*Result, error) {
-	if obj == nil {
-		return nil, fmt.Errorf("placement: nil objective")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if !obj.submodular() {
-		return GreedyParallelCtx(ctx, inst, obj, workers)
-	}
-	return greedyLazy(ctx, inst, obj, workers, progress)
-}
-
-// greedyLazy is the shared CELF engine; workers == 1 is the sequential
-// variant.
-func greedyLazy(ctx context.Context, inst *Instance, obj Objective, workers int, progress ProgressFunc) (*Result, error) {
-	return greedyLazySeeded(ctx, inst, obj, workers, progress, nil, 0)
-}
-
-// greedyLazySeeded is the CELF engine with an optional warm start. A nil
-// seeds reproduces the cold engine exactly: every ground element is
-// evaluated once against the empty placement (plain greedy's first
-// round) before selection begins. A non-nil seeds must hold one entry
-// per ground element carrying its exact round-0 marginal gain
-// (f({e}) − f(∅)), stamped round 0; the engine then skips the initial
-// sweep and counts only preEvals evaluations toward round 0 — the
-// number of seed gains the caller had to compute fresh rather than
-// serve from a cache. Because a correct seed set is value-identical to
-// what the cold sweep would produce, the selection sequence — and thus
-// the placement, order, and value — is bit-for-bit the cold engine's.
-func greedyLazySeeded(ctx context.Context, inst *Instance, obj Objective, workers int, progress ProgressFunc, seeds []lazyEntry, preEvals int) (*Result, error) {
+// A nil seeds is the cold engine: every ground element is evaluated once
+// against the empty placement (the eager engine's first round) before
+// selection begins. A non-nil seeds must hold one entry per ground
+// element carrying its exact round-0 marginal gain (f({e}) − f(∅)),
+// stamped round 0; the engine then skips the initial sweep and counts
+// only preEvals evaluations toward round 0 — the number of seed gains
+// the caller had to compute fresh rather than serve from a cache.
+// Because a correct seed set is value-identical to what the cold sweep
+// would produce, the selection sequence — and thus the placement, order,
+// and value — is bit-for-bit the cold engine's.
+func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progress ProgressFunc, seeds []lazyEntry, preEvals int) (*Result, error) {
 	res := &Result{Placement: NewPlacement(inst.NumServices())}
 	base := obj.newEvaluator(inst.NumNodes())
 	baseVal := base.Value()
 	placed := make([]bool, inst.NumServices())
 
 	// refresh recomputes the current-round marginal gain of each entry,
-	// fanning out across workers when the batch is large enough. Each
-	// recomputation is one objective evaluation, counted exactly as in
-	// Greedy. retain keeps the trial evaluator on the entry for adoption;
-	// the initial sweep drops it so at most O(recomputations) evaluator
-	// clones are ever live, not O(ground set).
+	// fanned out across workers. Each recomputation is one objective
+	// evaluation, counted exactly as in the eager engine. retain keeps
+	// the trial evaluator on the entry for adoption; the initial sweep
+	// drops it so at most O(recomputations) evaluator clones are ever
+	// live, not O(ground set).
 	refresh := func(ents []lazyEntry, round int, retain bool) {
-		one := func(e *lazyEntry) {
-			trial := base.Clone()
-			trial.Add(inst.elements[e.elem].evalPaths)
-			e.gain = trial.Value() - baseVal
-			e.round = round
-			if retain {
-				e.eval = trial
-			}
-		}
-		if workers <= 1 || len(ents) == 1 {
-			for i := range ents {
-				one(&ents[i])
-			}
-		} else {
-			var wg sync.WaitGroup
-			chunk := (len(ents) + workers - 1) / workers
-			for lo := 0; lo < len(ents); lo += chunk {
-				hi := lo + chunk
-				if hi > len(ents) {
-					hi = len(ents)
+		fanOut(len(ents), workers, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				e := &ents[i]
+				trial := base.Clone()
+				trial.Add(inst.elements[e.elem].evalPaths)
+				e.gain = trial.Value() - baseVal
+				e.round = round
+				if retain {
+					e.eval = trial
 				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					for i := lo; i < hi; i++ {
-						one(&ents[i])
-					}
-				}(lo, hi)
 			}
-			wg.Wait()
-		}
+		})
 		res.Evaluations += len(ents)
 	}
 
 	var h lazyHeap
 	if seeds == nil {
 		// Initial sweep: every ground element evaluated once against the
-		// empty placement — exactly the first round of plain greedy.
+		// empty placement — exactly the eager engine's first round.
 		h = make(lazyHeap, len(inst.elements))
 		for e := range inst.elements {
 			h[e] = lazyEntry{elem: e}
 		}
 		refresh(h, 0, false)
 	} else {
-		if len(seeds) != len(inst.elements) {
-			return nil, fmt.Errorf("placement: %d warm-start seeds for %d ground elements", len(seeds), len(inst.elements))
-		}
 		h = lazyHeap(seeds)
 		res.Evaluations += preEvals
 	}
@@ -224,8 +127,8 @@ func greedyLazySeeded(ctx context.Context, inst *Instance, obj Objective, worker
 		roundStart := time.Now()
 		evalsBefore := res.Evaluations
 		if iter == 0 {
-			// The initial ground-set sweep is plain greedy's first round;
-			// attribute its evaluations to round 0.
+			// The initial ground-set sweep is the eager engine's first
+			// round; attribute its evaluations to round 0.
 			evalsBefore = 0
 		}
 		pops := 0
@@ -251,7 +154,7 @@ func greedyLazySeeded(ctx context.Context, inst *Instance, obj Objective, worker
 				// cached upper bound ≤ this gain, so no remaining element
 				// can beat it: select. Equal-gain elements with a smaller
 				// index would have been popped (and refreshed) first, so
-				// the tie-break matches Greedy.
+				// the tie-break matches the eager engine.
 				chosen, found = top, true
 				break
 			}

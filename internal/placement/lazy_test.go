@@ -13,7 +13,7 @@ import (
 
 // TestGreedyLazyMatchesGreedy is the bit-for-bit identity property: across
 // seeded random topologies and all three objectives, the CELF engine must
-// return the same hosts, value, and placement order as plain Greedy — and
+// return the same hosts, value, and placement order as the eager engine — and
 // for submodular objectives it must get there with no more evaluations.
 func TestGreedyLazyMatchesGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
@@ -42,11 +42,11 @@ func TestGreedyLazyMatchesGreedy(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, obj := range objectives() {
-			exact, err := Greedy(inst, obj)
+			exact, err := runWith(inst, obj, Options{Engine: Eager})
 			if err != nil {
 				t.Fatal(err)
 			}
-			lazy, err := GreedyLazy(inst, obj)
+			lazy, err := runWith(inst, obj, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestGreedyLazyMatchesGreedy(t *testing.T) {
 // TestGreedyLazyParallelMatchesGreedy checks the batched engine across
 // worker counts. Its evaluation count may exceed the sequential lazy
 // engine's (a batch can refresh entries that turn out unnecessary) but
-// never the full per-round sweep of Greedy.
+// never the full per-round sweeps of the eager engine.
 func TestGreedyLazyParallelMatchesGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(731))
 	for trial := 0; trial < 4; trial++ {
@@ -93,12 +93,12 @@ func TestGreedyLazyParallelMatchesGreedy(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, obj := range []Objective{NewCoverage(), mustObj(NewDistinguishability(1))} {
-			exact, err := Greedy(inst, obj)
+			exact, err := runWith(inst, obj, Options{Engine: Eager})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 1, 3, 16} {
-				lazy, err := GreedyLazyParallel(inst, obj, workers)
+				lazy, err := runWith(inst, obj, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,8 +120,8 @@ func TestGreedyLazyParallelMatchesGreedy(t *testing.T) {
 
 // TestGreedyLazyIdentifiabilityFallsBack pins the regression the paper's
 // Propositions 15 and 16 demand: identifiability is not submodular, so the
-// lazy entry points must route it through the exact greedy — the Result
-// must match Greedy's exactly, including the evaluation count (the lazy
+// lazy engine must route it through the eager engine — the Result must
+// match the eager engine's exactly, including the evaluation count (the lazy
 // heap would use strictly fewer on this instance).
 func TestGreedyLazyIdentifiabilityFallsBack(t *testing.T) {
 	inst := fig1Instance(t, 3, 0.7)
@@ -129,28 +129,28 @@ func TestGreedyLazyIdentifiabilityFallsBack(t *testing.T) {
 		mustObj(NewIdentifiability(1)),
 		NewIdentifiabilityOfInterest(inst.NumNodes(), []int{0, 1, 2, 3}),
 	} {
-		exact, err := Greedy(inst, obj)
+		exact, err := runWith(inst, obj, Options{Engine: Eager})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy, err := GreedyLazy(inst, obj)
+		lazy, err := runWith(inst, obj, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(lazy, exact) {
-			t.Fatalf("%s: GreedyLazy did not fall back to exact greedy: %+v vs %+v",
+			t.Fatalf("%s: lazy engine did not fall back to the eager engine: %+v vs %+v",
 				obj.Name(), lazy, exact)
 		}
-		par, err := GreedyLazyParallel(inst, obj, 3)
+		par, err := runWith(inst, obj, Options{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqPar, err := GreedyParallel(inst, obj, 3)
+		seqPar, err := runWith(inst, obj, Options{Engine: Eager, Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(par, seqPar) {
-			t.Fatalf("%s: GreedyLazyParallel did not fall back to GreedyParallel", obj.Name())
+			t.Fatalf("%s: parallel lazy engine did not fall back to the parallel eager engine", obj.Name())
 		}
 	}
 }
@@ -197,11 +197,11 @@ func TestGreedyLazySavesEvaluations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := Greedy(inst, obj)
+		exact, err := runWith(inst, obj, Options{Engine: Eager})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy, err := GreedyLazy(inst, obj)
+		lazy, err := runWith(inst, obj, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,11 +225,11 @@ func TestGreedyLazySavesEvaluations(t *testing.T) {
 func TestGreedyLazyK2Distinguishability(t *testing.T) {
 	inst := fig1Instance(t, 2, 0.5)
 	obj := mustObj(NewDistinguishability(2))
-	exact, err := Greedy(inst, obj)
+	exact, err := runWith(inst, obj, Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := GreedyLazy(inst, obj)
+	lazy, err := runWith(inst, obj, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +241,29 @@ func TestGreedyLazyK2Distinguishability(t *testing.T) {
 
 func TestGreedyLazyValidation(t *testing.T) {
 	inst := fig1Instance(t, 2, 0.5)
-	if _, err := GreedyLazy(inst, nil); err == nil {
+	if _, err := runWith(inst, nil, Options{}); err == nil {
 		t.Fatal("nil objective should error")
 	}
-	if _, err := GreedyLazyParallel(inst, nil, 2); err == nil {
+	if _, err := runWith(inst, nil, Options{Workers: 2}); err == nil {
 		t.Fatal("nil objective should error")
+	}
+}
+
+// TestRunOptionValidation: options no engine can honour are refused
+// before any work, whatever the objective.
+func TestRunOptionValidation(t *testing.T) {
+	inst := fig1Instance(t, 2, 0.5)
+	for _, obj := range []Objective{NewCoverage(), mustObj(NewIdentifiability(1))} {
+		for name, opts := range map[string]Options{
+			"unknown engine":   {Engine: Stochastic + 1},
+			"warm eager":       {Engine: Eager, Warm: NewWarmPlacer()},
+			"warm stochastic":  {Engine: Stochastic, Eps: 0.1, Warm: NewWarmPlacer()},
+			"stochastic eps 0": {Engine: Stochastic},
+		} {
+			if res, err := runWith(inst, obj, opts); err == nil {
+				t.Errorf("%s/%s: accepted, placed %v", obj.Name(), name, res.Placement.Hosts)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"fmt"
 )
 
@@ -12,7 +13,7 @@ import (
 // objective strictly increases and is bounded).
 //
 // This is the classic interchange heuristic from facility location. It is
-// most useful as a polish pass after Greedy: greedy's early, globally
+// most useful as a polish pass after Run: greedy's early, globally
 // committed picks can sometimes be improved once the full path set is
 // known. The result never has a lower objective value than the input.
 func LocalSearch(inst *Instance, obj Objective, start Placement, maxMoves int) (*Result, error) {
@@ -71,7 +72,7 @@ func LocalSearch(inst *Instance, obj Objective, start Placement, maxMoves int) (
 // with LocalSearch — the GD+LS ablation of DESIGN.md. The returned
 // Evaluations count covers both phases.
 func GreedyWithLocalSearch(inst *Instance, obj Objective, maxMoves int) (*Result, error) {
-	greedy, err := Greedy(inst, obj)
+	greedy, err := Run(context.Background(), inst, obj, Options{Engine: Eager})
 	if err != nil {
 		return nil, err
 	}

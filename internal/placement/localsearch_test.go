@@ -110,7 +110,7 @@ func TestGreedyWithLocalSearchAtLeastGreedy(t *testing.T) {
 			t.Fatal(err)
 		}
 		obj := mustObj(NewDistinguishability(1))
-		plain, err := Greedy(inst, obj)
+		plain, err := runWith(inst, obj, Options{Engine: Eager})
 		if err != nil {
 			t.Fatal(err)
 		}

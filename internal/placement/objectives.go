@@ -31,8 +31,8 @@ type Objective interface {
 // set. Add is destructive; use Clone to branch for hypothetical
 // evaluations (line 4 of Algorithm 2). A clone is fully independent of
 // its origin, so an algorithm may adopt a trial evaluator as its new
-// running state — Greedy and GreedyLazy keep the winning trial of each
-// round instead of re-adding the chosen paths. Paths arrive in the
+// running state — the eager and lazy engines keep the winning trial of
+// each round instead of re-adding the chosen paths. Paths arrive in the
 // sparse representation the instance stores; evaluators whose internal
 // structure is dense convert at the boundary.
 type evaluator interface {

@@ -129,7 +129,7 @@ func TestGeneralKObjectivesOnSmallInstance(t *testing.T) {
 	// greedy still completes.
 	inst := lineInstance(t, 6, [][]int{{0, 5}}, 1)
 	d2 := mustObj(NewDistinguishability(2))
-	res2, err := Greedy(inst, d2)
+	res2, err := runWith(inst, d2, Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestGeneralKObjectivesOnSmallInstance(t *testing.T) {
 		t.Fatal("k=2 greedy incomplete")
 	}
 	i2 := mustObj(NewIdentifiability(2))
-	resI, err := Greedy(inst, i2)
+	resI, err := runWith(inst, i2, Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,12 +37,12 @@ func TestGreedyParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, obj := range objectives() {
-			seq, err := Greedy(inst, obj)
+			seq, err := runWith(inst, obj, Options{Engine: Eager})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 1, 3, 16} {
-				par, err := GreedyParallel(inst, obj, workers)
+				par, err := runWith(inst, obj, Options{Engine: Eager, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,7 +68,7 @@ func TestGreedyParallelMatchesSequential(t *testing.T) {
 
 func TestGreedyParallelValidation(t *testing.T) {
 	inst := fig1Instance(t, 2, 0.5)
-	if _, err := GreedyParallel(inst, nil, 2); err == nil {
+	if _, err := runWith(inst, nil, Options{Engine: Eager, Workers: 2}); err == nil {
 		t.Fatal("nil objective should error")
 	}
 }
@@ -88,11 +88,11 @@ func TestGreedyParallelOnPaperWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := mustObj(NewDistinguishability(1))
-	seq, err := Greedy(inst, obj)
+	seq, err := runWith(inst, obj, Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := GreedyParallel(inst, obj, 4)
+	par, err := runWith(inst, obj, Options{Engine: Eager, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -73,7 +74,7 @@ func RunPortfolio(inst *Instance, cfg PortfolioConfig) (*Portfolio, error) {
 		{"GI", ident},
 		{"GD", dist},
 	} {
-		res, err := Greedy(inst, run.obj)
+		res, err := Run(context.Background(), inst, run.obj, Options{Engine: Eager})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestGreedyProgressHook(t *testing.T) {
 	obj := mustObj(NewDistinguishability(1))
 
 	var rounds []Round
-	res, err := GreedyWithProgress(inst, obj, func(r Round) { rounds = append(rounds, r) })
+	res, err := runWith(inst, obj, Options{Engine: Eager, Progress: func(r Round) { rounds = append(rounds, r) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestGreedyProgressHook(t *testing.T) {
 	}
 
 	// The hook must not change the computation.
-	plain, err := Greedy(inst, obj)
+	plain, err := runWith(inst, obj, Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +100,13 @@ func TestGreedyLazyProgressHook(t *testing.T) {
 	obj := mustObj(NewDistinguishability(1))
 
 	var rounds []Round
-	res, err := GreedyLazyWithProgress(inst, obj, func(r Round) { rounds = append(rounds, r) })
+	res, err := runWith(inst, obj, Options{Progress: func(r Round) { rounds = append(rounds, r) }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkRounds(t, "lazy", rounds, res)
 
-	plain, err := GreedyLazy(inst, obj)
+	plain, err := runWith(inst, obj, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestGreedyLazyParallelProgressHook(t *testing.T) {
 	obj := NewCoverage()
 
 	var rounds []Round
-	res, err := GreedyLazyParallelWithProgress(inst, obj, 4, func(r Round) { rounds = append(rounds, r) })
+	res, err := runWith(inst, obj, Options{Workers: 4, Progress: func(r Round) { rounds = append(rounds, r) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,18 +128,21 @@ func TestGreedyLazyParallelProgressHook(t *testing.T) {
 }
 
 // TestLazyProgressNonSubmodularFallback: identifiability routes to the
-// eager engine, and the hook must still fire there.
+// eager engine, and the hook must still fire there, at every worker
+// count.
 func TestLazyProgressNonSubmodularFallback(t *testing.T) {
 	inst := progressInstance(t)
 	obj := mustObj(NewIdentifiability(1))
 
-	var rounds []Round
-	res, err := GreedyLazyWithProgress(inst, obj, func(r Round) { rounds = append(rounds, r) })
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		var rounds []Round
+		res, err := runWith(inst, obj, Options{Workers: workers, Progress: func(r Round) { rounds = append(rounds, r) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rounds) == 0 {
+			t.Fatalf("workers=%d: no progress from the non-submodular fallback", workers)
+		}
+		checkRounds(t, fmt.Sprintf("lazy-fallback workers=%d", workers), rounds, res)
 	}
-	if len(rounds) == 0 {
-		t.Fatal("no progress from the non-submodular fallback")
-	}
-	checkRounds(t, "lazy-fallback", rounds, res)
 }

@@ -24,9 +24,10 @@ import (
 // most sampled candidates are never re-evaluated either.
 
 // StochasticSampleSize returns the per-round sample size
-// ⌈(nGround/numServices)·ln(1/ε)⌉ (at least 1) that GreedyStochastic
-// draws: the size for which a uniform sample misses the current round's
-// true argmax-containing top fraction with probability at most ε.
+// ⌈(nGround/numServices)·ln(1/ε)⌉ (at least 1) that the Stochastic
+// engine draws: the size for which a uniform sample misses the current
+// round's true argmax-containing top fraction with probability at most
+// ε.
 func StochasticSampleSize(nGround, numServices int, eps float64) int {
 	if nGround <= 0 || numServices <= 0 {
 		return 1
@@ -38,35 +39,15 @@ func StochasticSampleSize(nGround, numServices int, eps float64) int {
 	return s
 }
 
-// GreedyStochastic runs the sampled ("lazier than lazy") greedy: each
-// round evaluates only a seeded-random sample of the remaining
-// candidates, reusing CELF gain caching inside the sample. For monotone
-// submodular objectives the expected value is within (1 − 1/e − ε) of
-// the optimum; with the same seed and instance the run is fully
-// deterministic. eps must lie in (0, 1); smaller values sample more and
-// approach GreedyLazy, and a sample that covers every remaining
-// candidate reproduces GreedyLazy's placement bit for bit.
-//
-// Non-submodular objectives (identifiability) get no guarantee from
-// sampling and are routed to the exact Greedy, as GreedyLazy does.
-func GreedyStochastic(inst *Instance, obj Objective, eps float64, seed int64) (*Result, error) {
-	return GreedyStochasticCtx(context.Background(), inst, obj, eps, seed, nil)
-}
-
-// GreedyStochasticCtx is GreedyStochastic bounded by ctx with an
-// optional per-round progress hook (see GreedyLazyCtx; the hook's
-// Candidates field reports heap pops within the round's sample).
-func GreedyStochasticCtx(ctx context.Context, inst *Instance, obj Objective, eps float64, seed int64, progress ProgressFunc) (*Result, error) {
-	if obj == nil {
-		return nil, fmt.Errorf("placement: nil objective")
-	}
-	if math.IsNaN(eps) || eps <= 0 || eps >= 1 {
-		return nil, fmt.Errorf("placement: stochastic eps %v outside (0, 1)", eps)
-	}
-	if !obj.submodular() {
-		return GreedyCtx(ctx, inst, obj, progress)
-	}
-
+// stochastic runs the sampled ("lazier than lazy") greedy: each round
+// evaluates only a seeded-random sample of the remaining candidates,
+// reusing CELF gain caching inside the sample. For monotone submodular
+// objectives the expected value is within (1 − 1/e − ε) of the optimum;
+// with the same seed and instance the run is fully deterministic. eps
+// lies in (0, 1) (Run checks it); smaller values sample more and
+// approach the lazy engine, and a sample that covers every remaining
+// candidate reproduces the lazy engine's placement bit for bit.
+func stochastic(ctx context.Context, inst *Instance, obj Objective, eps float64, seed int64, progress ProgressFunc) (*Result, error) {
 	res := &Result{Placement: NewPlacement(inst.NumServices())}
 	base := obj.newEvaluator(inst.NumNodes())
 	baseVal := base.Value()
@@ -117,7 +98,7 @@ func GreedyStochasticCtx(ctx context.Context, inst *Instance, obj Objective, eps
 		// CELF over the sample: pop the cached-bound max; if its bound is
 		// stale, re-evaluate and push back; a fresh top is the sample's
 		// exact argmax (every bound below it can only shrink), with the
-		// heap's element-index tie-break matching Greedy's.
+		// heap's element-index tie-break matching the eager engine's.
 		h := make(lazyHeap, 0, s)
 		for _, e := range remaining[:s] {
 			h = append(h, lazyEntry{elem: e, gain: bounds[e], round: -1})

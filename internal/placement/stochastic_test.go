@@ -43,17 +43,17 @@ func paperInstances(t *testing.T, alpha float64) map[string]*Instance {
 
 // TestGreedyStochasticFullSampleMatchesLazy pins the degenerate case:
 // when eps is small enough that the sample covers every remaining
-// candidate, the stochastic engine must reproduce GreedyLazy bit for
+// candidate, the stochastic engine must reproduce the lazy engine bit for
 // bit — same hosts, same order, same value, same evaluation count.
 func TestGreedyStochasticFullSampleMatchesLazy(t *testing.T) {
 	for name, inst := range paperInstances(t, 0.6) {
 		for _, obj := range []Objective{NewCoverage(), mustDist1(t)} {
-			lazy, err := GreedyLazy(inst, obj)
+			lazy, err := runWith(inst, obj, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// eps = 1e-9 → sample size (n/k)·ln(1e9) ≫ n: full coverage.
-			st, err := GreedyStochastic(inst, obj, 1e-9, 1)
+			st, err := runWith(inst, obj, Options{Engine: Stochastic, Eps: 1e-9, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,14 +90,14 @@ func TestGreedyStochasticValueBound(t *testing.T) {
 	bound := 1 - 1/math.E - eps
 	for name, inst := range paperInstances(t, 0.6) {
 		obj := NewCoverage()
-		exact, err := Greedy(inst, obj)
+		exact, err := runWith(inst, obj, Options{Engine: Eager})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sum, worst := 0.0, math.Inf(1)
 		const seeds = 20
 		for seed := int64(0); seed < seeds; seed++ {
-			st, err := GreedyStochastic(inst, obj, eps, seed)
+			st, err := runWith(inst, obj, Options{Engine: Stochastic, Eps: eps, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,18 +128,18 @@ func TestGreedyStochasticValueBound(t *testing.T) {
 func TestGreedyStochasticDeterministic(t *testing.T) {
 	inst := paperInstances(t, 0.6)["Tiscali"]
 	obj := NewCoverage()
-	a, err := GreedyStochastic(inst, obj, 0.2, 42)
+	a, err := runWith(inst, obj, Options{Engine: Stochastic, Eps: 0.2, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GreedyStochastic(inst, obj, 0.2, 42)
+	b, err := runWith(inst, obj, Options{Engine: Stochastic, Eps: 0.2, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a.Placement.Hosts, b.Placement.Hosts) || a.Evaluations != b.Evaluations {
 		t.Fatal("same seed produced different runs")
 	}
-	c, err := GreedyStochastic(inst, obj, 0.2, 43)
+	c, err := runWith(inst, obj, Options{Engine: Stochastic, Eps: 0.2, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +151,14 @@ func TestGreedyStochasticDeterministic(t *testing.T) {
 }
 
 // TestGreedyStochasticValidation covers the error surface: bad eps, nil
-// objective, and the non-submodular fallback to exact Greedy.
+// objective, and the non-submodular fallback to the eager engine.
 func TestGreedyStochasticValidation(t *testing.T) {
 	inst := paperInstances(t, 0.6)["Abovenet"]
-	if _, err := GreedyStochastic(inst, nil, 0.1, 1); err == nil {
+	if _, err := runWith(inst, nil, Options{Engine: Stochastic, Eps: 0.1, Seed: 1}); err == nil {
 		t.Fatal("nil objective should error")
 	}
 	for _, eps := range []float64{0, 1, -0.5, 2, math.NaN()} {
-		if _, err := GreedyStochastic(inst, NewCoverage(), eps, 1); err == nil {
+		if _, err := runWith(inst, NewCoverage(), Options{Engine: Stochastic, Eps: eps, Seed: 1}); err == nil {
 			t.Fatalf("eps=%v should error", eps)
 		}
 	}
@@ -166,16 +166,16 @@ func TestGreedyStochasticValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := GreedyStochastic(inst, ident, 0.1, 1)
+	st, err := runWith(inst, ident, Options{Engine: Stochastic, Eps: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Greedy(inst, ident)
+	exact, err := runWith(inst, ident, Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(st.Placement.Hosts, exact.Placement.Hosts) {
-		t.Fatal("non-submodular objective should route to exact Greedy")
+		t.Fatal("non-submodular objective should route to the eager engine")
 	}
 }
 
@@ -185,7 +185,7 @@ func TestGreedyStochasticCancel(t *testing.T) {
 	inst := paperInstances(t, 0.6)["AT&T"]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := GreedyStochasticCtx(ctx, inst, NewCoverage(), 0.1, 1, nil); err == nil {
+	if _, err := Run(ctx, inst, NewCoverage(), Options{Engine: Stochastic, Eps: 0.1, Seed: 1}); err == nil {
 		t.Fatal("canceled context should error")
 	}
 }

@@ -2,20 +2,19 @@ package placement
 
 import (
 	"context"
-	"fmt"
 	"hash/fnv"
-	"runtime"
 	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
 )
 
-// WarmPlacer re-runs lazy-greedy placement across topology revisions,
-// reusing cached round-0 marginal gains for every ground element whose
-// measurement paths did not change. The key observation: an element's
-// first-round gain f({e}) − f(∅) depends only on its own path set and
-// the node universe, not on any other element — so after an edge delta,
+// WarmPlacer is the round-0 gain cache behind Options.Warm: it lets
+// lazy-engine runs across topology revisions reuse cached round-0
+// marginal gains for every ground element whose measurement paths did
+// not change. The key observation: an element's first-round gain
+// f({e}) − f(∅) depends only on its own path set and the node
+// universe, not on any other element — so after an edge delta,
 // only elements whose paths were actually rerouted need re-evaluation.
 // A single edge change in a 10k-node hierarchy typically reroutes a few
 // candidates' paths and leaves thousands untouched, which is what makes
@@ -24,11 +23,11 @@ import (
 // Correctness does not depend on how stale the cache is: cached gains
 // are exact round-0 values keyed by the path content itself, so seeding
 // the CELF engine with them is value-identical to the cold initial
-// sweep and the placement comes out bit-for-bit equal to GreedyLazy on
-// the current topology (the warm-start property test pins this).
+// sweep and the placement comes out bit-for-bit equal to a cold lazy run
+// on the current topology (the warm-start property test pins this).
 //
-// A WarmPlacer is safe for concurrent use; concurrent Place calls on
-// the same placer serialize.
+// A WarmPlacer is safe for concurrent use; concurrent runs sharing one
+// placer serialize.
 type WarmPlacer struct {
 	mu       sync.Mutex
 	objName  string
@@ -75,45 +74,17 @@ func signature(paths []*bitset.Sparse) pathSig {
 	return sig
 }
 
-// WarmStats reports how much of a warm-start run was served from cache.
-type WarmStats struct {
-	// Total is the ground-set size of the instance.
-	Total int
-	// Reused is how many round-0 gains came from the cache.
-	Reused int
-	// Recomputed is how many had to be evaluated fresh (these are the
-	// only round-0 evaluations counted in the Result).
-	Recomputed int
-}
-
-// NewWarmPlacer returns an empty placer; the first Place call is a cold
-// run that populates the cache.
+// NewWarmPlacer returns an empty placer; the first run that uses it is
+// cold and populates the cache.
 func NewWarmPlacer() *WarmPlacer { return &WarmPlacer{} }
 
-// Place runs lazy-greedy placement on inst, seeding round-0 gains from
-// the cache where the element's path content is unchanged, and refills
-// the cache with the current instance's gains for the next call. The
-// placement, order, and value are bit-for-bit identical to
-// GreedyLazyParallel on the same instance; Result.Evaluations counts
-// only fresh evaluations, which is the warm-start saving. workers ≤ 0
-// selects GOMAXPROCS for the miss re-evaluation fan-out and the CELF
-// rounds.
-//
-// Non-submodular objectives cannot be seeded (the CELF upper-bound
-// invariant does not hold), so they run the exact Greedy uncached with
-// zeroed stats.
-func (w *WarmPlacer) Place(ctx context.Context, inst *Instance, obj Objective, workers int, progress ProgressFunc) (*Result, WarmStats, error) {
-	if obj == nil {
-		return nil, WarmStats{}, fmt.Errorf("placement: nil objective")
-	}
-	if !obj.submodular() {
-		res, err := GreedyCtx(ctx, inst, obj, progress)
-		return res, WarmStats{}, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
+// run is the Lazy engine seeded from the cache where an element's path
+// content is unchanged; it refills the cache with the current instance's
+// gains for the next run. Result.Evaluations counts only fresh
+// evaluations and Result.WarmReused the cache hits, which is the
+// warm-start saving. Run routes here only for submodular objectives: the
+// CELF upper-bound invariant the seeds rely on holds for no other.
+func (w *WarmPlacer) run(ctx context.Context, inst *Instance, obj Objective, workers int, progress ProgressFunc) (*Result, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.objName != obj.Name() || w.numNodes != inst.NumNodes() {
@@ -121,7 +92,6 @@ func (w *WarmPlacer) Place(ctx context.Context, inst *Instance, obj Objective, w
 		w.gains = nil
 	}
 
-	stats := WarmStats{Total: len(inst.elements)}
 	seeds := make([]lazyEntry, len(inst.elements))
 	keys := make([]warmKey, len(inst.elements))
 	var misses []int
@@ -130,45 +100,23 @@ func (w *WarmPlacer) Place(ctx context.Context, inst *Instance, obj Objective, w
 		keys[e] = warmKey{service: el.service, host: el.host, sig: signature(el.evalPaths)}
 		if g, ok := w.gains[keys[e]]; ok {
 			seeds[e] = lazyEntry{elem: e, gain: g, round: 0}
-			stats.Reused++
 		} else {
 			misses = append(misses, e)
 		}
 	}
-	stats.Recomputed = len(misses)
 
 	// Evaluate the misses against the empty placement, fanned out like
 	// the cold engine's initial sweep.
 	if len(misses) > 0 {
 		base := obj.newEvaluator(inst.NumNodes())
 		emptyVal := base.Value()
-		one := func(e int) {
-			trial := base.Clone()
-			trial.Add(inst.elements[e].evalPaths)
-			seeds[e] = lazyEntry{elem: e, gain: trial.Value() - emptyVal, round: 0}
-		}
-		if workers <= 1 || len(misses) == 1 {
-			for _, e := range misses {
-				one(e)
+		fanOut(len(misses), workers, func(_, lo, hi int) {
+			for _, e := range misses[lo:hi] {
+				trial := base.Clone()
+				trial.Add(inst.elements[e].evalPaths)
+				seeds[e] = lazyEntry{elem: e, gain: trial.Value() - emptyVal, round: 0}
 			}
-		} else {
-			var wg sync.WaitGroup
-			chunk := (len(misses) + workers - 1) / workers
-			for lo := 0; lo < len(misses); lo += chunk {
-				hi := lo + chunk
-				if hi > len(misses) {
-					hi = len(misses)
-				}
-				wg.Add(1)
-				go func(part []int) {
-					defer wg.Done()
-					for _, e := range part {
-						one(e)
-					}
-				}(misses[lo:hi])
-			}
-			wg.Wait()
-		}
+		})
 	}
 
 	// Snapshot the cache rebuild before the run: the engine takes
@@ -180,10 +128,11 @@ func (w *WarmPlacer) Place(ctx context.Context, inst *Instance, obj Objective, w
 		next[keys[e]] = seeds[e].gain
 	}
 
-	res, err := greedyLazySeeded(ctx, inst, obj, workers, progress, seeds, stats.Recomputed)
+	res, err := lazy(ctx, inst, obj, workers, progress, seeds, len(misses))
 	if err != nil {
-		return nil, stats, err
+		return nil, err
 	}
+	res.WarmReused = len(inst.elements) - len(misses)
 	w.objName, w.numNodes, w.gains = obj.Name(), inst.NumNodes(), next
-	return res, stats, nil
+	return res, nil
 }

@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -61,7 +60,8 @@ func warmInstance(t *testing.T, extras [][2]int) *Instance {
 // test: after every step of a random sequence of topology edge deltas
 // (toggling chords between infrastructure routers), the warm-start
 // placement must be bit-identical — hosts, order, value — to a cold
-// GreedyLazy run on the step's topology.
+// lazy run on the step's topology, and every cached gain it served must
+// be exactly one evaluation the cold run spent.
 func TestWarmPlacerMatchesColdAcrossDeltas(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	// Candidate chords between edge routers under different cores.
@@ -96,11 +96,11 @@ func TestWarmPlacerMatchesColdAcrossDeltas(t *testing.T) {
 				active[i] = !active[i]
 			}
 			inst := warmInstance(t, current())
-			warm, stats, err := w.Place(context.Background(), inst, obj, 1, nil)
+			warm, err := runWith(inst, obj, Options{Workers: 1, Warm: w})
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			cold, err := GreedyLazy(warmInstance(t, current()), obj)
+			cold, err := runWith(warmInstance(t, current()), obj, Options{})
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
@@ -110,11 +110,12 @@ func TestWarmPlacerMatchesColdAcrossDeltas(t *testing.T) {
 					step, obj.Name(), warm.Placement.Hosts, warm.Order, warm.Value,
 					cold.Placement.Hosts, cold.Order, cold.Value)
 			}
-			if stats.Reused+stats.Recomputed != stats.Total {
-				t.Fatalf("step %d: stats %+v do not add up", step, stats)
+			if warm.WarmReused > len(inst.elements) || warm.Evaluations+warm.WarmReused != cold.Evaluations {
+				t.Fatalf("step %d: %d evaluations + %d reused gains != cold %d (ground set %d)",
+					step, warm.Evaluations, warm.WarmReused, cold.Evaluations, len(inst.elements))
 			}
-			if step == 0 && stats.Reused != 0 {
-				t.Fatalf("cold first run reused %d gains", stats.Reused)
+			if step == 0 && warm.WarmReused != 0 {
+				t.Fatalf("cold first run reused %d gains", warm.WarmReused)
 			}
 		}
 	}
@@ -127,19 +128,19 @@ func TestWarmPlacerNoChangeReusesEverything(t *testing.T) {
 	obj := NewCoverage()
 	w := NewWarmPlacer()
 	inst := warmInstance(t, nil)
-	first, stats, err := w.Place(context.Background(), inst, obj, 1, nil)
+	first, err := runWith(inst, obj, Options{Workers: 1, Warm: w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Recomputed != stats.Total || stats.Reused != 0 {
-		t.Fatalf("first run stats %+v, want all recomputed", stats)
+	if first.WarmReused != 0 {
+		t.Fatalf("first run reused %d gains, want all recomputed", first.WarmReused)
 	}
-	again, stats, err := w.Place(context.Background(), warmInstance(t, nil), obj, 1, nil)
+	again, err := runWith(warmInstance(t, nil), obj, Options{Workers: 1, Warm: w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Reused != stats.Total || stats.Recomputed != 0 {
-		t.Fatalf("repeat run stats %+v, want all reused", stats)
+	if again.WarmReused != len(inst.elements) {
+		t.Fatalf("repeat run reused %d of %d gains, want all", again.WarmReused, len(inst.elements))
 	}
 	if !reflect.DeepEqual(again.Placement.Hosts, first.Placement.Hosts) {
 		t.Fatal("repeat run changed the placement")
@@ -154,17 +155,17 @@ func TestWarmPlacerNoChangeReusesEverything(t *testing.T) {
 // untouched majority of elements cached.
 func TestWarmPlacerInvalidation(t *testing.T) {
 	w := NewWarmPlacer()
-	ctx := context.Background()
-	if _, _, err := w.Place(ctx, warmInstance(t, nil), NewCoverage(), 1, nil); err != nil {
+	opts := Options{Workers: 1, Warm: w}
+	if _, err := runWith(warmInstance(t, nil), NewCoverage(), opts); err != nil {
 		t.Fatal(err)
 	}
 	// Different objective: nothing may be reused.
-	_, stats, err := w.Place(ctx, warmInstance(t, nil), mustDist1(t), 1, nil)
+	res, err := runWith(warmInstance(t, nil), mustDist1(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Reused != 0 {
-		t.Fatalf("objective switch reused %d gains", stats.Reused)
+	if res.WarmReused != 0 {
+		t.Fatalf("objective switch reused %d gains", res.WarmReused)
 	}
 	// A link between two hosts on the same edge router shortens only the
 	// path between that pair (it cannot serve as transit for any other
@@ -172,11 +173,11 @@ func TestWarmPlacerInvalidation(t *testing.T) {
 	// cache must survive the delta largely intact.
 	hostBase := warmTestSpec.NumNodes() - warmTestSpec.Core*warmTestSpec.AggPerCore*
 		warmTestSpec.EdgePerAgg*warmTestSpec.HostsPerEdge
-	_, stats, err = w.Place(ctx, warmInstance(t, [][2]int{{hostBase, hostBase + 1}}), mustDist1(t), 1, nil)
+	res, err = runWith(warmInstance(t, [][2]int{{hostBase, hostBase + 1}}), mustDist1(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Reused == 0 {
+	if res.WarmReused == 0 {
 		t.Fatal("local edge delta invalidated the whole cache")
 	}
 }
@@ -211,8 +212,8 @@ func TestPathSignature(t *testing.T) {
 }
 
 // TestWarmPlacerNonSubmodularFallback: identifiability cannot be warm
-// started; the placer must produce exact Greedy's result with zeroed
-// stats.
+// started; a warm run must produce the eager engine's result with no
+// reused gains, and leave the cache untouched.
 func TestWarmPlacerNonSubmodularFallback(t *testing.T) {
 	ident, err := NewIdentifiability(1)
 	if err != nil {
@@ -220,26 +221,26 @@ func TestWarmPlacerNonSubmodularFallback(t *testing.T) {
 	}
 	w := NewWarmPlacer()
 	inst := paperInstances(t, 0.6)["Abovenet"]
-	got, stats, err := w.Place(context.Background(), inst, ident, 1, nil)
+	got, err := runWith(inst, ident, Options{Workers: 1, Warm: w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats != (WarmStats{}) {
-		t.Fatalf("fallback reported stats %+v", stats)
+	if got.WarmReused != 0 || w.gains != nil {
+		t.Fatalf("fallback reused %d gains and cached %d", got.WarmReused, len(w.gains))
 	}
-	exact, err := Greedy(inst, ident)
+	exact, err := runWith(inst, ident, Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Placement.Hosts, exact.Placement.Hosts) {
-		t.Fatal("fallback placement differs from exact Greedy")
+		t.Fatal("fallback placement differs from the eager engine's")
 	}
 }
 
 // TestWarmPlacerNilObjective pins the error surface.
 func TestWarmPlacerNilObjective(t *testing.T) {
 	w := NewWarmPlacer()
-	if _, _, err := w.Place(context.Background(), warmInstance(t, nil), nil, 1, nil); err == nil {
+	if _, err := runWith(warmInstance(t, nil), nil, Options{Workers: 1, Warm: w}); err == nil {
 		t.Fatal("nil objective should error")
 	}
 }

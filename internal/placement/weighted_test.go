@@ -28,7 +28,7 @@ func TestPlacementOnWeightedTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := mustObj(NewDistinguishability(1))
-	res, err := Greedy(inst, obj)
+	res, err := runWith(inst, obj, Options{Engine: Eager})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 // Package registry owns the multi-tenant scenario index of the serving
 // stack: a sharded, concurrency-safe map from scenario ID to per-tenant
-// state, plus a Store contract that persists scenario documents so a
-// daemon restart reloads every tenant it was serving.
+// state.
 //
 // The paper evaluates placement and localization per network (one
 // topology, one service set, one placement — the Section VI setup); the
@@ -15,6 +14,6 @@
 //
 // The package is generic over the tenant payload and depends only on the
 // standard library; the serving layer (internal/server) instantiates it
-// with its tenant type, and the Store implementations (in store.go) give
-// scenarios crash-restart durability.
+// with its tenant type. Persistence is not its concern: scenarios live in
+// memory, or in the serving layer's write-ahead log (internal/wal).
 package registry

@@ -20,9 +20,9 @@ var (
 	ErrFull = errors.New("registry: scenario limit reached")
 )
 
-// MaxIDLength bounds scenario IDs; IDs double as file names in the file
-// store and path segments in /v1/scenarios/{id}/..., so they are kept
-// short and conservative.
+// MaxIDLength bounds scenario IDs; IDs double as path segments in
+// /v1/scenarios/{id}/... and as keys in write-ahead log records, so they
+// are kept short and conservative.
 const MaxIDLength = 64
 
 // ValidateID checks that id is usable as a scenario name: 1 to

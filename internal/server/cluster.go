@@ -495,11 +495,6 @@ func (s *Server) migrateScenario(ctx context.Context, t *tenant, target cluster.
 	}
 
 	s.removeTenantState(t)
-	if s.wlog == nil {
-		if derr := s.store.Delete(t.id); derr != nil {
-			s.logger.Error("migrated scenario still in local store", "scenario", t.id, "error", derr)
-		}
-	}
 	s.cluster.setRelocation(t.id, target.ID)
 	t.mon.Close()
 	moved := target
@@ -617,8 +612,8 @@ func (s *Server) handleClusterAdopt(w http.ResponseWriter, r *http.Request) {
 
 // adoptScenario rebuilds a migrated scenario from its document: build
 // the tenant from the spec, restore monitor/dedup/audit state, record
-// the audit splice, register, and (when persist) append the migrate-in
-// record or store the document before reporting success. Boot replay
+// the audit splice, register, and (when persist and a log is configured)
+// append the migrate-in record before reporting success. Boot replay
 // calls it with persist=false — the record being replayed is the
 // durability.
 func (s *Server) adoptScenario(doc *walMigrate, persist bool) error {
@@ -655,17 +650,11 @@ func (s *Server) adoptScenario(doc *walMigrate, persist bool) error {
 		t.mon.Close()
 		return err
 	}
-	if persist {
-		var perr error
-		if s.wlog != nil {
-			perr = s.walAppendScenario(wal.TypeScenarioMigrateIn, doc)
-		} else if err := s.store.Save(doc.ID, t.spec); err != nil {
-			perr = fmt.Errorf("server: persist scenario %s: %w", doc.ID, err)
-		}
-		if perr != nil {
+	if persist && s.wlog != nil {
+		if err := s.walAppendScenario(wal.TypeScenarioMigrateIn, doc); err != nil {
 			s.removeTenantState(t)
 			t.mon.Close()
-			return perr
+			return err
 		}
 	}
 	if s.cluster != nil {

@@ -125,21 +125,17 @@ func (s *Server) replaceNetwork(old *tenant, change []byte) (*tenant, error) {
 		nt.mon.Close()
 		return nil, err
 	}
-	var perr error
 	if s.wlog != nil {
-		perr = s.walAppendScenario(wal.TypeScenarioUpdate, walScenarioUpdate{ID: old.id, Spec: nt.spec})
-	} else if err := s.store.Save(old.id, nt.spec); err != nil {
-		perr = fmt.Errorf("server: persist scenario %s: %w", old.id, err)
-	}
-	if perr != nil {
-		if _, err := s.tenants.Swap(old.id, old); err != nil {
-			// The slot vanished mid-rollback; nothing to restore.
-			s.logger.Error("network replacement rollback lost the scenario", "scenario", old.id, "error", err)
+		if perr := s.walAppendScenario(wal.TypeScenarioUpdate, walScenarioUpdate{ID: old.id, Spec: nt.spec}); perr != nil {
+			if _, err := s.tenants.Swap(old.id, old); err != nil {
+				// The slot vanished mid-rollback; nothing to restore.
+				s.logger.Error("network replacement rollback lost the scenario", "scenario", old.id, "error", err)
+			}
+			old.ingestMu.Unlock()
+			old.endDrain()
+			nt.mon.Close()
+			return nil, perr
 		}
-		old.ingestMu.Unlock()
-		old.endDrain()
-		nt.mon.Close()
-		return nil, perr
 	}
 	s.connsGauge.Add(float64(len(nt.conns) - len(old.conns)))
 	s.setOutageGauges(nt)

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/registry"
+	"repro/internal/wal"
 )
 
 // testRevise is the ReviseFunc tests install: the change body IS the
@@ -164,39 +164,61 @@ func TestNetworkReplaceErrors(t *testing.T) {
 	}
 }
 
-// flakyStore fails Save after a configured number of successes.
-type flakyStore struct {
-	registry.Store
-	mu        sync.Mutex
-	saves     int
-	failAfter int
+// failingFS is the OS filesystem until armed; from then on every write
+// and sync on a log file fails, as a full or broken disk would.
+type failingFS struct {
+	wal.OSFS
+	armed atomic.Bool
 }
 
-func (f *flakyStore) Save(id string, doc []byte) error {
-	f.mu.Lock()
-	f.saves++
-	fail := f.saves > f.failAfter
-	f.mu.Unlock()
-	if fail {
-		return fmt.Errorf("disk on fire")
+func (f *failingFS) Create(name string) (wal.File, error) {
+	file, err := f.OSFS.Create(name)
+	if err != nil {
+		return nil, err
 	}
-	return f.Store.Save(id, doc)
+	return failingFile{File: file, fs: f}, nil
+}
+
+type failingFile struct {
+	wal.File
+	fs *failingFS
+}
+
+func (f failingFile) Write(p []byte) (int, error) {
+	if f.fs.armed.Load() {
+		return 0, errors.New("disk on fire")
+	}
+	return f.File.Write(p)
+}
+
+func (f failingFile) Sync() error {
+	if f.fs.armed.Load() {
+		return errors.New("disk on fire")
+	}
+	return f.File.Sync()
 }
 
 // TestNetworkReplaceRollback pins the persistence-failure path: when the
-// revised document cannot be saved, the old network keeps serving and
-// the scenario is immediately replaceable again.
+// revised document cannot be logged, the replacement answers 503 with
+// Placemond-Read-Only and the old network keeps serving reads.
 func TestNetworkReplaceRollback(t *testing.T) {
-	cfg := networkConfig()
-	fs := &flakyStore{Store: registry.NewMemStore(), failAfter: 1} // the create succeeds
-	cfg.Store = fs
-	_, ts := newTestServer(t, cfg)
+	fsys := &failingFS{}
+	cfg := walConfig(t.TempDir())
+	cfg.ReviseNetwork = testRevise
+	cfg.WAL.FS = fsys
+	s, ts := newTestServer(t, cfg)
 	base := ts.URL + "/v1/scenarios/net1"
-	doReq(t, http.MethodPut, base, mustJSON(t, lineSpec()))
+	if resp, body := doReq(t, http.MethodPut, base, mustJSON(t, lineSpec())); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, body)
+	}
 
+	fsys.armed.Store(true)
 	resp, body := doReq(t, http.MethodPut, base+"/network", mustJSON(t, wideSpec()))
-	if resp.StatusCode != http.StatusBadRequest {
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Placemond-Read-Only") != "true" {
 		t.Fatalf("failed-persist replace: %d %s", resp.StatusCode, body)
+	}
+	if !s.ReadOnly() {
+		t.Fatal("ReadOnly() = false after a failed replacement append")
 	}
 	// Old shape still serves.
 	resp, body = doReq(t, http.MethodGet, base, nil)
@@ -207,18 +229,8 @@ func TestNetworkReplaceRollback(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || info.Connections != 2 {
 		t.Fatalf("post-rollback info: %d %+v", resp.StatusCode, info)
 	}
-	resp, body = doReq(t, http.MethodPost, base+"/observations",
-		[]byte(`{"time":1,"reports":[{"connection":1,"up":false}]}`))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-rollback ingest: %d %s", resp.StatusCode, body)
-	}
-	// The store heals; the replacement goes through on retry.
-	fs.mu.Lock()
-	fs.failAfter = fs.saves + 10
-	fs.mu.Unlock()
-	resp, body = doReq(t, http.MethodPut, base+"/network", mustJSON(t, wideSpec()))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healed replace: %d %s", resp.StatusCode, body)
+	if resp, body = doReq(t, http.MethodGet, base+"/diagnosis", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-rollback diagnosis: %d %s", resp.StatusCode, body)
 	}
 }
 

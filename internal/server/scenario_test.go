@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/bitset"
-	"repro/internal/registry"
 )
 
 // testSpec is the scenario document the test builder understands: a
@@ -314,59 +313,6 @@ func TestScenarioQuota429(t *testing.T) {
 	resp, body = doReq(t, http.MethodPost, ts.URL+"/v1/scenarios/quiet/placements", []byte(jobBody))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("quiet tenant blocked by busy tenant: %d %s", resp.StatusCode, body)
-	}
-}
-
-// TestScenarioStoreRoundTrip: scenarios created on one server boot into
-// the next server that shares the Store, and deleted ones stay gone.
-func TestScenarioStoreRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		store func(t *testing.T) registry.Store
-	}{
-		{"mem", func(t *testing.T) registry.Store { return registry.NewMemStore() }},
-		{"file", func(t *testing.T) registry.Store {
-			fs, err := registry.NewFileStore(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fs
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			store := tc.store(t)
-			cfg := scenarioConfig()
-			cfg.Store = store
-			s1, ts1 := newTestServer(t, cfg)
-			spec := mustJSON(t, lineSpec())
-			for _, id := range []string{"keep", "drop"} {
-				if resp, body := doReq(t, http.MethodPut, ts1.URL+"/v1/scenarios/"+id, spec); resp.StatusCode != http.StatusCreated {
-					t.Fatalf("create %s: %d %s", id, resp.StatusCode, body)
-				}
-			}
-			if resp, _ := doReq(t, http.MethodDelete, ts1.URL+"/v1/scenarios/drop", nil); resp.StatusCode != http.StatusNoContent {
-				t.Fatalf("delete drop failed: %d", resp.StatusCode)
-			}
-			ts1.Close()
-			s1.Close()
-
-			s2, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			ids := s2.ScenarioIDs()
-			want := []string{DefaultScenario, "keep"}
-			if len(ids) != len(want) || ids[0] != want[0] || ids[1] != want[1] {
-				t.Fatalf("reloaded scenarios = %v, want %v", ids, want)
-			}
-			ts2 := httptest.NewServer(s2.Handler())
-			defer ts2.Close()
-			resp, body := doReq(t, http.MethodGet, ts2.URL+"/v1/scenarios/keep/diagnosis", nil)
-			if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"connections"`) {
-				t.Fatalf("reloaded scenario not serving: %d %s", resp.StatusCode, body)
-			}
-		})
 	}
 }
 

@@ -35,9 +35,9 @@
 //	GET    /v1/scenarios/{id}   one scenario's status
 //	DELETE /v1/scenarios/{id}   drain and remove
 //
-// Created scenarios are persisted through a registry.Store
-// (snapshot-on-write, load-on-boot), so a file-backed daemon restarts
-// with the fleet it was serving.
+// Created scenarios live in memory unless a write-ahead log is configured
+// (Config.WAL); then every create is logged before it is acknowledged, so
+// a restarted daemon recovers the fleet it was serving.
 //
 // Every request carries a trace ID (minted here or adopted from the
 // client's Placemond-Trace-Id header), echoed in the response header,
@@ -142,9 +142,6 @@ type Config struct {
 	// one plus a network-change request, enabling in-place network
 	// replacement via PUT /v1/scenarios/{id}/network; nil answers 501.
 	ReviseNetwork ReviseFunc
-	// Store persists scenario documents across restarts (default: an
-	// in-memory store, i.e. process-lifetime scenarios only).
-	Store registry.Store
 	// MaxScenarios caps concurrently hosted scenarios (default 64).
 	MaxScenarios int
 	// TenantSeriesCap caps tenant-labeled metric cardinality: the first
@@ -156,8 +153,9 @@ type Config struct {
 	// cannot monopolize the shared pool (default: Workers + QueueDepth,
 	// i.e. the whole pool; < 0 removes the quota).
 	MaxJobsPerScenario int
-	// WAL enables the crash-safe write-ahead log; see WALConfig. When
-	// set, Store must be nil (the WAL is the persistence layer).
+	// WAL enables the crash-safe write-ahead log, the only persistence
+	// layer; see WALConfig. Without it, scenarios last for the life of
+	// the process.
 	WAL *WALConfig
 	// Cluster enables multi-node ownership routing, peer forwarding, and
 	// live scenario migration; see ClusterConfig. Nil keeps the server a
@@ -175,7 +173,6 @@ type Config struct {
 // eventually.
 type Server struct {
 	tenants        *registry.Registry[*tenant]
-	store          registry.Store
 	build          BuildFunc  // nil disables the scenario create/load API
 	revise         ReviseFunc // nil disables in-place network replacement
 	labeler        *metrics.Labeler
@@ -238,7 +235,7 @@ type Server struct {
 
 // New builds the service: the scenario registry (seeded with a default
 // tenant when the legacy Paths/Place config is given, and with every
-// stored scenario when a Store plus BuildScenario are), a bounded
+// scenario the write-ahead log recovers when one is configured), a bounded
 // placement pool shared by all tenants, and the routed, instrumented
 // HTTP handler.
 func New(cfg Config) (*Server, error) {
@@ -307,17 +304,9 @@ func New(cfg Config) (*Server, error) {
 	if seriesCap == 0 {
 		seriesCap = 32
 	}
-	store := cfg.Store
-	if store == nil {
-		store = registry.NewMemStore()
-	}
-	if cfg.WAL != nil && cfg.Store != nil {
-		return nil, fmt.Errorf("server: Config.WAL and Config.Store are mutually exclusive")
-	}
 
 	s := &Server{
 		tenants:        registry.New[*tenant](maxScenarios),
-		store:          store,
 		build:          cfg.BuildScenario,
 		revise:         cfg.ReviseNetwork,
 		labeler:        metrics.NewLabeler(seriesCap),
@@ -349,7 +338,7 @@ func New(cfg Config) (*Server, error) {
 		connsGauge: reg.Gauge("placemond_connections",
 			"Number of monitored connections across all scenarios."),
 		snapshotErrors: reg.Counter("placemond_snapshot_errors_total",
-			"Scenario snapshots or final WAL compactions that failed; a non-zero value at exit means state was NOT fully saved."),
+			"Final WAL compactions that failed at shutdown; a non-zero value at exit means state was NOT fully saved."),
 		eventTotal: map[monitord.EventKind]*metrics.Counter{},
 	}
 	if cfg.MaxJobsPerScenario != 0 {
@@ -404,12 +393,6 @@ func New(cfg Config) (*Server, error) {
 		s.diagnoseFn = def.mon.Diagnosis
 		def.diagnose = func() (*tomography.Diagnosis, error) { return s.diagnoseFn() }
 		if err := s.addTenant(def); err != nil {
-			s.pool.close()
-			return nil, err
-		}
-	}
-	if s.build != nil && cfg.WAL == nil {
-		if err := s.loadScenarios(); err != nil {
 			s.pool.close()
 			return nil, err
 		}
@@ -494,9 +477,8 @@ func (s *Server) Registry() *metrics.Registry { return s.registry }
 
 // Close stops the placement pool (draining queued jobs) and persists
 // final state: a compaction fold + clean close of the write-ahead log
-// when one is configured, else a snapshot of every registered scenario
-// through the Store, one logged outcome per tenant. The returned error
-// is non-nil when any final persistence step failed — placemond exits
+// when one is configured (without one there is nothing to persist). The
+// returned error is non-nil when the final fold failed — placemond exits
 // non-zero on it, so supervisors restart instead of believing state was
 // saved. Idempotent (later calls return the first outcome) and implied
 // by Serve returning.
@@ -540,7 +522,7 @@ func (s *Server) closeLoops() {
 // persistFinal is the once-only shutdown persistence step behind Close.
 func (s *Server) persistFinal() error {
 	if s.wlog == nil {
-		return s.snapshotScenarios()
+		return nil
 	}
 	var err error
 	if s.readOnly.Load() {

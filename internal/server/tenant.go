@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -46,7 +45,7 @@ type TenantConfig struct {
 // BuildFunc turns a stored scenario document (an opaque JSON blob owned
 // by the facade) into the scenario's monitoring state. It must be pure
 // with respect to the server: the same document always builds an
-// equivalent tenant, which is what makes the Store's load-on-boot sound.
+// equivalent tenant, which is what makes write-ahead log replay sound.
 type BuildFunc func(id string, spec []byte) (*TenantConfig, error)
 
 // tenant is one scenario's isolated state bundle: its own monitor, dedup
@@ -291,11 +290,12 @@ func (s *Server) addTenant(t *tenant) error {
 }
 
 // CreateScenario builds the scenario described by spec (via the
-// configured BuildFunc), registers it, and persists the document through
-// the Store (snapshot-on-write). Errors: registry.ErrExists,
-// registry.ErrFull, an ID validation error, ErrBadSpec-wrapped build
-// failures, or a persistence failure (in which case the scenario is
-// rolled back — a create either fully survives a restart or fails).
+// configured BuildFunc), registers it, and, when a write-ahead log is
+// configured, logs the document before returning. Errors:
+// registry.ErrExists, registry.ErrFull, an ID validation error,
+// ErrBadSpec-wrapped build failures, or a log append failure (in which
+// case the scenario is rolled back — a create either fully survives a
+// restart or fails).
 func (s *Server) CreateScenario(id string, spec []byte) error {
 	return s.createScenario(id, spec, true)
 }
@@ -327,20 +327,14 @@ func (s *Server) createScenario(id string, spec []byte, persist bool) error {
 		t.mon.Close()
 		return err
 	}
-	if persist {
-		if s.wlog != nil {
-			// Append-before-ack: the create must be durable in the log
-			// before the 201 goes out.
-			if err := s.walAppendScenario(wal.TypeScenarioCreate,
-				walScenarioCreate{ID: id, Spec: t.spec}); err != nil {
-				s.removeTenantState(t)
-				t.mon.Close()
-				return err
-			}
-		} else if err := s.store.Save(id, t.spec); err != nil {
+	if persist && s.wlog != nil {
+		// Append-before-ack: the create must be durable in the log
+		// before the 201 goes out.
+		if err := s.walAppendScenario(wal.TypeScenarioCreate,
+			walScenarioCreate{ID: id, Spec: t.spec}); err != nil {
 			s.removeTenantState(t)
 			t.mon.Close()
-			return fmt.Errorf("server: persist scenario %s: %w", id, err)
+			return err
 		}
 	}
 	s.logger.Info("scenario created", "scenario", id,
@@ -362,8 +356,8 @@ func (s *Server) removeTenantState(t *tenant) {
 
 // RemoveScenario drains and deletes a scenario: new requests for it are
 // rejected immediately, in-flight placement jobs get up to the drain
-// timeout (bounded further by ctx) to finish, and the stored document is
-// deleted so the scenario does not resurrect at the next boot.
+// timeout (bounded further by ctx) to finish, and a delete record is
+// logged so the scenario does not resurrect at the next boot.
 func (s *Server) RemoveScenario(ctx context.Context, id string) error {
 	t, ok := s.tenants.Get(id)
 	if !ok {
@@ -378,13 +372,9 @@ func (s *Server) RemoveScenario(ctx context.Context, id string) error {
 	defer cancel()
 	drained := s.pool.waitIdle(dctx, id)
 	s.removeTenantState(t)
-	var storeErr error
-	if t.spec != nil {
-		if s.wlog != nil {
-			storeErr = s.walAppendScenario(wal.TypeScenarioDelete, walScenarioDelete{ID: id})
-		} else {
-			storeErr = s.store.Delete(id)
-		}
+	var logErr error
+	if t.spec != nil && s.wlog != nil {
+		logErr = s.walAppendScenario(wal.TypeScenarioDelete, walScenarioDelete{ID: id})
 	}
 	// Stop the scenario's monitor event loop last: WAL compaction may
 	// still export its state while the delete record is being appended,
@@ -392,9 +382,9 @@ func (s *Server) RemoveScenario(ctx context.Context, id string) error {
 	// monitord.ErrClosed instead of landing in a deleted scenario.
 	t.mon.Close()
 	s.logger.Info("scenario removed", "scenario", id,
-		"drained", drained, "store_error", storeErr != nil)
-	if storeErr != nil {
-		return fmt.Errorf("server: forget scenario %s: %w", id, storeErr)
+		"drained", drained, "wal_error", logErr != nil)
+	if logErr != nil {
+		return fmt.Errorf("server: forget scenario %s: %w", id, logErr)
 	}
 	return nil
 }
@@ -407,61 +397,4 @@ func (s *Server) ScenarioIDs() []string { return s.tenants.IDs() }
 func (s *Server) defaultTenant() *tenant {
 	t, _ := s.tenants.Get(DefaultScenario)
 	return t
-}
-
-// loadScenarios rebuilds every stored scenario at boot, logging one
-// outcome line per scenario. A document that no longer builds (schema
-// drift, hand-edited file) is skipped with a warning rather than failing
-// the whole boot: one bad tenant must not take the fleet down.
-func (s *Server) loadScenarios() error {
-	docs, err := s.store.Load()
-	if err != nil {
-		return fmt.Errorf("server: load scenarios: %w", err)
-	}
-	ids := make([]string, 0, len(docs))
-	for id := range docs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if _, taken := s.tenants.Get(id); taken {
-			s.logger.Warn("stored scenario shadowed by boot-time tenant", "scenario", id)
-			continue
-		}
-		if err := s.createScenario(id, docs[id], false); err != nil {
-			s.logger.Warn("stored scenario failed to load", "scenario", id, "error", err)
-			continue
-		}
-		s.logger.Info("scenario loaded", "scenario", id)
-	}
-	return nil
-}
-
-// snapshotScenarios writes every registered scenario document through the
-// Store, one slog outcome per tenant. It runs once, at graceful shutdown,
-// so even a store that missed a write (or a document updated in place)
-// is consistent on disk before the process exits. Failures are counted in
-// placemond_snapshot_errors_total and returned as one aggregate error, so
-// the daemon exits non-zero instead of letting a supervisor believe state
-// was saved.
-func (s *Server) snapshotScenarios() error {
-	failed := 0
-	s.tenants.Range(func(id string, t *tenant) bool {
-		if t.spec == nil {
-			s.logger.Info("scenario snapshot skipped", "scenario", id, "reason", "no stored document")
-			return true
-		}
-		if err := s.store.Save(id, t.spec); err != nil {
-			failed++
-			s.snapshotErrors.Inc()
-			s.logger.Error("scenario snapshot failed", "scenario", id, "error", err)
-		} else {
-			s.logger.Info("scenario snapshot written", "scenario", id, "bytes", len(t.spec))
-		}
-		return true
-	})
-	if failed > 0 {
-		return fmt.Errorf("server: %d scenario snapshot(s) failed; stored state is incomplete", failed)
-	}
-	return nil
 }

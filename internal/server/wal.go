@@ -17,8 +17,7 @@ import (
 // scenario create/delete, accepted observation batch (which carries the
 // dedup-window entry), emitted diagnosis event — is appended to a
 // write-ahead log before its HTTP response is acknowledged, and boot
-// replays snapshot + tail to rebuild every tenant. When set, the WAL
-// replaces Config.Store as the persistence layer.
+// replays snapshot + tail to rebuild every tenant.
 type WALConfig struct {
 	// Dir is the log directory (segments + snapshots).
 	Dir string

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro/internal/graph"
@@ -200,9 +201,9 @@ type PlaceConfig struct {
 	// K is the failure budget for identifiability/distinguishability;
 	// default 1 (values above 1 are exponential — small networks only).
 	K int
-	// Algorithm is the strategy. The default is lazy for submodular
-	// objectives without capacity constraints — identical results to
-	// greedy, fewer evaluations — and greedy otherwise.
+	// Algorithm is the strategy. The default is lazy without capacity
+	// constraints — identical results to greedy, fewer evaluations — and
+	// greedy with them.
 	Algorithm Algorithm
 	// Seed drives AlgorithmRandom.
 	Seed int64
@@ -286,11 +287,11 @@ func (nw *Network) Place(services []Service, cfg PlaceConfig) (*Result, error) {
 
 	algo := cfg.Algorithm
 	if algo == "" {
-		// Default: the lazy engine wherever it provably matches greedy
-		// bit-for-bit (submodular objective, no capacity constraints).
-		if cfg.Capacity == nil && placement.IsSubmodular(obj) {
-			algo = AlgorithmLazy
-		} else {
+		// Default: the lazy engine, which matches greedy bit-for-bit
+		// (placement.Run gives a non-submodular objective the eager sweep
+		// anyway), unless capacity constraints need the capacitated greedy.
+		algo = AlgorithmLazy
+		if cfg.Capacity != nil {
 			algo = AlgorithmGreedy
 		}
 	}
@@ -324,9 +325,9 @@ func (nw *Network) Place(services []Service, cfg PlaceConfig) (*Result, error) {
 	case AlgorithmGreedyLS:
 		res, err = placeLS(inst, obj)
 	case AlgorithmLazy:
-		res, err = placement.GreedyLazyCtx(ctx, inst, obj, progress)
+		res, err = placement.Run(ctx, inst, obj, placement.Options{Progress: progress})
 	case AlgorithmLazyParallel:
-		res, err = placement.GreedyLazyParallelCtx(ctx, inst, obj, 0, progress)
+		res, err = placement.Run(ctx, inst, obj, placement.Options{Workers: runtime.GOMAXPROCS(0), Progress: progress})
 	case AlgorithmGreedy:
 		if cfg.Capacity != nil {
 			res, err = placement.GreedyCapacitated(inst, obj, placement.CapacityConstraints{
@@ -334,7 +335,7 @@ func (nw *Network) Place(services []Service, cfg PlaceConfig) (*Result, error) {
 				Capacity: cfg.Capacity.HostCapacity,
 			})
 		} else {
-			res, err = placement.GreedyCtx(ctx, inst, obj, progress)
+			res, err = placement.Run(ctx, inst, obj, placement.Options{Engine: placement.Eager, Progress: progress})
 		}
 	case AlgorithmQoS:
 		res, err = placement.QoS(inst, obj)

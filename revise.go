@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/placement"
@@ -75,7 +76,7 @@ func newNetworkReviser() (server.ReviseFunc, func(id string, spec []byte)) {
 		if err != nil {
 			return
 		}
-		_, _, _ = placerFor(id).Place(context.Background(), inst, obj, 0, nil)
+		_, _ = placement.Run(context.Background(), inst, obj, warmOptions(placerFor(id)))
 	}
 	revise := func(id string, spec, change []byte) ([]byte, error) {
 		sp, err := ParseScenarioSpec(spec)
@@ -103,7 +104,7 @@ func newNetworkReviser() (server.ReviseFunc, func(id string, spec []byte)) {
 		if err != nil {
 			return nil, err
 		}
-		res, _, err := placerFor(id).Place(context.Background(), inst, obj, 0, nil)
+		res, err := placement.Run(context.Background(), inst, obj, warmOptions(placerFor(id)))
 		if err != nil {
 			return nil, fmt.Errorf("placemon: re-place scenario %s: %w", id, err)
 		}
@@ -115,6 +116,13 @@ func newNetworkReviser() (server.ReviseFunc, func(id string, spec []byte)) {
 		return out, nil
 	}
 	return revise, prewarm
+}
+
+// warmOptions runs the lazy engine warm-started from w, fanned out over
+// every CPU: re-placement is an operator request the daemon answers
+// while it waits.
+func warmOptions(w *placement.WarmPlacer) placement.Options {
+	return placement.Options{Workers: runtime.GOMAXPROCS(0), Warm: w}
 }
 
 // ReplaceScenarioNetwork revises a hosted scenario's network in place:

@@ -129,7 +129,7 @@ func buildScenario(id string, raw []byte) (*server.TenantConfig, error) {
 
 // NewScenarioServer builds a multi-tenant monitoring service with no
 // boot-time default scenario: every scenario is created dynamically
-// (AddScenario or PUT /v1/scenarios/{id}) or loaded from cfg.ScenarioDir
+// (AddScenario or PUT /v1/scenarios/{id}) or recovered from cfg.WALDir
 // at boot. The legacy single-scenario routes answer 404 until a scenario
 // named "default" exists.
 func NewScenarioServer(cfg ServerConfig) (*Server, error) {
@@ -145,8 +145,8 @@ func NewScenarioServer(cfg ServerConfig) (*Server, error) {
 }
 
 // innerConfig translates the facade knobs shared by NewServer and
-// NewScenarioServer, including the multi-tenant and cluster ones; when
-// ScenarioDir is set it opens the file-backed scenario store.
+// NewScenarioServer, including the multi-tenant, cluster and
+// write-ahead log ones.
 func (cfg ServerConfig) innerConfig() (server.Config, error) {
 	revise, prewarm := newNetworkReviser()
 	sc := server.Config{
@@ -182,9 +182,6 @@ func (cfg ServerConfig) innerConfig() (server.Config, error) {
 			ForceAdopt: cfg.ForceAdopt,
 		}
 	}
-	if cfg.WALDir != "" && cfg.ScenarioDir != "" {
-		return sc, fmt.Errorf("placemon: WALDir and ScenarioDir are mutually exclusive (the WAL subsumes the scenario store)")
-	}
 	if cfg.WALDir != "" {
 		mode, err := wal.ParseSyncMode(cfg.WALSync)
 		if err != nil {
@@ -195,21 +192,13 @@ func (cfg ServerConfig) innerConfig() (server.Config, error) {
 			Sync:         mode,
 			SegmentBytes: cfg.WALSegmentBytes,
 		}
-		return sc, nil
-	}
-	if cfg.ScenarioDir != "" {
-		store, err := registry.NewFileStore(cfg.ScenarioDir)
-		if err != nil {
-			return sc, fmt.Errorf("placemon: scenario store: %w", err)
-		}
-		sc.Store = store
 	}
 	return sc, nil
 }
 
-// AddScenario registers and persists a new scenario. The ID must match
-// [a-zA-Z0-9._-]{1,64} without a leading dot; errors wrap
-// ErrScenarioExists and ErrScenarioLimit.
+// AddScenario registers a new scenario, logging it first when WALDir is
+// set. The ID must match [a-zA-Z0-9._-]{1,64} without a leading dot;
+// errors wrap ErrScenarioExists and ErrScenarioLimit.
 func (s *Server) AddScenario(id string, spec ScenarioSpec) error {
 	raw, err := json.Marshal(spec)
 	if err != nil {

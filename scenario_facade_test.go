@@ -126,11 +126,11 @@ func TestScenarioLimitTyped(t *testing.T) {
 	}
 }
 
-// TestScenarioDirSurvivesRestart: scenarios added to a file-backed server
-// reload on the next boot, and removed ones stay gone.
-func TestScenarioDirSurvivesRestart(t *testing.T) {
+// TestWALDirSurvivesRestart: scenarios added to a WAL-backed server
+// recover on the next boot, and removed ones stay gone.
+func TestWALDirSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := placemon.ServerConfig{ScenarioDir: dir}
+	cfg := placemon.ServerConfig{WALDir: dir}
 
 	srv1, err := placemon.NewScenarioServer(cfg)
 	if err != nil {
@@ -145,7 +145,9 @@ func TestScenarioDirSurvivesRestart(t *testing.T) {
 	if err := srv1.RemoveScenario(context.Background(), "casualty"); err != nil {
 		t.Fatal(err)
 	}
-	srv1.Close()
+	if err := srv1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	srv2, err := placemon.NewScenarioServer(cfg)
 	if err != nil {

@@ -56,19 +56,13 @@ type ServerConfig struct {
 	// additionally gets its own ring of the same size.
 	TraceBuffer int
 
-	// ScenarioDir, when non-empty, persists scenario documents as files
-	// under this directory (created if missing): every created scenario is
-	// snapshotted on write and reloaded at the next boot. Empty keeps
-	// scenarios in memory for the process lifetime only. Mutually
-	// exclusive with WALDir, which subsumes it.
-	ScenarioDir string
 	// WALDir, when non-empty, persists the daemon's full mutable state —
 	// scenarios, monitoring state, dedup windows, the diagnosis audit
 	// ledger — through a write-ahead log under this directory: every
 	// mutation is durable before its HTTP response is acknowledged, and
 	// boot replays snapshot + log tail. A WAL write failure flips the
 	// daemon read-only (503 + Placemond-Read-Only) instead of crashing
-	// it. Mutually exclusive with ScenarioDir.
+	// it. Empty keeps scenarios in memory for the process lifetime only.
 	WALDir string
 	// WALSync is the append durability policy: "always" (default; fsync
 	// per acknowledged mutation), "group" (group commit: concurrent
@@ -253,7 +247,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // Close releases the worker pool without serving and, when the daemon
-// persists state (WALDir or ScenarioDir), writes the final snapshot; a
+// persists state (WALDir), writes the final snapshot; a
 // non-nil error means that snapshot failed and the daemon should exit
 // non-zero. Idempotent, and implied by Serve returning.
 func (s *Server) Close() error { return s.inner.Close() }

@@ -11,7 +11,7 @@ all: build test
 
 help:
 	@echo "Targets:"
-	@echo "  build        compile and vet every package"
+	@echo "  build        gofmt check, then compile and vet every package"
 	@echo "  test         go test ./..."
 	@echo "  race         go test -race ./..."
 	@echo "  check        vet + full race-detector test run"
@@ -35,7 +35,10 @@ help:
 	@echo "  serve        compute a placement and run placemond on :8080"
 	@echo "  clean        remove archived logs"
 
+# Fails first if gofmt would reformat any file.
 build:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 
@@ -100,9 +103,12 @@ bench-smoke:
 # much run-to-run on shared CPUs for a freshly-tightened bound — but
 # allocs/op is deterministic, so there the tight gate holds. The bare
 # snapshot names resolve via benchjson's archive fallback to
-# results/bench/, where the BENCH_*.json snapshots live.
+# results/bench/, where the BENCH_*.json snapshots live. Every benchjson
+# gate runs at -cpu 1: the archives were recorded at GOMAXPROCS 1, and
+# at more CPUs `go test` suffixes each benchmark name with -N, which
+# would leave no name in common with the archive.
 bench-compare:
-	$(GO) test -run NONE -bench=RegistryOverhead -benchmem -benchtime=2000x . > /tmp/bench_registry.txt
+	$(GO) test -run NONE -bench=RegistryOverhead -benchmem -benchtime=2000x -cpu 1 . > /tmp/bench_registry.txt
 	$(GO) run ./cmd/benchjson -compare BENCH_2026-08-06_registry_seed.json -fail-over 10 < /tmp/bench_registry.txt
 	$(GO) run ./cmd/benchjson -compare BENCH_2026-08-08_streaming.json -fail-allocs-over 10 < /tmp/bench_registry.txt
 
@@ -118,17 +124,19 @@ bench-compare:
 # archived in BENCH_2026-08-08_stochastic.json by a full run, not
 # re-paid per push.
 bench-stochastic:
-	$(GO) test -run NONE -bench='StochasticFrontier/small' -benchtime=1x . > /tmp/bench_stochastic.txt
+	$(GO) test -run NONE -bench='StochasticFrontier/small' -benchtime=1x -cpu 1 . > /tmp/bench_stochastic.txt
 	$(GO) run ./cmd/benchjson -compare BENCH_2026-08-08_stochastic.json -fail-over 200 < /tmp/bench_stochastic.txt
 
 # WAL hot paths (append fsync cost per sync mode, boot recovery) gated
-# against the snapshot archived when the log landed. fsync-bound ns/op
-# swings ±2x run-to-run on shared disks at small iteration counts, so
-# the gate averages over 1000 iterations and allows a 100% margin: it
-# catches order-of-magnitude regressions (an accidental fsync per record
-# in group mode, a quadratic recovery scan), not microsecond drift.
+# against the snapshot archived when group commit became
+# leader/follower. fsync-bound ns/op swings ±2x run-to-run on shared
+# disks at small iteration counts, so the gate averages over 1000
+# iterations and allows a 100% margin: it catches order-of-magnitude
+# regressions (a commit window returning to serial group appends, an
+# accidental fsync per record in group mode, a quadratic recovery
+# scan), not microsecond drift.
 bench-compare-wal:
-	$(GO) test -run NONE -bench='WALAppend|Recovery' -benchmem -benchtime=1000x ./internal/wal/ | $(GO) run ./cmd/benchjson -compare BENCH_2026-08-08_wal.json -fail-over 100
+	$(GO) test -run NONE -bench='WALAppend|Recovery' -benchmem -benchtime=1000x -cpu 1 ./internal/wal/ | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-17_wal.json -fail-over 100
 
 # Documentation lint (cmd/docscheck): every package and exported
 # package-level identifier has a godoc comment, every relative link in

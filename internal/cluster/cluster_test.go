@@ -29,18 +29,18 @@ func TestParseMembersRejects(t *testing.T) {
 	bad := []string{
 		"",
 		"   ",
-		"node-a",                          // no =
-		"node-a=http://h:1,node-a=http://h:2", // dup ID
-		"node-a=http://h:1,node-b=http://h:1", // dup URL
-		"=http://h:1",                     // empty ID
-		".dot=http://h:1",                 // leading dot
-		"a b=http://h:1",                  // bad charset
-		"node-a=ftp://h:1",                // bad scheme
-		"node-a=http://",                  // no host
-		"node-a=http://h:1/path",          // path
-		"node-a=http://h:1?x=1",           // query
-		"node-a=http://u:p@h:1",           // userinfo
-		"node-a=http://h:1,",              // trailing empty entry
+		"node-a",                                // no =
+		"node-a=http://h:1,node-a=http://h:2",   // dup ID
+		"node-a=http://h:1,node-b=http://h:1",   // dup URL
+		"=http://h:1",                           // empty ID
+		".dot=http://h:1",                       // leading dot
+		"a b=http://h:1",                        // bad charset
+		"node-a=ftp://h:1",                      // bad scheme
+		"node-a=http://",                        // no host
+		"node-a=http://h:1/path",                // path
+		"node-a=http://h:1?x=1",                 // query
+		"node-a=http://u:p@h:1",                 // userinfo
+		"node-a=http://h:1,",                    // trailing empty entry
 		strings.Repeat("x", 65) + "=http://h:1", // ID too long
 	}
 	for _, spec := range bad {

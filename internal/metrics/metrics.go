@@ -33,7 +33,7 @@ type Registry struct {
 type family struct {
 	name     string
 	help     string
-	kind     string // "counter", "gauge", "histogram"
+	kind     string                // "counter", "gauge", "histogram"
 	children map[string]instrument // by rendered label string
 }
 

@@ -75,12 +75,12 @@ func TestHandParserMatchesStdlib(t *testing.T) {
 		// Numbers exercising the RFC 8259 grammar edge.
 		`{"time": -0.5e2, "reports": []}`,
 		`{"time": 0, "reports": []}`,
-		`{"time": 01, "reports": []}`,     // invalid: leading zero
-		`{"time": +5, "reports": []}`,     // invalid: leading plus
-		`{"time": 1., "reports": []}`,     // invalid: bare point
-		`{"time": .5, "reports": []}`,     // invalid: no integer part
-		`{"time": 1e, "reports": []}`,     // invalid: empty exponent
-		`{"time": 1e999, "reports": []}`,  // overflow
+		`{"time": 01, "reports": []}`,                   // invalid: leading zero
+		`{"time": +5, "reports": []}`,                   // invalid: leading plus
+		`{"time": 1., "reports": []}`,                   // invalid: bare point
+		`{"time": .5, "reports": []}`,                   // invalid: no integer part
+		`{"time": 1e, "reports": []}`,                   // invalid: empty exponent
+		`{"time": 1e999, "reports": []}`,                // overflow
 		`{"reports":[{"connection": 1.5, "up": true}]}`, // float into int field
 		`{"reports":[{"connection": 1e2, "up": true}]}`, // exponent into int field
 		// Escapes and non-ASCII (handled by the fallback path).
@@ -100,9 +100,9 @@ func TestHandParserMatchesStdlib(t *testing.T) {
 		`{"reports": {"connection": 0}}`,
 		`{"time": "1"}`,
 		`{"reports":[{"connection": 0, "up": "yes"}]}`,
-		`{"time": 1}{"time": 2}`,  // trailing data
-		`{"time": 1} garbage`,     // trailing garbage
-		`{"time": 1}` + "\n\n",    // trailing whitespace only: valid
+		`{"time": 1}{"time": 2}`, // trailing data
+		`{"time": 1} garbage`,    // trailing garbage
+		`{"time": 1}` + "\n\n",   // trailing whitespace only: valid
 	}
 	for _, body := range cases {
 		handSC, refSC, handOK, refOK, handResp, refResp := decodeCase(t, body)

@@ -220,13 +220,13 @@ type Server struct {
 	// monitor).
 	diagnoseFn func() (*tomography.Diagnosis, error)
 
-	obsIngested   *metrics.Counter
-	obsReplayed   *metrics.Counter
-	staleServed   *metrics.Counter
-	dedupGauge    *metrics.Gauge
-	outageGauge   *metrics.Gauge
-	reqHist       *metrics.Histogram
-	roundHist     *metrics.Histogram
+	obsIngested    *metrics.Counter
+	obsReplayed    *metrics.Counter
+	staleServed    *metrics.Counter
+	dedupGauge     *metrics.Gauge
+	outageGauge    *metrics.Gauge
+	reqHist        *metrics.Histogram
+	roundHist      *metrics.Histogram
 	scenarioGauge  *metrics.Gauge
 	connsGauge     *metrics.Gauge
 	snapshotErrors *metrics.Counter

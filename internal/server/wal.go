@@ -26,8 +26,6 @@ type WALConfig struct {
 	// SegmentBytes overrides the segment rotation threshold
 	// (0 = the log's 4 MiB default).
 	SegmentBytes int64
-	// GroupWindow overrides the group-commit window (wal.SyncGroup only).
-	GroupWindow time.Duration
 	// CompactEvery is how many appended records trigger an automatic
 	// background compaction folding live state into a snapshot
 	// (default 4096; < 0 disables automatic compaction).
@@ -320,7 +318,6 @@ func (s *Server) openWAL(wc *WALConfig) error {
 	l, rec, err := wal.Open(wc.Dir, wal.Options{
 		SegmentBytes: wc.SegmentBytes,
 		Sync:         wc.Sync,
-		GroupWindow:  wc.GroupWindow,
 		FS:           wc.FS,
 		Logger:       s.logger,
 		OnFsync:      func(d time.Duration) { s.walFsync.Observe(d.Seconds()) },
@@ -603,9 +600,9 @@ func (s *Server) serveAudit(t *tenant, w http.ResponseWriter, r *http.Request) {
 		events = []auditEvent{}
 	}
 	out := struct {
-		Scenario    string         `json:"scenario"`
-		TotalEvents int            `json:"total_events"`
-		Events      []auditEvent   `json:"events"`
+		Scenario    string       `json:"scenario"`
+		TotalEvents int          `json:"total_events"`
+		Events      []auditEvent `json:"events"`
 		// Splice, for a scenario adopted from another node, names the
 		// source log's chain head at the migration fence: verifying the
 		// source log and finding that (seq, hash) pair proves the two

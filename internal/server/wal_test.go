@@ -190,14 +190,16 @@ func TestWALServerRecoveryRoundTrip(t *testing.T) {
 
 // TestCrashServerMatrix is the end-to-end half of the crash harness:
 // seeded byte budgets kill the filesystem under the serving stack —
-// mid-append, mid-rotation, mid-compaction — and after each kill a fresh
-// daemon must recover, finish the workload via client retries, and end
-// with state byte-identical to a never-crashed reference.
+// mid-append, mid-rotation, mid-compaction — under each fsyncing sync
+// mode, and after each kill a fresh daemon must recover, finish the
+// workload via client retries, and end with state byte-identical to a
+// never-crashed reference.
 func TestCrashServerMatrix(t *testing.T) {
 	ops := walWorkload(t)
 
 	// Reference life: no crash. Its responses are the oracle and its FS
-	// cost sizes the seeded budgets.
+	// cost sizes the seeded budgets. Neither depends on the sync mode, so
+	// one reference serves every mode.
 	refDir := t.TempDir()
 	refFS := wal.NewCrashFSBudget(wal.OSFS{}, 1<<60)
 	refCfg := walConfig(refDir)
@@ -232,82 +234,93 @@ func TestCrashServerMatrix(t *testing.T) {
 	for _, m := range modes {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(len(m.name)) * 7919))
-			for seed := 0; seed < seeds; seed++ {
-				budget := 1 + rng.Int63n(cost)
-				dir := t.TempDir()
-
-				// First life: crash-injected. New itself may die mid-boot.
-				fs := wal.NewCrashFSBudget(wal.OSFS{}, budget)
-				cfg := walConfig(dir)
-				cfg.WAL.FS = fs
-				cfg.WAL.SegmentBytes = m.segmentBytes
-				cfg.WAL.CompactEvery = m.compactEvery
-				stopped := 0
-				ackBodies := map[int]string{}
-				if srv, err := New(cfg); err == nil {
-					ts := httptest.NewServer(srv.Handler())
-					stopped = driveOps(t, ts.URL, ops, 0, ackBodies)
-					ts.Close()
-					srv.Abort()
-				}
-				// Everything acknowledged before the kill matched the
-				// reference byte for byte.
-				for i, body := range ackBodies {
-					if body != refBodies[i] {
-						t.Fatalf("seed %d budget %d: acked op %d body diverged from reference", seed, budget, i)
+			for _, syncMode := range []wal.SyncMode{wal.SyncAlways, wal.SyncGroup} {
+				t.Run(syncMode.String(), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(len(m.name)) * 7919))
+					for seed := 0; seed < seeds; seed++ {
+						budget := 1 + rng.Int63n(cost)
+						cfg := walConfig(t.TempDir())
+						cfg.WAL.Sync = syncMode
+						cfg.WAL.SegmentBytes = m.segmentBytes
+						cfg.WAL.CompactEvery = m.compactEvery
+						crashServerLife(t, cfg, budget, ops, refBodies, want)
 					}
-				}
-
-				// Second life: injection lifted; recovery must succeed and
-				// the retried tail must complete.
-				cfg2 := walConfig(dir)
-				cfg2.WAL.SegmentBytes = m.segmentBytes
-				cfg2.WAL.CompactEvery = m.compactEvery
-				srv2, err := New(cfg2)
-				if err != nil {
-					t.Fatalf("seed %d budget %d: recovery refused: %v", seed, budget, err)
-				}
-				ts2 := httptest.NewServer(srv2.Handler())
-				if n := driveOps(t, ts2.URL, ops, stopped, nil); n != len(ops) {
-					t.Fatalf("seed %d budget %d: retried workload stopped again at op %d", seed, budget, n)
-				}
-				if got := mustExport(t, srv2); string(got) != string(want) {
-					t.Fatalf("seed %d budget %d: recovered state diverged from never-crashed reference:\n got %s\nwant %s",
-						seed, budget, got, want)
-				}
-				if err := srv2.VerifyIncremental(); err != nil {
-					t.Fatalf("seed %d budget %d: incremental diagnosis diverged after recovery: %v", seed, budget, err)
-				}
-				// A post-crash duplicate of an acknowledged batch replays
-				// the exact original response.
-				if stopped > 0 {
-					for i := stopped - 1; i >= 0; i-- {
-						if _, isObs := ackBodies[i]; !isObs {
-							continue
-						}
-						resp, raw, err := rawReq(ops[i].method, ts2.URL+ops[i].path, ops[i].body)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if resp.Header.Get("Placemond-Replayed") != "true" {
-							t.Fatalf("seed %d: duplicate of acked op %d not replayed (status %d)", seed, i, resp.StatusCode)
-						}
-						if raw != refBodies[i] {
-							t.Fatalf("seed %d: replayed body for op %d diverged from reference", seed, i)
-						}
-						break
-					}
-				}
-				ts2.Close()
-				if err := srv2.Close(); err != nil {
-					t.Fatalf("seed %d: close after recovery: %v", seed, err)
-				}
-				if _, err := wal.Check(dir, false); err != nil {
-					t.Fatalf("seed %d: fsck after recovery: %v", seed, err)
-				}
+				})
 			}
 		})
+	}
+}
+
+// crashServerLife serves ops from a daemon on cfg until the byte budget
+// kills its filesystem, then recovers a fresh daemon from the same log,
+// retries the unacknowledged tail, and checks the result against the
+// never-crashed reference's responses and state export.
+func crashServerLife(t *testing.T, cfg Config, budget int64, ops []walOp, refBodies map[int]string, want []byte) {
+	t.Helper()
+	dir := cfg.WAL.Dir
+
+	// First life: crash-injected. New itself may die mid-boot.
+	crashCfg := cfg
+	crashWAL := *cfg.WAL
+	crashWAL.FS = wal.NewCrashFSBudget(wal.OSFS{}, budget)
+	crashCfg.WAL = &crashWAL
+	stopped := 0
+	ackBodies := map[int]string{}
+	if srv, err := New(crashCfg); err == nil {
+		ts := httptest.NewServer(srv.Handler())
+		stopped = driveOps(t, ts.URL, ops, 0, ackBodies)
+		ts.Close()
+		srv.Abort()
+	}
+	// Everything acknowledged before the kill matched the reference byte
+	// for byte.
+	for i, body := range ackBodies {
+		if body != refBodies[i] {
+			t.Fatalf("budget %d: acked op %d body diverged from reference", budget, i)
+		}
+	}
+
+	// Second life: injection lifted; recovery must succeed and the
+	// retried tail must complete.
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("budget %d: recovery refused: %v", budget, err)
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	if n := driveOps(t, ts2.URL, ops, stopped, nil); n != len(ops) {
+		t.Fatalf("budget %d: retried workload stopped again at op %d", budget, n)
+	}
+	if got := mustExport(t, srv2); string(got) != string(want) {
+		t.Fatalf("budget %d: recovered state diverged from never-crashed reference:\n got %s\nwant %s",
+			budget, got, want)
+	}
+	if err := srv2.VerifyIncremental(); err != nil {
+		t.Fatalf("budget %d: incremental diagnosis diverged after recovery: %v", budget, err)
+	}
+	// A post-crash duplicate of an acknowledged batch replays the exact
+	// original response.
+	for i := stopped - 1; i >= 0; i-- {
+		if _, isObs := ackBodies[i]; !isObs {
+			continue
+		}
+		resp, raw, err := rawReq(ops[i].method, ts2.URL+ops[i].path, ops[i].body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Header.Get("Placemond-Replayed") != "true" {
+			t.Fatalf("budget %d: duplicate of acked op %d not replayed (status %d)", budget, i, resp.StatusCode)
+		}
+		if raw != refBodies[i] {
+			t.Fatalf("budget %d: replayed body for op %d diverged from reference", budget, i)
+		}
+		break
+	}
+	ts2.Close()
+	if err := srv2.Close(); err != nil {
+		t.Fatalf("budget %d: close after recovery: %v", budget, err)
+	}
+	if _, err := wal.Check(dir, false); err != nil {
+		t.Fatalf("budget %d: fsck after recovery: %v", budget, err)
 	}
 }
 

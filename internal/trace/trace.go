@@ -251,10 +251,10 @@ type Record struct {
 	// Tenant is the scenario the request was served for; empty for
 	// requests on the legacy tenant-less routes and non-scenario
 	// endpoints.
-	Tenant string `json:"tenant,omitempty"`
-	Method string `json:"method"`
-	Path   string `json:"path"`
-	Status int    `json:"status"`
+	Tenant          string         `json:"tenant,omitempty"`
+	Method          string         `json:"method"`
+	Path            string         `json:"path"`
+	Status          int            `json:"status"`
 	Start           time.Time      `json:"start"`
 	DurationSeconds float64        `json:"duration_seconds"`
 	Stages          []Stage        `json:"stages,omitempty"`

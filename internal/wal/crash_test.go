@@ -69,11 +69,11 @@ func appliedOps(t *testing.T, rec *Recovery) int {
 
 // TestCrashMatrix is the wal-level half of the crash-injection
 // acceptance criterion: for seeded kill points landing mid-append,
-// mid-rotation, and mid-compaction, a recovered log (a) keeps every
-// acknowledged record, (b) holds exactly a prefix of the reference op
-// stream, and (c) after finishing the workload, is hash-chain-identical
-// to a never-crashed reference run — verified offline by Check, the
-// engine behind `placemon fsck`.
+// mid-rotation, and mid-compaction, under each fsyncing sync mode, a
+// recovered log (a) keeps every acknowledged record, (b) holds exactly a
+// prefix of the reference op stream, and (c) after finishing the
+// workload, is hash-chain-identical to a never-crashed reference run —
+// verified offline by Check, the engine behind `placemon fsck`.
 func TestCrashMatrix(t *testing.T) {
 	modes := []struct {
 		name string
@@ -88,7 +88,9 @@ func TestCrashMatrix(t *testing.T) {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
 			// Reference life: never crashes. Its total FS cost also sizes
-			// the seeded budgets so kills land inside the workload.
+			// the seeded budgets so kills land inside the workload. The
+			// log bytes do not depend on the sync mode, so one reference
+			// serves every mode.
 			refDir := t.TempDir()
 			refFS := NewCrashFSBudget(OSFS{}, 1<<60)
 			refLog, _, err := Open(refDir, Options{Sync: SyncAlways, SegmentBytes: mode.w.segmentBytes, FS: refFS})
@@ -113,66 +115,78 @@ func TestCrashMatrix(t *testing.T) {
 				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					budget := 1 + rng.Int63n(cost)
-					dir := t.TempDir()
-					fs := NewCrashFSBudget(OSFS{}, budget)
-
-					// First life: run until the injected crash (or clean
-					// finish when the budget covers everything).
-					acked := 0
-					l, _, err := Open(dir, Options{Sync: SyncAlways, SegmentBytes: mode.w.segmentBytes, FS: fs})
-					if err == nil {
-						acked, err = mode.w.run(t, l, 0)
-						l.Abort()
-					}
-					crashed := fs.Crashed()
-					if err != nil && !crashed {
-						t.Fatalf("first life failed without a crash: %v", err)
-					}
-
-					// Second life: the frozen remains, no fault injection.
-					fs.Disarm()
-					l2, rec, err := Open(dir, Options{Sync: SyncAlways, SegmentBytes: mode.w.segmentBytes, FS: fs})
-					if err != nil {
-						t.Fatalf("recovery refused (budget=%d): %v", budget, err)
-					}
-					applied := appliedOps(t, rec)
-					if applied < acked {
-						t.Fatalf("lost acknowledged records: acked=%d recovered=%d (budget=%d)",
-							acked, applied, budget)
-					}
-					if applied > mode.w.ops {
-						t.Fatalf("recovered %d ops, workload has %d", applied, mode.w.ops)
-					}
-					// Prefix property: the replay tail is exactly the ops
-					// after the fold point, in order.
-					base := int(rec.SnapshotSeq)
-					for j, r := range rec.Records {
-						want := mode.w.payload(base + j)
-						if string(r.Payload) != string(want) {
-							t.Fatalf("recovered op %d payload mismatch", base+j)
-						}
-					}
-
-					// Finish the workload and compare against the reference:
-					// the hash chain head commits to every record since
-					// genesis, so equality is stream identity.
-					if n, err := mode.w.run(t, l2, applied); err != nil || n != mode.w.ops {
-						t.Fatalf("resumed run stopped at %d: %v", n, err)
-					}
-					if got := l2.LastSeq(); got != refSeqs {
-						t.Fatalf("final seq %d, reference %d", got, refSeqs)
-					}
-					if _, head := l2.HeadHex(); head != refHead {
-						t.Fatalf("final chain head %s, reference %s", head, refHead)
-					}
-					if err := l2.Close(); err != nil {
-						t.Fatal(err)
-					}
-					if rep, err := Check(dir, false); err != nil {
-						t.Fatalf("fsck of recovered log: %v (report %+v)", err, rep)
+					for _, syncMode := range []SyncMode{SyncAlways, SyncGroup} {
+						t.Run(syncMode.String(), func(t *testing.T) {
+							mode.w.crashLife(t, syncMode, budget, refSeqs, refHead)
+						})
 					}
 				})
 			}
 		})
+	}
+}
+
+// crashLife runs the workload under syncMode until the byte budget kills
+// it, recovers, finishes the workload, and checks the result against
+// the never-crashed reference's final sequence and chain head.
+func (w crashWorkload) crashLife(t *testing.T, syncMode SyncMode, budget int64, refSeqs uint64, refHead string) {
+	t.Helper()
+	dir := t.TempDir()
+	fs := NewCrashFSBudget(OSFS{}, budget)
+
+	// First life: run until the injected crash (or clean finish when the
+	// budget covers everything).
+	acked := 0
+	l, _, err := Open(dir, Options{Sync: syncMode, SegmentBytes: w.segmentBytes, FS: fs})
+	if err == nil {
+		acked, err = w.run(t, l, 0)
+		l.Abort()
+	}
+	crashed := fs.Crashed()
+	if err != nil && !crashed {
+		t.Fatalf("first life failed without a crash: %v", err)
+	}
+
+	// Second life: the frozen remains, no fault injection.
+	fs.Disarm()
+	l2, rec, err := Open(dir, Options{Sync: syncMode, SegmentBytes: w.segmentBytes, FS: fs})
+	if err != nil {
+		t.Fatalf("recovery refused (budget=%d): %v", budget, err)
+	}
+	applied := appliedOps(t, rec)
+	if applied < acked {
+		t.Fatalf("lost acknowledged records: acked=%d recovered=%d (budget=%d)",
+			acked, applied, budget)
+	}
+	if applied > w.ops {
+		t.Fatalf("recovered %d ops, workload has %d", applied, w.ops)
+	}
+	// Prefix property: the replay tail is exactly the ops after the fold
+	// point, in order.
+	base := int(rec.SnapshotSeq)
+	for j, r := range rec.Records {
+		want := w.payload(base + j)
+		if string(r.Payload) != string(want) {
+			t.Fatalf("recovered op %d payload mismatch", base+j)
+		}
+	}
+
+	// Finish the workload and compare against the reference: the hash
+	// chain head commits to every record since genesis, so equality is
+	// stream identity.
+	if n, err := w.run(t, l2, applied); err != nil || n != w.ops {
+		t.Fatalf("resumed run stopped at %d: %v", n, err)
+	}
+	if got := l2.LastSeq(); got != refSeqs {
+		t.Fatalf("final seq %d, reference %d", got, refSeqs)
+	}
+	if _, head := l2.HeadHex(); head != refHead {
+		t.Fatalf("final chain head %s, reference %s", head, refHead)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := Check(dir, false); err != nil {
+		t.Fatalf("fsck of recovered log: %v (report %+v)", err, rep)
 	}
 }

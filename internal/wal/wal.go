@@ -23,9 +23,10 @@ const (
 	// SyncAlways fsyncs every append before it returns: an acknowledged
 	// write survives any crash. The safest and slowest mode.
 	SyncAlways SyncMode = iota
-	// SyncGroup batches concurrent appends under one fsync: each append
-	// still returns only after its record is durable, but co-arriving
-	// writers share the fsync cost (group commit).
+	// SyncGroup is leader/follower group commit: each append still
+	// returns only after its record is durable, but appends that land
+	// while an fsync is in flight share the next one. A lone append pays
+	// one fsync, as under SyncAlways.
 	SyncGroup
 	// SyncNone never fsyncs on append (only on rotation, compaction, and
 	// close): fastest, but a crash can lose acknowledged writes.
@@ -61,7 +62,8 @@ func ParseSyncMode(s string) (SyncMode, error) {
 }
 
 // Options parameterizes Open. The zero value is a production default:
-// 4 MiB segments, fsync on every append, OS filesystem.
+// 4 MiB segments, fsync on every append, OS filesystem. Group commit
+// has nothing to tune: its batches grow with the fsync's own duration.
 type Options struct {
 	// SegmentBytes is the rotation threshold: an append that finds the
 	// active segment at or past it seals the segment and starts a new one
@@ -69,9 +71,6 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the append durability policy (default SyncAlways).
 	Sync SyncMode
-	// GroupWindow is how long a group-commit leader waits for
-	// co-committers before fsyncing (SyncGroup only; default 2ms).
-	GroupWindow time.Duration
 	// FS is the filesystem the log writes through (default OSFS); the
 	// crash-injection harness substitutes CrashFS.
 	FS FS
@@ -88,9 +87,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentBytes < 4<<10 {
 		o.SegmentBytes = 4 << 10
-	}
-	if o.GroupWindow <= 0 {
-		o.GroupWindow = 2 * time.Millisecond
 	}
 	if o.FS == nil {
 		o.FS = OSFS{}
@@ -154,7 +150,7 @@ type Log struct {
 	encBuf   []byte
 
 	// Group-commit state: appenders wait until syncedSeq covers their
-	// record; the first waiter becomes the flush leader.
+	// record; one that finds no flush in flight becomes the leader.
 	flushMu   sync.Mutex
 	flushCond *sync.Cond
 	flushing  bool
@@ -536,20 +532,25 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// waitSynced blocks until the group-commit watermark covers target. The
-// first blocked appender becomes the flush leader: it waits GroupWindow
-// for co-committers, fsyncs once, and wakes everyone.
+// waitSynced blocks until the group-commit watermark covers target. An
+// appender that finds no flush in flight leads: it fsyncs at once and
+// wakes everyone. Appenders whose records land while a flush is in
+// flight follow: they wait, and the next flush covers them all, so a
+// batch grows with the fsync's own duration, not with a timer. The
+// watermark is tested before the sticky error, so a record an fsync
+// already covered is never reported failed because another appender's
+// write failed or the log closed afterwards.
 func (l *Log) waitSynced(target uint64) error {
 	l.flushMu.Lock()
 	for {
+		if l.syncedSeq >= target {
+			l.flushMu.Unlock()
+			return nil
+		}
 		if l.syncErr != nil {
 			err := l.syncErr
 			l.flushMu.Unlock()
 			return err
-		}
-		if l.syncedSeq >= target {
-			l.flushMu.Unlock()
-			return nil
 		}
 		if l.flushing {
 			l.flushCond.Wait()
@@ -558,9 +559,6 @@ func (l *Log) waitSynced(target uint64) error {
 		l.flushing = true
 		l.flushMu.Unlock()
 
-		if w := l.opts.GroupWindow; w > 0 {
-			time.Sleep(w)
-		}
 		l.mu.Lock()
 		var err error
 		if l.failed != nil {

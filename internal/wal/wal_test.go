@@ -1,12 +1,15 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func openTest(t *testing.T, dir string, opts Options) (*Log, *Recovery) {
@@ -294,9 +297,39 @@ func TestSnapshotTamperRefused(t *testing.T) {
 	}
 }
 
+// slowSyncFS makes every file Sync take about d longer — simulated disk
+// latency, so appends that arrive during a flush queue behind it.
+type slowSyncFS struct {
+	FS
+	d time.Duration
+}
+
+func (s slowSyncFS) Create(name string) (File, error) {
+	f, err := s.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return slowSyncFile{File: f, d: s.d}, nil
+}
+
+type slowSyncFile struct {
+	File
+	d time.Duration
+}
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(f.d)
+	return f.File.Sync()
+}
+
 func TestGroupCommitConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openTest(t, dir, Options{Sync: SyncGroup, GroupWindow: 1e6 /* 1ms */})
+	var fsyncs atomic.Int64
+	l, _ := openTest(t, dir, Options{
+		Sync:    SyncGroup,
+		FS:      slowSyncFS{FS: OSFS{}, d: time.Millisecond},
+		OnFsync: func(time.Duration) { fsyncs.Add(1) },
+	})
 	defer l.Close()
 	const workers, each = 8, 20
 	var wg sync.WaitGroup
@@ -318,6 +351,10 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("group append: %v", err)
 	}
+	// Appends that landed during a flush shared the next one.
+	if n := fsyncs.Load(); n >= workers*each {
+		t.Fatalf("%d fsyncs for %d appends: no flush was shared", n, workers*each)
+	}
 	if got := l.LastSeq(); got != workers*each {
 		t.Fatalf("LastSeq %d, want %d", got, workers*each)
 	}
@@ -327,6 +364,30 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 	if rep.Records != workers*each {
 		t.Fatalf("verify saw %d records, want %d", rep.Records, workers*each)
+	}
+}
+
+// TestWaitSyncedWatermarkBeforeError pins the order waitSynced reads its
+// state in: a record an fsync already covered is durable, so a failure
+// recorded afterwards — another appender's failed write, a Close — must
+// not report it failed; a record the watermark does not cover gets the
+// error.
+func TestWaitSyncedWatermarkBeforeError(t *testing.T) {
+	l, _ := openTest(t, t.TempDir(), Options{Sync: SyncGroup})
+	defer l.Close()
+	res, err := l.Append(TypeObservations, []byte("durable"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("another appender's write failed")
+	l.mu.Lock()
+	l.fail(boom)
+	l.mu.Unlock()
+	if err := l.waitSynced(res.Seq); err != nil {
+		t.Fatalf("waitSynced(%d) with syncedSeq %d = %v, want nil", res.Seq, l.syncedSeq, err)
+	}
+	if err := l.waitSynced(res.Seq + 1); !errors.Is(err, boom) {
+		t.Fatalf("waitSynced(%d) past the watermark = %v, want %v", res.Seq+1, err, boom)
 	}
 }
 
@@ -416,27 +477,31 @@ func TestParseSyncMode(t *testing.T) {
 }
 
 func TestReadOnlyAfterFailureSticky(t *testing.T) {
-	dir := t.TempDir()
-	fs := NewCrashFSBudget(OSFS{}, 200) // enough for open + a couple of appends
-	l, _, err := Open(dir, Options{Sync: SyncAlways, FS: fs})
-	if err != nil {
-		t.Fatalf("open under budget: %v", err)
-	}
-	var firstErr error
-	for i := 0; i < 100; i++ {
-		if _, err := l.Append(TypeObservations, []byte("spend the budget")); err != nil {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr == nil {
-		t.Fatal("budget never exhausted")
-	}
-	// Poisoned: every later operation reports the original failure.
-	if _, err := l.Append(TypeObservations, []byte("more")); err == nil {
-		t.Fatal("append succeeded after failure")
-	}
-	if l.Err() == nil {
-		t.Fatal("Err() nil after failure")
+	for _, mode := range []SyncMode{SyncAlways, SyncGroup} {
+		t.Run(mode.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			fs := NewCrashFSBudget(OSFS{}, 200) // enough for open + a couple of appends
+			l, _, err := Open(dir, Options{Sync: mode, FS: fs})
+			if err != nil {
+				t.Fatalf("open under budget: %v", err)
+			}
+			var firstErr error
+			for i := 0; i < 100; i++ {
+				if _, err := l.Append(TypeObservations, []byte("spend the budget")); err != nil {
+					firstErr = err
+					break
+				}
+			}
+			if firstErr == nil {
+				t.Fatal("budget never exhausted")
+			}
+			// Poisoned: every later operation reports the original failure.
+			if _, err := l.Append(TypeObservations, []byte("more")); err == nil {
+				t.Fatal("append succeeded after failure")
+			}
+			if l.Err() == nil {
+				t.Fatal("Err() nil after failure")
+			}
+		})
 	}
 }

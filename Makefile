@@ -5,7 +5,7 @@ GO ?= go
 # for a quick smoke run.
 BENCHFLAGS ?=
 
-.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-json bench-smoke bench-compare bench-compare-wal bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
+.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-json bench-smoke bench-compare bench-compare-wal bench-compare-routing bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
 
 all: build test
 
@@ -24,6 +24,7 @@ help:
 	@echo "  bench-smoke  single-iteration benchmark compile-and-run gate (CI)"
 	@echo "  bench-compare  registry-overhead run gated against the archived seed baseline (CI)"
 	@echo "  bench-compare-wal  WAL append/recovery run gated against the archived WAL baseline (CI)"
+	@echo "  bench-compare-routing  shortest-path-tree kernel gated against the archived routing baseline (CI)"
 	@echo "  bench-stochastic  stochastic-frontier smoke gated against the archived frontier snapshot (CI)"
 	@echo "  docs-check   documentation lint: godoc coverage, markdown links, flag-name drift (CI)"
 	@echo "  fuzz         short fuzz session over the edge-list parser"
@@ -138,6 +139,16 @@ bench-stochastic:
 bench-compare-wal:
 	$(GO) test -run NONE -bench='WALAppend|Recovery' -benchmem -benchtime=1000x -cpu 1 ./internal/wal/ | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-17_wal.json -fail-over 100
 
+# The routing kernel: one shortest-path tree over a ~5 000-node
+# hierarchy, unit weights (breadth-first path) and the same edges at
+# weight 2 (binary-heap path), gated against the snapshot archived when
+# hop-count trees moved to BFS. allocs/op is deterministic (4 on the BFS
+# path, 19 on the heap), so its gate is tight; ns/op gets a 100% margin
+# for shared runners, which still fails a unit-weight graph sent back to
+# the heap (about 10x the archived time).
+bench-compare-routing:
+	$(GO) test -run NONE -bench=ShortestPathTree -benchmem -benchtime=2000x -cpu 1 ./internal/graph/ | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-17_routing.json -fail-over 100 -fail-allocs-over 10
+
 # Documentation lint (cmd/docscheck): every package and exported
 # package-level identifier has a godoc comment, every relative link in
 # the user-facing markdown resolves, and every `-flag` the docs mention
@@ -165,6 +176,7 @@ fuzz:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/graph/
+	$(GO) test -run NONE -fuzz FuzzShortestPathTree -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run NONE -fuzz FuzzObservations -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run NONE -fuzz FuzzMembershipParse -fuzztime $(FUZZTIME) ./internal/cluster/

@@ -60,3 +60,25 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzShortestPathTree builds a unit-weight graph from the input (the
+// first byte sets the node count, each later byte pair is an edge) and
+// checks that the breadth-first Dijkstra returns the binary-heap tree
+// from every source.
+func FuzzShortestPathTree(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 0, 2, 1, 3, 2, 3})       // diamond
+	f.Add([]byte{5, 0, 1, 1, 2, 3, 4})             // two components
+	f.Add([]byte{6, 0, 3, 0, 4, 0, 5, 1, 3, 1, 4}) // bipartite ties
+	f.Add([]byte{1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%64
+		var edges [][2]int
+		for i := 1; i+1 < len(data); i += 2 {
+			edges = append(edges, [2]int{int(data[i]) % n, int(data[i+1]) % n})
+		}
+		checkBFSMatchesHeap(t, unitGraph(t, n, edges))
+	})
+}

@@ -1,7 +1,8 @@
 // Package graph implements the undirected service-network graph G = (N, L)
 // of the paper's Section II-A, together with the traversal primitives the
-// routing and placement layers need: breadth-first search, Dijkstra,
-// connected components, and degree queries.
+// routing and placement layers need: shortest-path trees (breadth-first
+// search on hop-count graphs, Dijkstra on weighted ones), connected
+// components, and degree queries.
 //
 // Nodes are dense integer IDs in [0, NumNodes) and carry an optional label.
 // Links do not fail (the paper models link failures as logical nodes), so
@@ -26,11 +27,15 @@ type Edge struct {
 }
 
 // Graph is an undirected simple graph. The zero value is an empty graph;
-// use New or a Builder to construct one.
+// use New to construct one.
 type Graph struct {
 	labels []string
 	adj    [][]neighbor
 	edges  []Edge
+	// weighted records whether any edge weighs other than 1, which decides
+	// how Dijkstra builds trees. AddWeightedEdge is the only place edges
+	// enter a graph, so it alone keeps the flag.
+	weighted bool
 }
 
 type neighbor struct {
@@ -103,6 +108,9 @@ func (g *Graph) AddWeightedEdge(u, v NodeID, weight float64) error {
 	g.adj[u] = append(g.adj[u], neighbor{to: v, weight: weight})
 	g.adj[v] = append(g.adj[v], neighbor{to: u, weight: weight})
 	g.edges = append(g.edges, Edge{U: u, V: v, Weight: weight})
+	if weight != 1 {
+		g.weighted = true
+	}
 	return nil
 }
 
@@ -160,30 +168,6 @@ func (g *Graph) DanglingNodes() []NodeID {
 	return out
 }
 
-// BFSDistances returns hop-count distances from src to every node. Nodes
-// unreachable from src have distance -1.
-func (g *Graph) BFSDistances(src NodeID) []int {
-	g.mustHave(src)
-	dist := make([]int, len(g.adj))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := make([]NodeID, 0, len(g.adj))
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, nb := range g.adj[u] {
-			if dist[nb.to] == -1 {
-				dist[nb.to] = dist[u] + 1
-				queue = append(queue, nb.to)
-			}
-		}
-	}
-	return dist
-}
-
 // ShortestPathTree holds the result of a single-source shortest path
 // computation with deterministic lexicographic tie-breaking: among
 // equal-length shortest paths, the one whose predecessor has the smallest
@@ -191,14 +175,58 @@ func (g *Graph) BFSDistances(src NodeID) []int {
 // repository reproducible.
 type ShortestPathTree struct {
 	Source NodeID
-	Dist   []float64 // Dist[v] = distance from Source, +Inf if unreachable
+	Dist   []float64 // Dist[v] = distance from Source, -1 if unreachable
 	Parent []NodeID  // Parent[v] = predecessor on the chosen path, -1 at source/unreachable
 }
 
 // Dijkstra computes a deterministic shortest path tree from src using edge
-// weights. For the all-ones weighting this matches BFS hop counts.
+// weights. When every edge weighs 1 (hop-count routing, the paper's QoS
+// distance) it runs a breadth-first search instead of the binary-heap
+// Dijkstra: the tree is the same, Dist holds exact hop counts, and the
+// search needs no priority queue. A single edge of any other weight sends
+// the whole graph down the heap path.
 func (g *Graph) Dijkstra(src NodeID) *ShortestPathTree {
 	g.mustHave(src)
+	if g.weighted {
+		return g.dijkstraHeap(src)
+	}
+	n := len(g.adj)
+	t := &ShortestPathTree{
+		Source: src,
+		Dist:   make([]float64, n),
+		Parent: make([]NodeID, n),
+	}
+	for i := range t.Dist {
+		t.Dist[i] = -1
+		t.Parent[i] = -1
+	}
+	t.Dist[src] = 0
+	queue := make([]NodeID, 1, n)
+	queue[0] = src
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		d := t.Dist[u] + 1
+		for _, nb := range g.adj[u] {
+			v := nb.to
+			switch {
+			case t.Dist[v] < 0:
+				t.Dist[v] = d
+				t.Parent[v] = u
+				queue = append(queue, v)
+			case t.Dist[v] == d && t.Parent[v] > u:
+				// The heap path's tie-break: every node one hop nearer
+				// relaxes v, and the smallest of them stays its parent.
+				t.Parent[v] = u
+			}
+		}
+	}
+	return t
+}
+
+// dijkstraHeap is Dijkstra over arbitrary positive weights with a binary
+// heap keyed on (distance, node). It is the only path for weighted
+// graphs, and the reference the breadth-first path is tested against.
+func (g *Graph) dijkstraHeap(src NodeID) *ShortestPathTree {
 	n := len(g.adj)
 	const inf = 1e18
 	t := &ShortestPathTree{

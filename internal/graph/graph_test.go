@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -94,51 +95,122 @@ func TestDanglingNodes(t *testing.T) {
 	}
 }
 
-func TestBFSDistances(t *testing.T) {
-	g := pathGraph(t, 5)
-	got := g.BFSDistances(0)
-	if !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("dist = %v", got)
+// unitGraph builds an n-node graph from unit-weight edges, skipping self
+// loops and repeats so random edge lists can be fed in as they come.
+func unitGraph(t testing.TB, n int, edges [][2]int) *Graph {
+	t.Helper()
+	g := New(n)
+	for _, e := range edges {
+		if e[0] == e[1] || g.HasEdge(e[0], e[1]) {
+			continue
+		}
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// checkBFSMatchesHeap requires that Dijkstra on a unit-weight graph takes
+// the breadth-first path and returns, from every source, the tree the
+// binary-heap Dijkstra builds: the same Dist and the same Parent.
+func checkBFSMatchesHeap(t testing.TB, g *Graph) {
+	t.Helper()
+	if g.weighted {
+		t.Fatal("unit-weight graph marked weighted: Dijkstra would not take the BFS path")
+	}
+	for src := 0; src < g.NumNodes(); src++ {
+		got, want := g.Dijkstra(src), g.dijkstraHeap(src)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("source %d:\nBFS  dist %v parent %v\nheap dist %v parent %v",
+				src, got.Dist, got.Parent, want.Dist, want.Parent)
+		}
 	}
 }
 
-func TestBFSUnreachable(t *testing.T) {
-	g := New(3)
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
+func TestShortestPathTreeBFSMatchesHeap(t *testing.T) {
+	type tc struct {
+		name  string
+		n     int
+		edges [][2]int
+		// dist0, when set, is the expected Dist vector from source 0.
+		dist0 []float64
 	}
-	got := g.BFSDistances(0)
-	if got[2] != -1 {
-		t.Fatalf("unreachable should be -1, got %d", got[2])
+	cases := []tc{
+		{name: "path", n: 5, edges: [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}},
+			dist0: []float64{0, 1, 2, 3, 4}},
+		{name: "unreachable", n: 3, edges: [][2]int{{0, 1}},
+			dist0: []float64{0, 1, -1}},
+		{name: "diamond", n: 4, edges: [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
+			dist0: []float64{0, 1, 1, 2}},
+		{name: "single", n: 1},
 	}
-}
-
-func TestDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		n := 5 + rng.Intn(30)
-		g := New(n)
-		// Random connected graph: spanning chain + extra edges.
-		for i := 1; i < n; i++ {
-			if err := g.AddEdge(rng.Intn(i), i); err != nil {
-				t.Fatal(err)
+	// A 6×7 grid: every interior pair has many equal-length routes.
+	grid := tc{name: "grid", n: 42}
+	for r := 0; r < 6; r++ {
+		for c := 0; c < 7; c++ {
+			v := r*7 + c
+			if c+1 < 7 {
+				grid.edges = append(grid.edges, [2]int{v, v + 1})
+			}
+			if r+1 < 6 {
+				grid.edges = append(grid.edges, [2]int{v + 7, v})
 			}
 		}
-		for tries := 0; tries < n; tries++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v && !g.HasEdge(u, v) {
-				if err := g.AddEdge(u, v); err != nil {
-					t.Fatal(err)
+	}
+	// K(4,5) with interleaved sides: every two-hop pair ties four or five ways.
+	bip := tc{name: "bipartite", n: 9}
+	for u := 0; u < 9; u += 2 {
+		for v := 1; v < 9; v += 2 {
+			bip.edges = append(bip.edges, [2]int{v, u})
+		}
+	}
+	cases = append(cases, grid, bip)
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(40)
+		c := tc{name: fmt.Sprintf("random%d", trial), n: n}
+		// Odd trials add a spanning chain; even ones are left to chance
+		// and are often disconnected.
+		if trial%2 == 1 {
+			for i := 1; i < n; i++ {
+				c.edges = append(c.edges, [2]int{rng.Intn(i), i})
+			}
+		}
+		for m := rng.Intn(2*n + 1); m > 0; m-- {
+			c.edges = append(c.edges, [2]int{rng.Intn(n), rng.Intn(n)})
+		}
+		cases = append(cases, c)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := unitGraph(t, c.n, c.edges)
+			checkBFSMatchesHeap(t, g)
+			if c.dist0 != nil {
+				if got := g.Dijkstra(0).Dist; !reflect.DeepEqual(got, c.dist0) {
+					t.Fatalf("Dist from 0 = %v, want %v", got, c.dist0)
 				}
 			}
+		})
+	}
+}
+
+func TestDijkstraNonUnitEdgeTakesHeapPath(t *testing.T) {
+	// The diamond with one half-weight edge, as SplitLinks makes: by hop
+	// count 0→3 ties and goes through 1, by weight it goes through 2.
+	g := New(4)
+	for _, e := range []Edge{{0, 1, 1}, {0, 2, 1}, {1, 3, 1}, {2, 3, 0.5}} {
+		if err := g.AddWeightedEdge(e.U, e.V, e.Weight); err != nil {
+			t.Fatal(err)
 		}
-		src := rng.Intn(n)
-		bfs := g.BFSDistances(src)
-		sp := g.Dijkstra(src)
-		for v := 0; v < n; v++ {
-			if int(sp.Dist[v]) != bfs[v] {
-				t.Fatalf("trial %d: node %d: dijkstra %v != bfs %v", trial, v, sp.Dist[v], bfs[v])
-			}
+	}
+	for name, h := range map[string]*Graph{"graph": g, "clone": g.Clone()} {
+		sp := h.Dijkstra(0)
+		if sp.Dist[3] != 1.5 {
+			t.Fatalf("%s: Dist[3] = %v, want 1.5", name, sp.Dist[3])
+		}
+		if got := sp.PathTo(3); !reflect.DeepEqual(got, []int{0, 2, 3}) {
+			t.Fatalf("%s: PathTo(3) = %v, want [0 2 3]", name, got)
 		}
 	}
 }

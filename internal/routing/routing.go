@@ -16,12 +16,14 @@ import (
 )
 
 // Router serves shortest-path measurement paths and distances over a
-// graph. New precomputes all-pairs trees up front (one Dijkstra per
-// node, the Section III-A complexity budget — fine up to a few thousand
-// nodes); NewLazy computes each root's tree on first use instead, so
-// memory and CPU scale with the number of distinct roots actually
-// queried (clients plus candidate hosts) rather than N². Both variants
-// produce identical paths and distances and are safe for concurrent use.
+// graph. New precomputes all-pairs trees up front (one shortest-path
+// tree per node, the Section III-A complexity budget — fine up to a few
+// thousand nodes); NewLazy computes each root's tree on first use
+// instead, so memory and CPU scale with the number of distinct roots
+// actually queried (clients plus candidate hosts) rather than N². Both
+// variants produce identical paths and distances and are safe for
+// concurrent use. Each tree is a graph.Dijkstra: a breadth-first search
+// on hop-count graphs, a binary-heap Dijkstra on weighted ones.
 type Router struct {
 	g     *graph.Graph
 	trees []*graph.ShortestPathTree
@@ -52,7 +54,7 @@ func New(g *graph.Graph) (*Router, error) {
 // NewLazy builds a Router that computes each node's shortest-path tree
 // on first use. Queries return exactly what the eager Router returns;
 // only the construction cost moves. Use it for large generated
-// topologies where all-pairs precomputation (O(N) Dijkstras, O(N²)
+// topologies where all-pairs precomputation (O(N) trees, O(N²)
 // distance memory) is the bottleneck and only a small subset of nodes
 // ever roots a query.
 func NewLazy(g *graph.Graph) (*Router, error) {
@@ -88,7 +90,7 @@ func (r *Router) TreesBuilt() int {
 }
 
 // tree returns v's shortest-path tree, computing and memoizing it in
-// lazy mode. The Dijkstra runs under the mutex: concurrent first
+// lazy mode. The tree is built under the mutex: concurrent first
 // touches of the same root would otherwise duplicate the work, and the
 // placement build path is effectively single-threaded per root anyway.
 func (r *Router) tree(v graph.NodeID) *graph.ShortestPathTree {
@@ -121,7 +123,7 @@ func (r *Router) Distance(u, v graph.NodeID) float64 {
 // DistancesFrom returns the distance vector rooted at v: entry u is
 // d(v, u), or -1 if unreachable. The slice is the router's own memoized
 // tree data — callers must treat it as read-only. One call costs one
-// Dijkstra in lazy mode and nothing afterwards, which is what makes the
+// tree in lazy mode and nothing afterwards, which is what makes the
 // client-rooted QoS sweep (one tree per client instead of one per host)
 // scale to 10k–100k nodes.
 func (r *Router) DistancesFrom(v graph.NodeID) []float64 {

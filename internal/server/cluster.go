@@ -572,7 +572,7 @@ func (s *Server) handleClusterAdopt(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxMigrateDoc))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "migration document exceeds %d bytes", maxMigrateDoc)
+		writeBodyError(w, "migration document", err)
 		return
 	}
 	var doc walMigrate

@@ -86,7 +86,8 @@ func putObsScratch(sc *obsScratch) {
 }
 
 // readBody buffers the whole request body into sc.buf, enforcing the
-// size limit. It writes the 413 itself (and returns false) on overflow.
+// size limit. On a failed read it answers the request itself (and
+// returns false).
 func readBody(sc *obsScratch, w http.ResponseWriter, r *http.Request) bool {
 	body := http.MaxBytesReader(w, r.Body, maxObsBody)
 	for {
@@ -99,12 +100,7 @@ func readBody(sc *obsScratch, w http.ResponseWriter, r *http.Request) bool {
 			return true
 		}
 		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
-			} else {
-				writeError(w, http.StatusBadRequest, "reading body: %v", err)
-			}
+			writeBodyError(w, "body", err)
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -220,4 +221,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError renders the uniform error envelope.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// writeBodyError answers a request whose body could not be read: 413 when
+// the body overran its http.MaxBytesReader limit, 400 for any other
+// failure, such as a client that hangs up mid-body.
+func writeBodyError(w http.ResponseWriter, what string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, tooBig.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "reading %s: %v", what, err)
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"repro/internal/registry"
+	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -37,10 +38,10 @@ func (s *Server) serveScenarioNetwork(t *tenant, w http.ResponseWriter, r *http.
 	const maxSpec = 1 << 20
 	change, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpec))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "network change exceeds %d bytes", maxSpec)
+		writeBodyError(w, "network change", err)
 		return
 	}
-	nt, err := s.replaceNetwork(t, change)
+	nt, err := s.replaceNetwork(trace.FromContext(r.Context()), t, change)
 	switch {
 	case errors.Is(err, errScenarioBusy):
 		writeError(w, http.StatusConflict, "%v", err)
@@ -78,7 +79,7 @@ func (s *Server) ReplaceScenarioNetwork(id string, change []byte) error {
 	if t.isDraining() {
 		return fmt.Errorf("%w: %q", errScenarioBusy, id)
 	}
-	_, err := s.replaceNetwork(t, change)
+	_, err := s.replaceNetwork(nil, t, change)
 	return err
 }
 
@@ -97,15 +98,21 @@ func (s *Server) ReplaceScenarioNetwork(id string, change []byte) error {
 //   - On a persistence failure the swap is rolled back and the old
 //     tenant un-drained, so served state never runs ahead of durable
 //     state.
-func (s *Server) replaceNetwork(old *tenant, change []byte) (*tenant, error) {
+//
+// The revise and build calls are timed as stages of sp, which may be nil.
+func (s *Server) replaceNetwork(sp *trace.Span, old *tenant, change []byte) (*tenant, error) {
 	if old.spec == nil {
 		return nil, fmt.Errorf("%w: scenario %q was built from boot flags, not a stored document", ErrBadSpec, old.id)
 	}
+	st := sp.StartStage("revise")
 	newSpec, err := s.revise(old.id, old.spec, change)
+	st.End()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
+	st = sp.StartStage("build")
 	tc, err := s.build(old.id, newSpec)
+	st.End()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}

@@ -1,13 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/wal"
 )
@@ -79,6 +84,17 @@ func TestNetworkReplaceLifecycle(t *testing.T) {
 	if info.ID != "net1" || info.Connections != 3 || !info.Persistent {
 		t.Fatalf("replace answered %+v", info)
 	}
+	// The PUT's trace splits into its two stages: revising the document
+	// and building the scenario from it.
+	var stages []string
+	for _, rec := range getTraces(t, ts.URL) {
+		if rec["method"] == http.MethodPut && rec["path"] == "/v1/scenarios/net1/network" {
+			stages = stageNames(rec)
+		}
+	}
+	if !reflect.DeepEqual(stages, []string{"revise", "build"}) {
+		t.Fatalf("replace stages = %v, want [revise build]", stages)
+	}
 
 	// Monitoring restarted: the old outage is gone.
 	resp, body = doReq(t, http.MethodGet, base+"/diagnosis", nil)
@@ -128,8 +144,9 @@ func TestNetworkReplaceUnconfigured(t *testing.T) {
 }
 
 // TestNetworkReplaceErrors covers the error mapping: unknown scenario,
-// flag-built default tenant, malformed change, and a busy (draining)
-// scenario.
+// flag-built default tenant, malformed change, a busy (draining)
+// scenario, and a body that cannot be read, on every route that reads
+// a whole body.
 func TestNetworkReplaceErrors(t *testing.T) {
 	s, ts := newTestServer(t, networkConfig())
 	doReq(t, http.MethodPut, ts.URL+"/v1/scenarios/net1", mustJSON(t, lineSpec()))
@@ -161,6 +178,38 @@ func TestNetworkReplaceErrors(t *testing.T) {
 	tn.endDrain()
 	if err := s.ReplaceScenarioNetwork("net1", mustJSON(t, wideSpec())); err != nil {
 		t.Fatalf("replace after endDrain: %v", err)
+	}
+
+	// Only a body over the route's limit is 413; one the client stops
+	// sending mid-read is 400. The adoption handler is called directly
+	// because the route exists only in cluster mode, and the body is
+	// read before cluster state is touched.
+	oversize := func() io.Reader { return bytes.NewReader(make([]byte, maxMigrateDoc+1)) }
+	hungUp := func() io.Reader {
+		return io.MultiReader(strings.NewReader(`{"num_nodes":`), iotest.ErrReader(errors.New("client hung up")))
+	}
+	routes := s.Handler()
+	adopt := http.HandlerFunc(s.handleClusterAdopt)
+	for _, c := range []struct {
+		name, method, path string
+		h                  http.Handler
+		body               func() io.Reader
+		want               int
+	}{
+		{"network oversize", http.MethodPut, "/v1/scenarios/net1/network", routes, oversize, http.StatusRequestEntityTooLarge},
+		{"network hung up", http.MethodPut, "/v1/scenarios/net1/network", routes, hungUp, http.StatusBadRequest},
+		{"create oversize", http.MethodPut, "/v1/scenarios/net2", routes, oversize, http.StatusRequestEntityTooLarge},
+		{"create hung up", http.MethodPut, "/v1/scenarios/net2", routes, hungUp, http.StatusBadRequest},
+		{"ingest oversize", http.MethodPost, "/v1/scenarios/net1/observations", routes, oversize, http.StatusRequestEntityTooLarge},
+		{"ingest hung up", http.MethodPost, "/v1/scenarios/net1/observations", routes, hungUp, http.StatusBadRequest},
+		{"adopt oversize", http.MethodPost, "/v1/cluster/adopt", adopt, oversize, http.StatusRequestEntityTooLarge},
+		{"adopt hung up", http.MethodPost, "/v1/cluster/adopt", adopt, hungUp, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		c.h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, c.body()))
+		if rec.Code != c.want {
+			t.Errorf("%s: %d %s, want %d", c.name, rec.Code, rec.Body, c.want)
+		}
 	}
 }
 

@@ -975,7 +975,7 @@ func (s *Server) handleScenarioCreate(w http.ResponseWriter, r *http.Request) {
 	const maxSpec = 1 << 20
 	spec, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpec))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "scenario document exceeds %d bytes", maxSpec)
+		writeBodyError(w, "scenario document", err)
 		return
 	}
 	switch err := s.CreateScenario(id, spec); {

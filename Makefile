@@ -5,7 +5,7 @@ GO ?= go
 # for a quick smoke run.
 BENCHFLAGS ?=
 
-.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-json bench-smoke bench-compare bench-compare-wal bench-compare-routing bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
+.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-oracles bench-json bench-smoke bench-compare bench-compare-wal bench-compare-routing bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
 
 all: build test
 
@@ -20,6 +20,7 @@ help:
 	@echo "  crash-smoke  WAL crash-injection matrix: kill writes mid-append/rotate/compact, assert exact recovery (CI)"
 	@echo "  bench        one benchmark run per table/figure plus ablations"
 	@echo "  bench-check  vet + short tests of the placebench module (CI)"
+	@echo "  bench-oracles  placebench's TestSmoke: every workload for a second with every oracle on (CI)"
 	@echo "  bench-json   machine-readable benchmark snapshot (BENCH_<date>.json)"
 	@echo "  bench-smoke  single-iteration benchmark compile-and-run gate (CI)"
 	@echo "  bench-compare  registry-overhead run gated against the archived seed baseline (CI)"
@@ -90,6 +91,14 @@ bench:
 # and short-tests it against the facade in this checkout.
 bench-check:
 	cd placebench && $(GO) vet ./... && $(GO) test -short ./...
+
+# The benchmark's oracles, which -short skips: TestSmoke runs every
+# workload for one second and checks the diagnosis event protocol
+# against Network.Localize, every placement against a cold
+# Network.Place, and the audit chain, fsck and diagnosis across SIGKILL
+# restarts of the daemons it starts.
+bench-oracles:
+	cd placebench && $(GO) test -count=1 -run TestSmoke ./...
 
 # Single-iteration smoke over a cheap benchmark: proves the benchmark
 # harness still compiles and runs without paying for a real measurement.

@@ -7,16 +7,21 @@
 //	placemond -placement placement.json -addr :8080
 //	placemond -wal-dir /var/lib/placemond/wal -addr :8080
 //
-// With -placement the document becomes the "default" scenario, served on
-// the classic single-scenario routes. Further scenarios are created
-// dynamically over PUT /v1/scenarios/{id}; without -wal-dir they last
-// for the life of the process. With -wal-dir (usable with or without
-// -placement) the daemon persists its full mutable state through a
-// write-ahead log: every mutation is durable before its response is
-// acknowledged, boot replays snapshot + log tail, and a WAL write
-// failure flips the daemon read-only (503 + Placemond-Read-Only) instead
-// of crashing it. Tune durability with -wal-sync (always | group | none)
-// and rotation with -wal-segment-bytes; inspect a log offline with
+// With -placement the document, on the network -graph, -topology or the
+// document itself names, seeds the "default" scenario that the classic
+// single-scenario routes address. From then on it is an ordinary
+// scenario: logged, migrated, revised over PUT /v1/scenarios/default/network
+// and deleted like any other. Further scenarios are created dynamically
+// over PUT /v1/scenarios/{id}; without -wal-dir they last for the life of
+// the process. With -wal-dir (usable with or without -placement) the
+// daemon persists its full mutable state through a write-ahead log:
+// every mutation is durable before its response is acknowledged, boot
+// replays snapshot + log tail, and a WAL write failure flips the daemon
+// read-only (503 + Placemond-Read-Only) instead of crashing it. A log
+// that already holds "default" must hold the -placement document, or the
+// daemon refuses to boot; start without -placement to serve the logged
+// one. Tune durability with -wal-sync (always | group | none) and
+// rotation with -wal-segment-bytes; inspect a log offline with
 // `placemon fsck`.
 //
 // With -node-id and -peers the daemon joins a static cluster: scenario
@@ -96,7 +101,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&o.topology, "topology", "", "built-in topology name (default: the placement document's)")
 	fs.StringVar(&o.graphFile, "graph", "", "edge-list file for a custom network (overrides -topology)")
-	fs.StringVar(&o.placementFile, "placement", "", "placement JSON written by `placemon place -o` (required)")
+	fs.StringVar(&o.placementFile, "placement", "", "placement JSON `file` written by placemon place -o; seeds the \"default\" scenario (optional with -wal-dir)")
 	fs.IntVar(&o.k, "k", 1, "failure budget for the rolling diagnosis")
 	fs.IntVar(&o.workers, "workers", 0, "placement worker pool size (0 = half the CPUs)")
 	fs.IntVar(&o.queue, "queue", 8, "placement queue depth (full queue answers 429)")
@@ -169,26 +174,21 @@ func (o *options) serverConfig(logger *slog.Logger) placemon.ServerConfig {
 }
 
 // buildServer assembles the facade server from the parsed options; split
-// from run so tests can exercise it without opening sockets. Without
-// -placement it builds a scenario-only daemon: no default scenario, and
-// nil network and zero document in the return.
-func buildServer(o *options, logger *slog.Logger) (*placemon.Server, *placemon.Network, placemon.PlacementFile, error) {
-	var zero placemon.PlacementFile
+// from run so tests can exercise it without opening sockets. With
+// -placement the document seeds the "default" scenario; without it the
+// daemon serves what -wal-dir recovers and what is created later.
+func buildServer(o *options, logger *slog.Logger) (*placemon.Server, error) {
 	if o.placementFile == "" {
-		srv, err := placemon.NewScenarioServer(o.serverConfig(logger))
-		if err != nil {
-			return nil, nil, zero, err
-		}
-		return srv, nil, zero, nil
+		return placemon.NewScenarioServer(o.serverConfig(logger))
 	}
 	f, err := os.Open(o.placementFile)
 	if err != nil {
-		return nil, nil, zero, err
+		return nil, err
 	}
 	doc, err := placemon.LoadPlacement(f)
 	f.Close()
 	if err != nil {
-		return nil, nil, zero, err
+		return nil, err
 	}
 
 	var nw *placemon.Network
@@ -196,30 +196,25 @@ func buildServer(o *options, logger *slog.Logger) (*placemon.Server, *placemon.N
 	case o.graphFile != "":
 		g, err := os.Open(o.graphFile)
 		if err != nil {
-			return nil, nil, zero, err
+			return nil, err
 		}
 		nw, err = placemon.Load(g)
 		g.Close()
 		if err != nil {
-			return nil, nil, zero, err
+			return nil, err
 		}
 	case o.topology != "":
 		if nw, err = placemon.BuildTopology(o.topology); err != nil {
-			return nil, nil, zero, err
+			return nil, err
 		}
 	case doc.Topology != "":
 		if nw, err = placemon.BuildTopology(doc.Topology); err != nil {
-			return nil, nil, zero, err
+			return nil, err
 		}
 	default:
-		return nil, nil, zero, fmt.Errorf("no network: the placement names no topology, and neither -topology nor -graph was given")
+		return nil, fmt.Errorf("no network: the placement names no topology, and neither -topology nor -graph was given")
 	}
-
-	srv, err := placemon.NewServer(nw, doc, o.serverConfig(logger))
-	if err != nil {
-		return nil, nil, zero, err
-	}
-	return srv, nw, doc, nil
+	return placemon.NewServer(nw, doc, o.serverConfig(logger))
 }
 
 func run(ctx context.Context, args []string, logOut io.Writer) error {
@@ -228,7 +223,7 @@ func run(ctx context.Context, args []string, logOut io.Writer) error {
 		return err
 	}
 	logger := newLogger(o, logOut)
-	srv, nw, doc, err := buildServer(o, logger)
+	srv, err := buildServer(o, logger)
 	if err != nil {
 		return err
 	}
@@ -237,24 +232,14 @@ func run(ctx context.Context, args []string, logOut io.Writer) error {
 		srv.Close()
 		return err
 	}
-	if nw != nil {
-		logger.Info("serving",
-			"addr", ln.Addr().String(),
-			"nodes", nw.NumNodes(),
-			"services", len(doc.Services),
-			"connections", len(srv.Connections()),
-			"k", o.k,
-			"log_level", o.logLevel,
-			"slow_request", o.slowRequest)
-	} else {
-		logger.Info("serving (scenario-only)",
-			"addr", ln.Addr().String(),
-			"wal_dir", o.walDir,
-			"scenarios", len(srv.Scenarios()),
-			"k", o.k,
-			"log_level", o.logLevel,
-			"slow_request", o.slowRequest)
-	}
+	logger.Info("serving",
+		"addr", ln.Addr().String(),
+		"scenarios", len(srv.Scenarios()),
+		"connections", len(srv.Connections()),
+		"wal_dir", o.walDir,
+		"k", o.k,
+		"log_level", o.logLevel,
+		"slow_request", o.slowRequest)
 	err = srv.Serve(ctx, ln)
 	logger.Info("drained, exiting")
 	return err

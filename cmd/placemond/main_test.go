@@ -84,7 +84,7 @@ func TestObservabilityFlags(t *testing.T) {
 }
 
 func TestBuildServerErrors(t *testing.T) {
-	if _, _, _, err := buildServer(&options{placementFile: "/does/not/exist.json"}, quietLogger()); err == nil {
+	if _, err := buildServer(&options{placementFile: "/does/not/exist.json"}, quietLogger()); err == nil {
 		t.Errorf("missing placement file accepted")
 	}
 	// A placement that names no topology needs -topology or -graph.
@@ -102,10 +102,10 @@ func TestBuildServerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, _, _, err := buildServer(&options{placementFile: path}, quietLogger()); err == nil {
+	if _, err := buildServer(&options{placementFile: path}, quietLogger()); err == nil {
 		t.Errorf("anonymous placement without -topology accepted")
 	}
-	if _, _, _, err := buildServer(&options{placementFile: path, topology: "NoSuchISP"}, quietLogger()); err == nil {
+	if _, err := buildServer(&options{placementFile: path, topology: "NoSuchISP"}, quietLogger()); err == nil {
 		t.Errorf("unknown topology accepted")
 	}
 }

@@ -432,9 +432,6 @@ func (s *Server) serveScenarioMigrate(t *tenant, w http.ResponseWriter, r *http.
 //     resume serving — the scenario never has zero owners.
 func (s *Server) migrateScenario(ctx context.Context, t *tenant, target cluster.Member) (*migrateResponse, error) {
 	start := time.Now()
-	if t.spec == nil {
-		return nil, fmt.Errorf("%w: scenario %q was built from boot flags, not a stored document", ErrBadSpec, t.id)
-	}
 	h := newHandoff()
 	if !t.armHandoff(h) {
 		return nil, fmt.Errorf("%w: %q (migration already in progress)", errScenarioBusy, t.id)
@@ -617,9 +614,6 @@ func (s *Server) handleClusterAdopt(w http.ResponseWriter, r *http.Request) {
 // calls it with persist=false — the record being replayed is the
 // durability.
 func (s *Server) adoptScenario(doc *walMigrate, persist bool) error {
-	if s.build == nil {
-		return fmt.Errorf("server: scenario API not configured (no BuildScenario)")
-	}
 	if doc.State == nil || len(doc.State.Spec) == 0 {
 		return fmt.Errorf("%w: migration document for %q carries no scenario spec", ErrBadSpec, doc.ID)
 	}
@@ -631,16 +625,10 @@ func (s *Server) adoptScenario(doc *walMigrate, persist bool) error {
 	if err != nil {
 		return err
 	}
-	if err := t.mon.RestoreState(doc.State.Monitor); err != nil {
+	if err := s.restoreTenantState(t, doc.State); err != nil {
 		t.mon.Close()
 		return fmt.Errorf("%w: restore monitor state: %v", ErrBadSpec, err)
 	}
-	if t.dedup != nil && len(doc.State.Dedup) > 0 {
-		if grew := t.dedup.restore(doc.State.Dedup); grew > 0 && s.dedupGauge != nil {
-			s.dedupGauge.Add(float64(grew))
-		}
-	}
-	t.restoreAudit(doc.State.Audit, doc.State.AuditTotal)
 	t.setSplice(&auditSplice{
 		SourceNode:     doc.Source,
 		SourceHeadSeq:  doc.SourceHeadSeq,
@@ -675,15 +663,14 @@ func (s *Server) adoptScenario(doc *walMigrate, persist bool) error {
 // validateClusterOwnership refuses to boot while hosting a stored
 // scenario whose owner is another node and which was not explicitly
 // adopted (via migration or -force-adopt): silently double-owning a
-// scenario would fork its diagnosis state across nodes. Flag-built
-// default tenants are exempt — they are gated at build time instead.
+// scenario would fork its diagnosis state across nodes.
 func (s *Server) validateClusterOwnership() error {
 	if s.cluster == nil {
 		return nil
 	}
 	var bad []string
 	s.tenants.Range(func(id string, t *tenant) bool {
-		if t.spec == nil || t.getSplice() != nil {
+		if t.getSplice() != nil {
 			return true
 		}
 		owner := s.ownerOf(id)

@@ -28,7 +28,7 @@ var errScenarioBusy = errors.New("server: scenario is being modified")
 // the scenario's network in place, keeping its identity, dedup window,
 // and audit ledger.
 func (s *Server) serveScenarioNetwork(t *tenant, w http.ResponseWriter, r *http.Request) {
-	if s.revise == nil || s.build == nil {
+	if s.revise == nil {
 		writeError(w, http.StatusNotImplemented, "network replacement not configured")
 		return
 	}
@@ -54,7 +54,7 @@ func (s *Server) serveScenarioNetwork(t *tenant, w http.ResponseWriter, r *http.
 	case err != nil:
 		writeError(w, http.StatusBadRequest, "%v", err)
 	default:
-		writeJSON(w, http.StatusOK, nt.info())
+		writeJSON(w, http.StatusOK, s.scenarioInfo(nt))
 	}
 }
 
@@ -66,7 +66,7 @@ func (s *Server) serveScenarioNetwork(t *tenant, w http.ResponseWriter, r *http.
 // failure (in which case the old network keeps serving — a replacement
 // either fully survives a restart or changes nothing).
 func (s *Server) ReplaceScenarioNetwork(id string, change []byte) error {
-	if s.revise == nil || s.build == nil {
+	if s.revise == nil {
 		return fmt.Errorf("server: network replacement not configured (no ReviseNetwork)")
 	}
 	if s.readOnly.Load() {
@@ -101,9 +101,6 @@ func (s *Server) ReplaceScenarioNetwork(id string, change []byte) error {
 //
 // The revise and build calls are timed as stages of sp, which may be nil.
 func (s *Server) replaceNetwork(sp *trace.Span, old *tenant, change []byte) (*tenant, error) {
-	if old.spec == nil {
-		return nil, fmt.Errorf("%w: scenario %q was built from boot flags, not a stored document", ErrBadSpec, old.id)
-	}
 	st := sp.StartStage("revise")
 	newSpec, err := s.revise(old.id, old.spec, change)
 	st.End()
@@ -174,10 +171,6 @@ func (s *Server) replayScenarioUpdate(seq uint64, p walScenarioUpdate) {
 	old, ok := s.tenants.Get(p.ID)
 	if !ok {
 		s.logger.Warn("WAL replay: network update for unknown scenario skipped", "seq", seq, "scenario", p.ID)
-		return
-	}
-	if s.build == nil {
-		s.logger.Warn("WAL replay: network update skipped (no BuildScenario configured)", "seq", seq, "scenario", p.ID)
 		return
 	}
 	tc, err := s.build(p.ID, p.Spec)

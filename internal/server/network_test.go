@@ -81,7 +81,8 @@ func TestNetworkReplaceLifecycle(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.ID != "net1" || info.Connections != 3 || !info.Persistent {
+	// Without a write-ahead log nothing survives a restart.
+	if info.ID != "net1" || info.Connections != 3 || info.Persistent {
 		t.Fatalf("replace answered %+v", info)
 	}
 	// The PUT's trace splits into its two stages: revising the document
@@ -144,9 +145,8 @@ func TestNetworkReplaceUnconfigured(t *testing.T) {
 }
 
 // TestNetworkReplaceErrors covers the error mapping: unknown scenario,
-// flag-built default tenant, malformed change, a busy (draining)
-// scenario, and a body that cannot be read, on every route that reads
-// a whole body.
+// malformed change, a busy (draining) scenario, and a body that cannot be
+// read, on every route that reads a whole body.
 func TestNetworkReplaceErrors(t *testing.T) {
 	s, ts := newTestServer(t, networkConfig())
 	doReq(t, http.MethodPut, ts.URL+"/v1/scenarios/net1", mustJSON(t, lineSpec()))
@@ -154,12 +154,6 @@ func TestNetworkReplaceErrors(t *testing.T) {
 	resp, _ := doReq(t, http.MethodPut, ts.URL+"/v1/scenarios/ghost/network", mustJSON(t, wideSpec()))
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown scenario: %d", resp.StatusCode)
-	}
-	// The default tenant is rebuilt from flags, not a stored document:
-	// there is nothing to revise.
-	resp, body := doReq(t, http.MethodPut, ts.URL+"/v1/scenarios/default/network", mustJSON(t, wideSpec()))
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("default tenant replace: %d %s", resp.StatusCode, body)
 	}
 	resp, _ = doReq(t, http.MethodPut, ts.URL+"/v1/scenarios/net1/network", []byte(`{"num_nodes":0}`))
 	if resp.StatusCode != http.StatusUnprocessableEntity {

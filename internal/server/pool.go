@@ -74,7 +74,6 @@ type PlaceFunc func(ctx context.Context, req PlacementRequest) (*PlacementResult
 // when the queue is full the caller gets ErrQueueFull immediately, which
 // is the backpressure contract the API exposes as HTTP 429.
 type pool struct {
-	place   PlaceFunc // default job runner; keyed submits may override per job
 	queue   chan *job
 	wg      sync.WaitGroup
 	mu      sync.RWMutex // guards closed against concurrent submits
@@ -96,7 +95,7 @@ type job struct {
 	ctx      context.Context
 	req      PlacementRequest
 	key      string    // per-tenant quota key; "" for unkeyed jobs
-	place    PlaceFunc // nil selects the pool default
+	place    PlaceFunc // runs the job
 	enqueued time.Time
 	done     chan jobResult // buffered; workers never block on delivery
 }
@@ -106,9 +105,8 @@ type jobResult struct {
 	err error
 }
 
-func newPool(place PlaceFunc, workers, depth int, reg *metrics.Registry) *pool {
+func newPool(workers, depth int, reg *metrics.Registry) *pool {
 	p := &pool{
-		place: place,
 		queue: make(chan *job, depth),
 		jobs: func(status string) *metrics.Counter {
 			return reg.Counter("placemond_placement_jobs_total",
@@ -172,11 +170,7 @@ func (p *pool) run(j *job) (res *PlacementResult, err error) {
 			res, err = nil, fmt.Errorf("%w: %v", ErrJobPanicked, r)
 		}
 	}()
-	fn := j.place
-	if fn == nil {
-		fn = p.place
-	}
-	return fn(j.ctx, j.req)
+	return j.place(j.ctx, j.req)
 }
 
 // acquire claims one quota slot for key; it fails with ErrTenantBusy at
@@ -227,15 +221,9 @@ func (p *pool) waitIdle(ctx context.Context, key string) bool {
 	return true
 }
 
-// submit enqueues an unkeyed job with the pool's default place function
-// and waits for its result or for ctx to end.
-func (p *pool) submit(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
-	return p.submitKeyed(ctx, "", nil, req)
-}
-
-// submitKeyed enqueues a job charged against key's per-tenant quota,
-// running place (or the pool default when nil), and waits for its result
-// or for ctx to end. It returns ErrQueueFull or ErrTenantBusy without
+// submitKeyed enqueues a job charged against key's per-tenant quota
+// (none for an empty key), running place, and waits for its result or
+// for ctx to end. It returns ErrQueueFull or ErrTenantBusy without
 // blocking when there is no room.
 func (p *pool) submitKeyed(ctx context.Context, key string, place PlaceFunc, req PlacementRequest) (*PlacementResult, error) {
 	if err := p.acquire(key); err != nil {

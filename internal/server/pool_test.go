@@ -16,11 +16,12 @@ import (
 func TestPoolDrainCompletesInFlightJobs(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	p := newPool(func(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
+	place := func(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
 		started <- struct{}{}
 		<-release
 		return &PlacementResult{Hosts: []int{int(req.Seed)}}, nil
-	}, 1, 3, metrics.NewRegistry())
+	}
+	p := newPool(1, 3, metrics.NewRegistry())
 
 	// One job running in the worker, three parked in a now-full queue —
 	// full, so the rejection probe below can never sneak a job in while
@@ -35,7 +36,7 @@ func TestPoolDrainCompletesInFlightJobs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := p.submit(context.Background(), PlacementRequest{Seed: seed})
+			res, err := p.submitKeyed(context.Background(), "", place, PlacementRequest{Seed: seed})
 			results <- outcome{res, err}
 		}()
 	}
@@ -66,7 +67,7 @@ func TestPoolDrainCompletesInFlightJobs(t *testing.T) {
 	// turned away without blocking.
 	rejectDeadline := time.After(2 * time.Second)
 	for {
-		_, err := p.submit(context.Background(), PlacementRequest{Seed: 99})
+		_, err := p.submitKeyed(context.Background(), "", place, PlacementRequest{Seed: 99})
 		if errors.Is(err, ErrPoolClosed) {
 			break
 		}
@@ -107,16 +108,14 @@ func TestPoolDrainCompletesInFlightJobs(t *testing.T) {
 	}
 
 	// After drain, rejection is permanent.
-	if _, err := p.submit(context.Background(), PlacementRequest{}); !errors.Is(err, ErrPoolClosed) {
+	if _, err := p.submitKeyed(context.Background(), "", place, PlacementRequest{}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("post-drain submit err = %v, want ErrPoolClosed", err)
 	}
 }
 
 // TestPoolCloseIdempotent: double close must not panic or deadlock.
 func TestPoolCloseIdempotent(t *testing.T) {
-	p := newPool(func(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
-		return &PlacementResult{}, nil
-	}, 2, 2, metrics.NewRegistry())
+	p := newPool(2, 2, metrics.NewRegistry())
 	p.close()
 	p.close()
 }

@@ -141,8 +141,9 @@ func TestStaleDiagnosisOnTimeout(t *testing.T) {
 	s, ts := newTestServer(t, cfg)
 	ingestOutage(t, ts.URL)
 
-	real := s.diagnoseFn
-	s.diagnoseFn = func() (*tomography.Diagnosis, error) {
+	def := s.defaultTenant()
+	real := def.diagnose
+	def.diagnose = func() (*tomography.Diagnosis, error) {
 		time.Sleep(200 * time.Millisecond)
 		return real()
 	}
@@ -173,7 +174,7 @@ func TestStaleDiagnosisOnRecomputeError(t *testing.T) {
 	s, ts := newTestServer(t, testConfig())
 	ingestOutage(t, ts.URL)
 
-	s.diagnoseFn = func() (*tomography.Diagnosis, error) {
+	s.defaultTenant().diagnose = func() (*tomography.Diagnosis, error) {
 		return nil, fmt.Errorf("tomography: no consistent failure set")
 	}
 	resp, body := getJSON(t, ts.URL+"/v1/diagnosis")
@@ -193,13 +194,13 @@ func TestStaleDiagnosisOnRecomputeError(t *testing.T) {
 func TestStaleWithoutCacheDegradesLikeBefore(t *testing.T) {
 	s, ts := newTestServer(t, testConfig())
 	// Reach the outage without ever producing a good diagnosis.
-	s.diagnoseFn = func() (*tomography.Diagnosis, error) {
+	def := s.defaultTenant()
+	def.diagnose = func() (*tomography.Diagnosis, error) {
 		return nil, fmt.Errorf("tomography: no consistent failure set")
 	}
 	ingestOutage(t, ts.URL)
 	// Ingest events seed the cache through the daemon's internal
 	// recompute; empty it so the fallback genuinely has nothing.
-	def := s.defaultTenant()
 	def.lastGoodMu.Lock()
 	def.lastGood = nil
 	def.lastGoodMu.Unlock()

@@ -71,12 +71,9 @@ func mustJSON(t testing.TB, v any) []byte {
 	return b
 }
 
-// scenarioConfig is testConfig plus the scenario API.
-func scenarioConfig() Config {
-	cfg := testConfig()
-	cfg.BuildScenario = testBuild
-	return cfg
-}
+// scenarioConfig is testConfig: every server has the scenario API, and
+// the default scenario is one of its scenarios.
+func scenarioConfig() Config { return testConfig() }
 
 // rawReq performs one request and drains the body; goroutine-safe (no
 // testing.TB calls).

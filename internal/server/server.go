@@ -7,11 +7,15 @@
 // The server is multi-tenant: it hosts many independent monitoring
 // scenarios (each its own network, placement, monitor state, dedup
 // window, and trace ring) behind a sharded registry, so tenants never
-// serialize against each other on the hot ingest path. The legacy
-// single-scenario routes operate on the tenant named "default" and are
-// byte-compatible with the single-network daemon they replace.
+// serialize against each other on the hot ingest path. Every scenario is
+// built from a stored document by Config.BuildScenario, and so is the one
+// named "default": Config.DefaultSpec seeds it at boot, and from then on
+// it is logged, migrated, revised and deleted like any other. The legacy
+// single-scenario routes are pure aliases of their /v1/scenarios/default/
+// twins and are byte-compatible with the single-network daemon they
+// replace.
 //
-// Legacy (default-tenant) endpoints:
+// Legacy (default-scenario) endpoints:
 //
 //	POST /v1/observations  ingest connection state transitions → events
 //	GET  /v1/diagnosis     current rolling diagnosis + connection states
@@ -35,7 +39,7 @@
 //	GET    /v1/scenarios/{id}   one scenario's status
 //	DELETE /v1/scenarios/{id}   drain and remove
 //
-// Created scenarios live in memory unless a write-ahead log is configured
+// Scenarios live in memory unless a write-ahead log is configured
 // (Config.WAL); then every create is logged before it is acknowledged, so
 // a restarted daemon recovers the fleet it was serving.
 //
@@ -45,13 +49,14 @@
 // named per-stage timings — in a bounded in-memory ring served at
 // /debug/traces.
 //
-// The package depends only on the standard library plus internal/metrics,
-// internal/monitord, internal/trace, and internal/bitset; the placement
-// engine is injected as a PlaceFunc so the root facade can close over its
-// Network without an import cycle.
+// The package depends only on the standard library and internal packages
+// below the facade. The scenario document format and the placement engine
+// are injected (BuildFunc, ReviseFunc, PlaceFunc), so the root facade can
+// close over its Network without an import cycle.
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -67,7 +72,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/metrics"
 	"repro/internal/monitord"
 	"repro/internal/registry"
@@ -77,27 +81,18 @@ import (
 )
 
 // Connection describes one monitored client↔host pair, index-aligned with
-// the paths handed to New.
+// a TenantConfig's Paths.
 type Connection struct {
 	Service int `json:"service"`
 	Client  int `json:"client"`
 	Host    int `json:"host"`
 }
 
-// Config parameterizes New. NumNodes, Paths, Connections, and Place are
-// required; everything else has serviceable defaults.
+// Config parameterizes New. BuildScenario is required; everything else
+// has serviceable defaults.
 type Config struct {
-	// NumNodes is the size of the monitored network's node universe.
-	NumNodes int
 	// K is the failure budget for the rolling diagnosis (default 1).
 	K int
-	// Paths are the measurement paths of the deployed placement, one per
-	// monitored connection.
-	Paths []*bitset.Set
-	// Connections is index-aligned metadata for Paths.
-	Connections []Connection
-	// Place runs one placement job; must be safe for concurrent use.
-	Place PlaceFunc
 	// Workers is the placement pool size (default: half the CPUs, ≥ 1).
 	Workers int
 	// QueueDepth bounds the placement backlog (default 8); a full queue
@@ -134,10 +129,15 @@ type Config struct {
 	// Registry receives the server's metrics (default: a fresh registry).
 	Registry *metrics.Registry
 
-	// BuildScenario turns a stored scenario document into its monitoring
-	// state; required to enable the scenario create/load API. When nil,
-	// only the boot-time default tenant (Paths/Place above) is served.
+	// BuildScenario turns a scenario document into its monitoring state;
+	// required. Every scenario, DefaultScenario included, is built by it.
 	BuildScenario BuildFunc
+	// DefaultSpec, when non-nil, is the boot document of DefaultScenario,
+	// the scenario the legacy single-scenario routes address. New creates
+	// the scenario from it like any other — logged when a write-ahead log
+	// is configured — unless the log already holds it or another node owns
+	// it; see New for the boot rule.
+	DefaultSpec []byte
 	// ReviseNetwork produces a revised scenario document from the stored
 	// one plus a network-change request, enabling in-place network
 	// replacement via PUT /v1/scenarios/{id}/network; nil answers 501.
@@ -173,7 +173,7 @@ type Config struct {
 // eventually.
 type Server struct {
 	tenants        *registry.Registry[*tenant]
-	build          BuildFunc  // nil disables the scenario create/load API
+	build          BuildFunc
 	revise         ReviseFunc // nil disables in-place network replacement
 	labeler        *metrics.Labeler
 	pool           *pool
@@ -215,11 +215,6 @@ type Server struct {
 	traceBuf    int           // ≤ 0 disables per-tenant trace rings
 	diagTimeout time.Duration // ≤ 0 means no diagnosis recompute deadline
 
-	// diagnoseFn is a test seam: when non-nil it overrides the default
-	// tenant's diagnosis recompute (scenario tenants always use their own
-	// monitor).
-	diagnoseFn func() (*tomography.Diagnosis, error)
-
 	obsIngested    *metrics.Counter
 	obsReplayed    *metrics.Counter
 	staleServed    *metrics.Counter
@@ -233,21 +228,23 @@ type Server struct {
 	eventTotal     map[monitord.EventKind]*metrics.Counter
 }
 
-// New builds the service: the scenario registry (seeded with a default
-// tenant when the legacy Paths/Place config is given, and with every
-// scenario the write-ahead log recovers when one is configured), a bounded
-// placement pool shared by all tenants, and the routed, instrumented
-// HTTP handler.
+// New builds the service: a bounded placement pool shared by all
+// tenants, the scenario registry, and the routed, instrumented HTTP
+// handler. Before the handler exists, boot runs three steps:
+//
+//  1. With a write-ahead log, recovery rebuilds every scenario the log
+//     holds.
+//  2. With a boot document (Config.DefaultSpec), DefaultScenario is
+//     seeded. If the log already holds it, its document must equal the
+//     boot one, or New refuses to boot. If another node owns it (by the
+//     ring, or by a recorded migration away from this node), nothing is
+//     created and the legacy routes forward there. Otherwise it is
+//     created like any other scenario, and logged.
+//  3. In cluster mode, no hosted scenario may belong to another node (see
+//     validateClusterOwnership).
 func New(cfg Config) (*Server, error) {
-	legacy := cfg.Place != nil || len(cfg.Paths) > 0 || len(cfg.Connections) > 0
-	if legacy && cfg.Place == nil {
-		return nil, fmt.Errorf("server: Config.Place is required")
-	}
-	if !legacy && cfg.BuildScenario == nil {
-		return nil, fmt.Errorf("server: neither a default scenario (Paths/Place) nor BuildScenario configured")
-	}
-	if len(cfg.Paths) != len(cfg.Connections) {
-		return nil, fmt.Errorf("server: %d paths for %d connections", len(cfg.Paths), len(cfg.Connections))
+	if cfg.BuildScenario == nil {
+		return nil, fmt.Errorf("server: Config.BuildScenario is required")
 	}
 	k := cfg.K
 	if k == 0 {
@@ -310,7 +307,7 @@ func New(cfg Config) (*Server, error) {
 		build:          cfg.BuildScenario,
 		revise:         cfg.ReviseNetwork,
 		labeler:        metrics.NewLabeler(seriesCap),
-		pool:           newPool(cfg.Place, workers, depth, reg),
+		pool:           newPool(workers, depth, reg),
 		registry:       reg,
 		logger:         logger,
 		logRequests:    logger.Enabled(context.Background(), slog.LevelInfo),
@@ -359,53 +356,8 @@ func New(cfg Config) (*Server, error) {
 			"Monitoring daemon events by kind.", "kind", kind.String())
 	}
 
-	if cfg.Cluster != nil {
-		cn, err := newClusterNode(cfg.Cluster, reg)
-		if err != nil {
-			s.pool.close()
-			return nil, err
-		}
-		s.cluster = cn
-	}
 	s.prewarm = cfg.PrewarmPlacer
-
-	if legacy && s.cluster != nil && !s.cluster.members.IsOwner(DefaultScenario) {
-		// Another node owns "default": building it here would double-own
-		// the scenario. The legacy routes forward to the owner instead.
-		logger.Info("default scenario owned by peer; legacy routes will forward",
-			"owner", s.cluster.members.Owner(DefaultScenario).ID)
-		legacy = false
-	}
-	if legacy {
-		def, err := s.newTenant(DefaultScenario, &TenantConfig{
-			NumNodes:    cfg.NumNodes,
-			K:           k,
-			Paths:       cfg.Paths,
-			Connections: cfg.Connections,
-			Place:       cfg.Place,
-		}, nil)
-		if err != nil {
-			s.pool.close()
-			return nil, err
-		}
-		// The test seam: the default tenant's recompute indirects through
-		// s.diagnoseFn so tests can inject slow or failing tomography.
-		s.diagnoseFn = def.mon.Diagnosis
-		def.diagnose = func() (*tomography.Diagnosis, error) { return s.diagnoseFn() }
-		if err := s.addTenant(def); err != nil {
-			s.pool.close()
-			return nil, err
-		}
-	}
-	if cfg.WAL != nil {
-		// Recovery runs before the handler exists: replay is not racing
-		// requests, so it needs no locks.
-		if err := s.openWAL(cfg.WAL); err != nil {
-			s.pool.close()
-			return nil, err
-		}
-	}
-	if err := s.validateClusterOwnership(); err != nil {
+	if err := s.boot(cfg); err != nil {
 		s.pool.close()
 		if s.wlog != nil {
 			s.wlog.Abort()
@@ -422,26 +374,26 @@ func New(cfg Config) (*Server, error) {
 	// and pprof profile collection legitimately runs longer than an API
 	// request is allowed to.
 	mux := http.NewServeMux()
-	mux.Handle("POST /v1/observations", s.instrument("/v1/observations", s.forDefault(s.serveObservations)))
-	mux.Handle("GET /v1/diagnosis", s.withTimeout(s.instrument("/v1/diagnosis", s.forDefault(s.serveDiagnosis))))
-	mux.Handle("POST /v1/placements", s.withTimeout(s.instrument("/v1/placements", s.forDefault(s.servePlacements))))
+	mux.Handle("POST /v1/observations", s.instrument("/v1/observations", s.forScenario(DefaultScenario, s.serveObservations)))
+	mux.Handle("GET /v1/diagnosis", s.withTimeout(s.instrument("/v1/diagnosis", s.forScenario(DefaultScenario, s.serveDiagnosis))))
+	mux.Handle("POST /v1/placements", s.withTimeout(s.instrument("/v1/placements", s.forScenario(DefaultScenario, s.servePlacements))))
 	mux.Handle("GET /healthz", s.instrument("/healthz", http.HandlerFunc(s.handleHealthz)))
 	mux.Handle("GET /metrics", s.instrument("/metrics", http.HandlerFunc(s.handleMetrics)))
 
 	mux.Handle("POST /v1/scenarios/{id}/observations",
-		s.instrument("/v1/scenarios/{id}/observations", s.forScenario(s.serveObservations)))
+		s.instrument("/v1/scenarios/{id}/observations", s.forScenario("", s.serveObservations)))
 	mux.Handle("GET /v1/scenarios/{id}/diagnosis",
-		s.withTimeout(s.instrument("/v1/scenarios/{id}/diagnosis", s.forScenario(s.serveDiagnosis))))
+		s.withTimeout(s.instrument("/v1/scenarios/{id}/diagnosis", s.forScenario("", s.serveDiagnosis))))
 	mux.Handle("POST /v1/scenarios/{id}/placements",
-		s.withTimeout(s.instrument("/v1/scenarios/{id}/placements", s.forScenario(s.servePlacements))))
+		s.withTimeout(s.instrument("/v1/scenarios/{id}/placements", s.forScenario("", s.servePlacements))))
 	mux.Handle("GET /v1/scenarios/{id}/traces",
-		s.instrument("/v1/scenarios/{id}/traces", s.forScenario(s.serveTenantTraces)))
+		s.instrument("/v1/scenarios/{id}/traces", s.forScenario("", s.serveTenantTraces)))
 	mux.Handle("GET /v1/scenarios/{id}/audit",
-		s.instrument("/v1/scenarios/{id}/audit", s.forScenario(s.serveAudit)))
+		s.instrument("/v1/scenarios/{id}/audit", s.forScenario("", s.serveAudit)))
 	mux.Handle("PUT /v1/scenarios/{id}/network",
-		s.withTimeout(s.instrument("/v1/scenarios/{id}/network", s.forScenario(s.serveScenarioNetwork))))
+		s.withTimeout(s.instrument("/v1/scenarios/{id}/network", s.forScenario("", s.serveScenarioNetwork))))
 	mux.Handle("POST /v1/scenarios/{id}/migrate",
-		s.withTimeout(s.instrument("/v1/scenarios/{id}/migrate", s.forScenario(s.serveScenarioMigrate))))
+		s.withTimeout(s.instrument("/v1/scenarios/{id}/migrate", s.forScenario("", s.serveScenarioMigrate))))
 	if s.cluster != nil {
 		mux.Handle("POST /v1/cluster/adopt",
 			s.instrument("/v1/cluster/adopt", http.HandlerFunc(s.handleClusterAdopt)))
@@ -451,7 +403,7 @@ func New(cfg Config) (*Server, error) {
 
 	mux.Handle("GET /v1/scenarios", s.instrument("/v1/scenarios", http.HandlerFunc(s.handleScenarioList)))
 	mux.Handle("PUT /v1/scenarios/{id}", s.withTimeout(s.instrument("/v1/scenarios/{id}", http.HandlerFunc(s.handleScenarioCreate))))
-	mux.Handle("GET /v1/scenarios/{id}", s.instrument("/v1/scenarios/{id}", s.forScenario(s.serveScenarioInfo)))
+	mux.Handle("GET /v1/scenarios/{id}", s.instrument("/v1/scenarios/{id}", s.forScenario("", s.serveScenarioInfo)))
 	mux.Handle("DELETE /v1/scenarios/{id}", s.withTimeout(s.instrument("/v1/scenarios/{id}", http.HandlerFunc(s.handleScenarioDelete))))
 
 	if s.traces != nil {
@@ -466,6 +418,55 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.handler = s.withObservability(mux)
 	return s, nil
+}
+
+// boot joins the cluster, recovers the write-ahead log, seeds
+// DefaultScenario and checks ownership, in the order New documents. It
+// runs before the handler exists, so nothing races it.
+func (s *Server) boot(cfg Config) error {
+	if cfg.Cluster != nil {
+		cn, err := newClusterNode(cfg.Cluster, s.registry)
+		if err != nil {
+			return err
+		}
+		s.cluster = cn
+	}
+	if cfg.WAL != nil {
+		if err := s.openWAL(cfg.WAL); err != nil {
+			return err
+		}
+	}
+	if cfg.DefaultSpec != nil {
+		if err := s.seedDefault(cfg.DefaultSpec); err != nil {
+			return err
+		}
+	}
+	return s.validateClusterOwnership()
+}
+
+// seedDefault applies the boot rule to DefaultScenario's boot document.
+func (s *Server) seedDefault(spec []byte) error {
+	// The log keeps documents as encoding/json re-encodes them; compare
+	// the boot document in that form.
+	spec, err := json.Marshal(json.RawMessage(spec))
+	if err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrBadSpec, DefaultScenario, err)
+	}
+	if t, ok := s.tenants.Get(DefaultScenario); ok {
+		if bytes.Equal(t.spec, spec) {
+			return nil
+		}
+		return fmt.Errorf("server: the write-ahead log holds scenario %q with a document other than the boot one: "+
+			"start without the boot document (placemond -placement) to serve the logged one, or delete the scenario first",
+			DefaultScenario)
+	}
+	if s.cluster != nil {
+		if owner := s.ownerOf(DefaultScenario); owner.ID != s.cluster.self() {
+			s.logger.Info("default scenario owned by another node; legacy routes will forward", "owner", owner.ID)
+			return nil
+		}
+	}
+	return s.createScenario(DefaultScenario, spec, true)
 }
 
 // Handler returns the fully middleware-wrapped HTTP handler (also usable
@@ -605,35 +606,18 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // tenantHandler is a request handler bound to one resolved tenant.
 type tenantHandler func(t *tenant, w http.ResponseWriter, r *http.Request)
 
-// forDefault serves the legacy single-scenario routes against the
-// "default" tenant. The response bytes are identical to the pre-registry
-// daemon's; a registry-only server (no default tenant) answers 404.
-func (s *Server) forDefault(fn tenantHandler) http.Handler {
+// forScenario resolves the route's scenario against the registry, stamps
+// the request's trace span with it, and rejects scenarios mid-drain so
+// removal has a clean cutoff. The scenario is fixedID when that is
+// non-empty, else the {id} path segment: the legacy single-scenario
+// routes pass DefaultScenario, which makes them pure aliases of their
+// /v1/scenarios/default/... twins.
+func (s *Server) forScenario(fixedID string, fn tenantHandler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t, ok := s.tenants.Get(DefaultScenario)
-		if !ok {
-			if s.cluster != nil && s.routeScenario(w, r, DefaultScenario) {
-				return
-			}
-			writeError(w, http.StatusNotFound, "no default scenario (use /v1/scenarios/{id}/...)")
-			return
+		id := fixedID
+		if id == "" {
+			id = r.PathValue("id")
 		}
-		if s.cluster != nil {
-			if h := t.currentHandoff(); h != nil && !s.resolveHandoff(h, w, r, false) {
-				return
-			}
-		}
-		t.requests.Inc()
-		fn(t, w, r)
-	})
-}
-
-// forScenario resolves the {id} path segment against the registry,
-// stamps the request's trace span with the tenant, and rejects tenants
-// mid-drain so removal has a clean cutoff.
-func (s *Server) forScenario(fn tenantHandler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
 		t, ok := s.tenants.Get(id)
 		if !ok {
 			if s.cluster != nil && s.routeScenario(w, r, id) {
@@ -913,18 +897,17 @@ type scenarioInfoJSON struct {
 	ID          string `json:"id"`
 	Connections int    `json:"connections"`
 	InOutage    bool   `json:"in_outage"`
-	// Persistent marks scenarios created from a stored document; the
-	// boot-time default tenant is rebuilt from flags instead and reports
-	// false.
+	// Persistent reports whether the scenario survives a restart: true
+	// exactly when the daemon runs with a write-ahead log.
 	Persistent bool `json:"persistent"`
 }
 
-func (t *tenant) info() scenarioInfoJSON {
+func (s *Server) scenarioInfo(t *tenant) scenarioInfoJSON {
 	return scenarioInfoJSON{
 		ID:          t.id,
 		Connections: len(t.conns),
 		InOutage:    t.mon.InOutage(),
-		Persistent:  t.spec != nil,
+		Persistent:  s.wlog != nil,
 	}
 }
 
@@ -933,14 +916,14 @@ func (s *Server) handleScenarioList(w http.ResponseWriter, r *http.Request) {
 		Scenarios []scenarioInfoJSON `json:"scenarios"`
 	}{Scenarios: []scenarioInfoJSON{}}
 	s.tenants.Range(func(id string, t *tenant) bool {
-		out.Scenarios = append(out.Scenarios, t.info())
+		out.Scenarios = append(out.Scenarios, s.scenarioInfo(t))
 		return true
 	})
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) serveScenarioInfo(t *tenant, w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, t.info())
+	writeJSON(w, http.StatusOK, s.scenarioInfo(t))
 }
 
 // serveTenantTraces serves the tenant's own trace ring, newest first —
@@ -963,10 +946,6 @@ func (s *Server) serveTenantTraces(t *tenant, w http.ResponseWriter, r *http.Req
 func (s *Server) handleScenarioCreate(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if s.cluster != nil && !s.clusterAdminLocal(w, r, id) {
-		return
-	}
-	if s.build == nil {
-		writeError(w, http.StatusNotImplemented, "scenario API not configured")
 		return
 	}
 	if s.rejectReadOnly(w) {
@@ -993,7 +972,7 @@ func (s *Server) handleScenarioCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 	default:
 		if t, ok := s.tenants.Get(id); ok {
-			writeJSON(w, http.StatusCreated, t.info())
+			writeJSON(w, http.StatusCreated, s.scenarioInfo(t))
 		} else {
 			// Deleted again between create and response; report the create.
 			writeJSON(w, http.StatusCreated, scenarioInfoJSON{ID: id})

@@ -11,28 +11,37 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/bitset"
 )
 
-// testConfig builds a config over a 5-node line 0-1-2-3-4 with two
-// monitored connections, 0→2 and 4→2, and an echo placement function.
+// testConfig serves the 5-node line 0-1-2-3-4 (lineSpec, two monitored
+// connections 0→2 and 4→2) as the default scenario, built by testBuild
+// like every other test scenario.
 func testConfig() Config {
-	return Config{
-		NumNodes: 5,
-		K:        1,
-		Paths: []*bitset.Set{
-			bitset.FromIndices(5, 0, 1, 2),
-			bitset.FromIndices(5, 2, 3, 4),
-		},
-		Connections: []Connection{
-			{Service: 0, Client: 0, Host: 2},
-			{Service: 0, Client: 4, Host: 2},
-		},
-		Place: func(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
-			return &PlacementResult{Hosts: []int{2}, Coverage: 3}, nil
-		},
+	spec, err := json.Marshal(lineSpec())
+	if err != nil {
+		panic(err)
 	}
+	return Config{K: 1, BuildScenario: testBuild, DefaultSpec: spec}
+}
+
+// withPlace returns cfg with every scenario's placement jobs running
+// place.
+func withPlace(cfg Config, place PlaceFunc) Config {
+	build := cfg.BuildScenario
+	cfg.BuildScenario = func(id string, spec []byte) (*TenantConfig, error) {
+		tc, err := build(id, spec)
+		if tc != nil {
+			tc.Place = place
+		}
+		return tc, err
+	}
+	return cfg
+}
+
+// defaultTenant returns the hosted default scenario, or nil.
+func (s *Server) defaultTenant() *tenant {
+	t, _ := s.tenants.Get(DefaultScenario)
+	return t
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -230,11 +239,11 @@ func TestQueueFull(t *testing.T) {
 	cfg.Workers = 1
 	cfg.QueueDepth = 1
 	cfg.RequestTimeout = 200 * time.Millisecond
-	cfg.Place = func(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
+	cfg = withPlace(cfg, func(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
 		started <- struct{}{}
 		<-release
 		return &PlacementResult{Hosts: []int{2}}, nil
-	}
+	})
 	s, ts := newTestServer(t, cfg)
 	t.Cleanup(func() { close(release) })
 	t.Cleanup(func() { close(started) })
@@ -278,10 +287,9 @@ func TestQueueFull(t *testing.T) {
 }
 
 func TestPlacementPanicIsContained(t *testing.T) {
-	cfg := testConfig()
-	cfg.Place = func(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
+	cfg := withPlace(testConfig(), func(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
 		panic("poisoned instance")
-	}
+	})
 	_, ts := newTestServer(t, cfg)
 	resp, body := postJSON(t, ts.URL+"/v1/placements", `{"services": [{"clients": [0]}]}`)
 	if resp.StatusCode != http.StatusInternalServerError {
@@ -314,10 +322,10 @@ func TestRequestTimeout(t *testing.T) {
 	cfg := testConfig()
 	cfg.RequestTimeout = 50 * time.Millisecond
 	block := make(chan struct{})
-	cfg.Place = func(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
+	cfg = withPlace(cfg, func(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
 		<-block
 		return &PlacementResult{}, nil
-	}
+	})
 	_, ts := newTestServer(t, cfg)
 	defer close(block)
 	resp, body := postJSON(t, ts.URL+"/v1/placements", `{"services": [{"clients": [0]}]}`)
@@ -364,12 +372,11 @@ func TestPprofDisabledByDefault(t *testing.T) {
 func TestGracefulShutdown(t *testing.T) {
 	inFlight := make(chan struct{})
 	release := make(chan struct{})
-	cfg := testConfig()
-	cfg.Place = func(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
+	cfg := withPlace(testConfig(), func(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
 		close(inFlight)
 		<-release
 		return &PlacementResult{Hosts: []int{2}}, nil
-	}
+	})
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -422,20 +429,25 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: New refuses a server without a builder, and a
+// default scenario whose built state is unusable.
 func TestConfigValidation(t *testing.T) {
 	cfg := testConfig()
-	cfg.Place = nil
+	cfg.BuildScenario = nil
 	if _, err := New(cfg); err == nil {
+		t.Fatalf("nil BuildScenario accepted")
+	}
+	if _, err := New(withPlace(testConfig(), nil)); err == nil {
 		t.Fatalf("nil Place accepted")
 	}
 	cfg = testConfig()
-	cfg.Connections = cfg.Connections[:1]
+	spec := lineSpec()
+	spec.Connections = spec.Connections[:1]
+	cfg.DefaultSpec = mustJSON(t, spec)
 	if _, err := New(cfg); err == nil {
 		t.Fatalf("paths/connections mismatch accepted")
 	}
-	cfg = testConfig()
-	cfg.Paths = nil
-	cfg.Connections = nil
+	cfg.DefaultSpec = mustJSON(t, testSpec{NumNodes: 5, K: 1})
 	if _, err := New(cfg); err == nil {
 		t.Fatalf("no connections accepted")
 	}

@@ -15,19 +15,18 @@ import (
 	"repro/internal/wal"
 )
 
-// DefaultScenario is the tenant the legacy single-scenario routes
-// (/v1/observations, /v1/diagnosis, ...) operate on. A server built from
-// a legacy Config hosts exactly this tenant at boot; scenario-scoped
-// routes address it like any other under /v1/scenarios/default/....
+// DefaultScenario is the scenario the legacy single-scenario routes
+// (/v1/observations, /v1/diagnosis, ...) operate on; they are aliases of
+// the same routes under /v1/scenarios/default/.... Config.DefaultSpec
+// seeds it at boot, and it is otherwise an ordinary scenario.
 const DefaultScenario = "default"
 
 // ErrBadSpec wraps scenario-spec build failures so the HTTP layer can
 // distinguish a malformed document (422) from a malformed ID (400).
 var ErrBadSpec = fmt.Errorf("server: invalid scenario spec")
 
-// TenantConfig is the per-scenario monitoring state a BuildFunc produces:
-// everything New's legacy Config carries for the default tenant, scoped
-// to one scenario.
+// TenantConfig is the per-scenario monitoring state a BuildFunc produces
+// from a scenario document.
 type TenantConfig struct {
 	// NumNodes is the scenario network's node universe.
 	NumNodes int
@@ -59,13 +58,11 @@ type tenant struct {
 	place PlaceFunc
 	dedup *dedupWindow // nil when disabled
 	ring  *trace.Ring  // nil when disabled
-	// spec is the scenario document the tenant was built from; nil for
-	// the legacy default tenant, which is rebuilt from flags at boot and
-	// therefore never snapshotted.
+	// spec is the scenario document the tenant was built from.
 	spec []byte
 
-	// diagnose recomputes the rolling diagnosis; a test seam on the
-	// default tenant, mon.Diagnosis everywhere else.
+	// diagnose recomputes the rolling diagnosis: mon.Diagnosis, or a slow
+	// or failing stand-in a test installs.
 	diagnose func() (*tomography.Diagnosis, error)
 
 	lastGoodMu sync.Mutex
@@ -301,9 +298,6 @@ func (s *Server) CreateScenario(id string, spec []byte) error {
 }
 
 func (s *Server) createScenario(id string, spec []byte, persist bool) error {
-	if s.build == nil {
-		return fmt.Errorf("server: scenario API not configured (no BuildScenario)")
-	}
 	if err := registry.ValidateID(id); err != nil {
 		return err
 	}
@@ -373,7 +367,7 @@ func (s *Server) RemoveScenario(ctx context.Context, id string) error {
 	drained := s.pool.waitIdle(dctx, id)
 	s.removeTenantState(t)
 	var logErr error
-	if t.spec != nil && s.wlog != nil {
+	if s.wlog != nil {
 		logErr = s.walAppendScenario(wal.TypeScenarioDelete, walScenarioDelete{ID: id})
 	}
 	// Stop the scenario's monitor event loop last: WAL compaction may
@@ -392,9 +386,12 @@ func (s *Server) RemoveScenario(ctx context.Context, id string) error {
 // ScenarioIDs returns the registered scenario IDs, sorted.
 func (s *Server) ScenarioIDs() []string { return s.tenants.IDs() }
 
-// defaultTenant returns the "default" tenant, or nil on a registry-only
-// server (used by tests and the legacy-route resolver).
-func (s *Server) defaultTenant() *tenant {
-	t, _ := s.tenants.Get(DefaultScenario)
-	return t
+// Connections returns the monitored connections of hosted scenario id in
+// ingest-index order, or nil when this node does not host it.
+func (s *Server) Connections(id string) []Connection {
+	t, ok := s.tenants.Get(id)
+	if !ok {
+		return nil
+	}
+	return append([]Connection(nil), t.conns...)
 }

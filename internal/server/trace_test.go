@@ -91,11 +91,10 @@ func TestTraceMintedWhenAbsent(t *testing.T) {
 // trace records the pool stages.
 func TestTraceReachesWorkerPool(t *testing.T) {
 	seen := make(chan string, 1)
-	cfg := testConfig()
-	cfg.Place = func(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
+	cfg := withPlace(testConfig(), func(ctx context.Context, req PlacementRequest) (*PlacementResult, error) {
 		seen <- trace.IDFromContext(ctx)
 		return &PlacementResult{Hosts: []int{2}}, nil
-	}
+	})
 	_, ts := newTestServer(t, cfg)
 
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/placements",

@@ -98,8 +98,9 @@ type walState struct {
 
 // walTenantState is one tenant's replayable state.
 type walTenantState struct {
-	// Spec is the scenario document (absent for the boot-time default
-	// tenant, which is rebuilt from flags).
+	// Spec is the scenario document. Only snapshots written by an older
+	// placemond, for a default tenant it built from boot flags, lack one;
+	// restoreWALState skips such entries.
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Monitor is the monitord core state.
 	Monitor monitord.State `json:"monitor"`
@@ -333,7 +334,6 @@ func (s *Server) openWAL(wc *WALConfig) error {
 
 	if len(rec.SnapshotState) > 0 {
 		if err := s.restoreWALState(rec.SnapshotState); err != nil {
-			l.Abort()
 			return err
 		}
 	}
@@ -352,10 +352,11 @@ func (s *Server) openWAL(wc *WALConfig) error {
 	return nil
 }
 
-// restoreWALState rebuilds every tenant recorded in a compaction
-// snapshot. Scenarios with a stored spec are rebuilt through the
-// BuildFunc; the default tenant's state is grafted onto the flag-built
-// tenant when shapes agree.
+// restoreWALState rebuilds every scenario recorded in a compaction
+// snapshot from its stored document, then restores its replayable state.
+// An entry without a document was written by an older placemond for the
+// default tenant it built from boot flags: it is skipped with a warning,
+// and the boot document, if any, seeds a fresh default (seedDefault).
 func (s *Server) restoreWALState(doc []byte) error {
 	var st walState
 	if err := json.Unmarshal(doc, &st); err != nil {
@@ -368,38 +369,18 @@ func (s *Server) restoreWALState(doc []byte) error {
 	sort.Strings(ids)
 	for _, id := range ids {
 		ts := st.Scenarios[id]
-		t, exists := s.tenants.Get(id)
-		switch {
-		case exists && len(ts.Spec) > 0:
-			// A flag-built tenant shadows a stored scenario of the same
-			// name; refuse silently diverging from the log.
-			return fmt.Errorf("server: WAL snapshot scenario %q collides with a boot-time tenant", id)
-		case !exists && len(ts.Spec) > 0:
-			if s.build == nil {
-				s.logger.Warn("WAL snapshot scenario skipped (no BuildScenario configured)", "scenario", id)
-				continue
-			}
-			if err := s.createScenario(id, ts.Spec, false); err != nil {
-				return fmt.Errorf("server: WAL snapshot scenario %q: %w", id, err)
-			}
-			t, _ = s.tenants.Get(id)
-		case !exists:
-			// Default-tenant state but this boot has no default tenant
-			// (flags changed); nothing to graft it onto.
-			s.logger.Warn("WAL snapshot state for absent tenant skipped", "scenario", id)
+		if len(ts.Spec) == 0 {
+			s.logger.Warn("WAL snapshot scenario without a document skipped", "scenario", id)
 			continue
 		}
-		if err := t.mon.RestoreState(ts.Monitor); err != nil {
+		if err := s.createScenario(id, ts.Spec, false); err != nil {
+			return fmt.Errorf("server: WAL snapshot scenario %q: %w", id, err)
+		}
+		t, _ := s.tenants.Get(id)
+		if err := s.restoreTenantState(t, ts); err != nil {
 			return fmt.Errorf("server: WAL snapshot scenario %q: %w", id, err)
 		}
 		s.setOutageGauges(t)
-		if t.dedup != nil && len(ts.Dedup) > 0 {
-			if grew := t.dedup.restore(ts.Dedup); grew > 0 && s.dedupGauge != nil {
-				s.dedupGauge.Add(float64(grew))
-			}
-		}
-		t.restoreAudit(ts.Audit, ts.AuditTotal)
-		t.setSplice(ts.Splice)
 	}
 	if len(st.Relocations) > 0 {
 		if s.cluster == nil {
@@ -411,6 +392,23 @@ func (s *Server) restoreWALState(doc []byte) error {
 			}
 		}
 	}
+	return nil
+}
+
+// restoreTenantState loads a snapshot's or a migration document's
+// replayable state into a freshly built tenant: monitor state, dedup
+// window, audit ledger and splice.
+func (s *Server) restoreTenantState(t *tenant, ts *walTenantState) error {
+	if err := t.mon.RestoreState(ts.Monitor); err != nil {
+		return err
+	}
+	if t.dedup != nil && len(ts.Dedup) > 0 {
+		if grew := t.dedup.restore(ts.Dedup); grew > 0 && s.dedupGauge != nil {
+			s.dedupGauge.Add(float64(grew))
+		}
+	}
+	t.restoreAudit(ts.Audit, ts.AuditTotal)
+	t.setSplice(ts.Splice)
 	return nil
 }
 
@@ -428,10 +426,6 @@ func (s *Server) replayRecord(r wal.Record) {
 		}
 		if _, exists := s.tenants.Get(p.ID); exists {
 			s.logger.Warn("WAL replay: scenario already exists", "seq", r.Seq, "scenario", p.ID)
-			return
-		}
-		if s.build == nil {
-			s.logger.Warn("WAL replay: create skipped (no BuildScenario configured)", "seq", r.Seq, "scenario", p.ID)
 			return
 		}
 		if err := s.createScenario(p.ID, p.Spec, false); err != nil {

@@ -51,9 +51,19 @@ type Edge struct {
 // NewNetwork builds a network with numNodes nodes and the given undirected
 // edges. The graph must be connected, simple, and loop-free.
 func NewNetwork(numNodes int, edges []Edge) (*Network, error) {
+	return newNetwork(numNodes, edges, nil)
+}
+
+// newNetwork is NewNetwork with per-edge routing weights, index-aligned
+// with edges; nil weights mean every edge weighs 1.
+func newNetwork(numNodes int, edges []Edge, weights []float64) (*Network, error) {
 	g := graph.New(numNodes)
-	for _, e := range edges {
-		if err := g.AddEdge(e.U, e.V); err != nil {
+	for i, e := range edges {
+		w := 1.0
+		if weights != nil {
+			w = weights[i]
+		}
+		if err := g.AddWeightedEdge(e.U, e.V, w); err != nil {
 			return nil, fmt.Errorf("placemon: edge (%d, %d): %w", e.U, e.V, err)
 		}
 	}

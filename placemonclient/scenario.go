@@ -23,7 +23,9 @@ type ScenarioInfo struct {
 	ID          string `json:"id"`
 	Connections int    `json:"connections"`
 	InOutage    bool   `json:"in_outage"`
-	Persistent  bool   `json:"persistent"`
+	// Persistent reports whether the scenario survives a daemon restart:
+	// true exactly when the daemon runs with a write-ahead log (-wal-dir).
+	Persistent bool `json:"persistent"`
 }
 
 // ScenarioClient addresses one scenario of a multi-tenant placemond: the

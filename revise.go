@@ -93,7 +93,9 @@ func newNetworkReviser() (server.ReviseFunc, func(id string, spec []byte)) {
 			return nil, fmt.Errorf("placemon: network change names no network (topology or nodes/edges)")
 		}
 		revised := sp
-		revised.Topology, revised.Nodes, revised.Edges = ch.Topology, ch.Nodes, ch.Edges
+		// A change carries no weights: the revised network routes by hop
+		// count.
+		revised.Topology, revised.Nodes, revised.Edges, revised.Weights = ch.Topology, ch.Nodes, ch.Edges, nil
 		revised.Placement.Topology = ch.Topology
 		nw, err := revised.Network()
 		if err != nil {

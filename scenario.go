@@ -31,10 +31,11 @@ var (
 )
 
 // ScenarioSpec is the JSON scenario document the multi-tenant daemon
-// accepts over PUT /v1/scenarios/{id}, persists through its store, and
-// rebuilds at boot. It is self-contained: the network comes from either
-// a built-in topology name or an inline edge list, and the placement
-// document carries the services and hosts to monitor.
+// accepts over PUT /v1/scenarios/{id}, logs in its write-ahead log, and
+// rebuilds from at boot. NewServer writes one for the default scenario.
+// It is self-contained: the network comes from either a built-in topology
+// name or an inline edge list, and the placement document carries the
+// services and hosts to monitor.
 type ScenarioSpec struct {
 	// Topology names a built-in topology (see TopologyNames). Empty means
 	// the network is given inline by Nodes/Edges, or — when those are
@@ -44,6 +45,10 @@ type ScenarioSpec struct {
 	// count and each edge is an undirected [u, v] pair.
 	Nodes int      `json:"nodes,omitempty"`
 	Edges [][2]int `json:"edges,omitempty"`
+	// Weights, when present, are the inline edges' routing weights,
+	// index-aligned with Edges; absent, every edge weighs 1 (hop-count
+	// routing). Allowed only with an inline network.
+	Weights []float64 `json:"weights,omitempty"`
 	// K is the scenario's failure budget for the rolling diagnosis
 	// (0 means the server default).
 	K int `json:"k,omitempty"`
@@ -53,8 +58,12 @@ type ScenarioSpec struct {
 }
 
 // Network builds the spec's network: Topology if named, else the inline
-// Nodes/Edges, else the topology the placement document names.
+// Nodes/Edges (and Weights), else the topology the placement document
+// names.
 func (sp ScenarioSpec) Network() (*Network, error) {
+	if err := sp.checkWeights(); err != nil {
+		return nil, err
+	}
 	switch {
 	case sp.Topology != "":
 		return BuildTopology(sp.Topology)
@@ -63,12 +72,44 @@ func (sp ScenarioSpec) Network() (*Network, error) {
 		for i, e := range sp.Edges {
 			edges[i] = Edge{U: e[0], V: e[1]}
 		}
-		return NewNetwork(sp.Nodes, edges)
+		return newNetwork(sp.Nodes, edges, sp.Weights)
 	case sp.Placement.Topology != "":
 		return BuildTopology(sp.Placement.Topology)
 	default:
 		return nil, fmt.Errorf("placemon: scenario spec names no network (topology, nodes/edges, or placement.topology)")
 	}
+}
+
+// checkWeights rejects a Weights list that is not index-aligned with an
+// inline edge list.
+func (sp ScenarioSpec) checkWeights() error {
+	switch {
+	case len(sp.Weights) == 0:
+		return nil
+	case sp.Topology != "" || sp.Nodes == 0:
+		return fmt.Errorf("placemon: scenario spec: weights need an inline network (nodes and edges), not a named topology")
+	case len(sp.Weights) != len(sp.Edges):
+		return fmt.Errorf("placemon: scenario spec: %d weights for %d edges", len(sp.Weights), len(sp.Edges))
+	}
+	return nil
+}
+
+// inlineSpec is the scenario document of doc deployed on nw, with nw
+// listed inline: its nodes and edges, and the edges' weights when any
+// weighs other than 1. K is left 0, the server default. NewServer seeds
+// the default scenario with it.
+func inlineSpec(nw *Network, doc PlacementFile) ScenarioSpec {
+	sp := ScenarioSpec{Nodes: nw.NumNodes(), Placement: doc}
+	weighted := false
+	for _, e := range nw.g.Edges() {
+		sp.Edges = append(sp.Edges, [2]int{e.U, e.V})
+		sp.Weights = append(sp.Weights, e.Weight)
+		weighted = weighted || e.Weight != 1
+	}
+	if !weighted {
+		sp.Weights = nil
+	}
+	return sp
 }
 
 // ParseScenarioSpec decodes and structurally validates a scenario
@@ -88,6 +129,9 @@ func ParseScenarioSpec(raw []byte) (ScenarioSpec, error) {
 	if sp.K < 0 {
 		return sp, fmt.Errorf("placemon: scenario spec: negative failure budget %d", sp.K)
 	}
+	if err := sp.checkWeights(); err != nil {
+		return sp, err
+	}
 	// Round-trip the placement through its own loader so a scenario spec
 	// cannot smuggle in a document SavePlacement/LoadPlacement would
 	// reject.
@@ -103,8 +147,8 @@ func ParseScenarioSpec(raw []byte) (ScenarioSpec, error) {
 
 // buildScenario is the server.BuildFunc the facade installs: document in,
 // isolated monitoring state out. It is pure — the same document always
-// builds an equivalent tenant — which is what makes store-backed reload
-// at boot sound.
+// builds an equivalent tenant — which is what makes rebuilding scenarios
+// from the write-ahead log at boot sound.
 func buildScenario(id string, raw []byte) (*server.TenantConfig, error) {
 	sp, err := ParseScenarioSpec(raw)
 	if err != nil {
@@ -114,7 +158,7 @@ func buildScenario(id string, raw []byte) (*server.TenantConfig, error) {
 	if err != nil {
 		return nil, err
 	}
-	paths, conns, _, err := buildMonitoring(nw, sp.Placement)
+	paths, conns, err := buildMonitoring(nw, sp.Placement)
 	if err != nil {
 		return nil, err
 	}
@@ -128,15 +172,20 @@ func buildScenario(id string, raw []byte) (*server.TenantConfig, error) {
 }
 
 // NewScenarioServer builds a multi-tenant monitoring service with no
-// boot-time default scenario: every scenario is created dynamically
-// (AddScenario or PUT /v1/scenarios/{id}) or recovered from cfg.WALDir
-// at boot. The legacy single-scenario routes answer 404 until a scenario
-// named "default" exists.
-func NewScenarioServer(cfg ServerConfig) (*Server, error) {
+// boot document: every scenario is created dynamically (AddScenario or
+// PUT /v1/scenarios/{id}) or recovered from cfg.WALDir at boot, a
+// "default" one included. The legacy single-scenario routes answer 404
+// until a scenario named "default" exists.
+func NewScenarioServer(cfg ServerConfig) (*Server, error) { return newServer(cfg, nil) }
+
+// newServer builds the serving layer from cfg and the default scenario's
+// boot document (nil for none).
+func newServer(cfg ServerConfig, defaultSpec []byte) (*Server, error) {
 	sc, err := cfg.innerConfig()
 	if err != nil {
 		return nil, err
 	}
+	sc.DefaultSpec = defaultSpec
 	inner, err := server.New(sc)
 	if err != nil {
 		return nil, fmt.Errorf("placemon: %w", err)

@@ -177,6 +177,8 @@ func TestParseScenarioSpecValidation(t *testing.T) {
 		{"host service mismatch", `{"nodes": 2, "edges": [[0,1]], "placement": {"alpha": 0, "services": [{"clients": [0]}], "hosts": []}}`},
 		{"clientless service", `{"nodes": 2, "edges": [[0,1]], "placement": {"alpha": 0, "services": [{"clients": []}], "hosts": [1]}}`},
 		{"alpha out of range", `{"nodes": 2, "edges": [[0,1]], "placement": {"alpha": 7, "services": [{"clients": [0]}], "hosts": [1]}}`},
+		{"weights not aligned with edges", `{"nodes": 3, "edges": [[0,1],[1,2]], "weights": [0.5], "placement": {"alpha": 1, "services": [{"clients": [0]}], "hosts": [1]}}`},
+		{"weights with a named topology", `{"topology": "Abovenet", "weights": [0.5], "placement": {"alpha": 1, "services": [{"clients": [0]}], "hosts": [1]}}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := placemon.ParseScenarioSpec([]byte(tc.raw)); err == nil {

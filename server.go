@@ -2,6 +2,7 @@ package placemon
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -107,33 +108,28 @@ type ServerConfig struct {
 }
 
 // Server is the placemond HTTP monitoring service. Built with NewServer
-// it hosts one boot-time scenario (the "default" tenant the legacy
-// single-scenario routes address) and, like a NewScenarioServer-built
-// one, any number of additional named scenarios, each with fully
-// isolated monitoring state. See cmd/placemond for the standalone
-// binary.
+// it seeds one scenario at boot, the "default" one the legacy
+// single-scenario routes address; like a NewScenarioServer-built one, it
+// hosts any number of further named scenarios, each with fully isolated
+// monitoring state. See cmd/placemond for the standalone binary.
 type Server struct {
 	inner *server.Server
-	conns []Connection
 }
 
-// buildMonitoring turns a placement document into the serving layer's
-// path and connection lists: the routed (client, host) pair of every
-// placed service, in the same order Network.Observe reports them. Shared
-// by NewServer (the default tenant) and buildScenario (every other
-// tenant), so a scenario built from a document monitors exactly what the
-// single-scenario daemon would.
-func buildMonitoring(nw *Network, doc PlacementFile) (paths []*bitset.Set, conns []server.Connection, public []Connection, err error) {
+// buildMonitoring turns the placement document of a parsed scenario
+// spec (one host per service) into the serving layer's path and
+// connection lists: the routed (client, host) pair of every placed
+// service, in the same order Network.Observe reports them. Every
+// scenario, the default one included, is built through it, so a scenario
+// monitors exactly what Network.Observe describes.
+func buildMonitoring(nw *Network, doc PlacementFile) (paths []*bitset.Set, conns []server.Connection, err error) {
 	services := doc.ToServices()
-	if len(doc.Hosts) != len(services) {
-		return nil, nil, nil, fmt.Errorf("placemon: %d hosts for %d services", len(doc.Hosts), len(services))
-	}
 	if err := doc.Validate(nw); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	inst, _, err := nw.prepare(services, PlaceConfig{Alpha: doc.Alpha})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	for s, h := range doc.Hosts {
 		if h == placement.Unplaced {
@@ -141,46 +137,41 @@ func buildMonitoring(nw *Network, doc PlacementFile) (paths []*bitset.Set, conns
 		}
 		ps, err := inst.ServicePaths(s, h)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("placemon: %w", err)
+			return nil, nil, fmt.Errorf("placemon: %w", err)
 		}
 		for i, p := range ps {
 			paths = append(paths, p)
 			conns = append(conns, server.Connection{Service: s, Client: services[s].Clients[i], Host: h})
-			public = append(public, Connection{Service: s, Client: services[s].Clients[i], Host: h})
 		}
 	}
 	if len(paths) == 0 {
-		return nil, nil, nil, fmt.Errorf("placemon: placement has no monitored connections")
+		return nil, nil, fmt.Errorf("placemon: placement has no monitored connections")
 	}
-	return paths, conns, public, nil
+	return paths, conns, nil
 }
 
 // NewServer builds the service for the placement described by doc, whose
-// services and hosts must be valid for nw at doc.Alpha. The monitored
-// connections are the routed (client, host) pairs of every placed
-// service, in the same order Network.Observe reports them; connection
-// indices in the ingest API refer to that order (see Server.Connections).
-// The deployment becomes the server's "default" scenario; further
-// scenarios may be added dynamically (see AddScenario and the
-// /v1/scenarios API).
+// services and hosts must be valid for nw at doc.Alpha. The deployment
+// becomes the server's "default" scenario: its document lists nw inline
+// (see ScenarioSpec), and the server builds, logs and serves it like any
+// other. The monitored connections are the routed (client, host) pairs of
+// every placed service, in the same order Network.Observe reports them;
+// connection indices in the ingest API refer to that order (see
+// Server.Connections). Further scenarios may be added dynamically (see
+// AddScenario and the /v1/scenarios API).
+//
+// With WALDir set, a log that already holds "default" must hold this same
+// document, or NewServer refuses to boot; NewScenarioServer serves the
+// logged one instead.
 func NewServer(nw *Network, doc PlacementFile, cfg ServerConfig) (*Server, error) {
-	paths, conns, public, err := buildMonitoring(nw, doc)
-	if err != nil {
-		return nil, err
+	if nw == nil {
+		return nil, fmt.Errorf("placemon: NewServer: nil network")
 	}
-	sc, err := cfg.innerConfig()
+	spec, err := json.Marshal(inlineSpec(nw, doc))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("placemon: encode default scenario: %w", err)
 	}
-	sc.NumNodes = nw.NumNodes()
-	sc.Paths = paths
-	sc.Connections = conns
-	sc.Place = nw.placeFunc()
-	inner, err := server.New(sc)
-	if err != nil {
-		return nil, fmt.Errorf("placemon: %w", err)
-	}
-	return &Server{inner: inner, conns: public}, nil
+	return newServer(cfg, spec)
 }
 
 // placeFunc adapts Network.Place to the serving layer's job signature.
@@ -228,11 +219,16 @@ func (nw *Network) placeFunc() server.PlaceFunc {
 	}
 }
 
-// Connections returns the monitored (client, host) pairs in ingest-index
-// order: POST /v1/observations report entries name connections by their
-// position in this slice.
+// Connections returns the default scenario's monitored (client, host)
+// pairs in ingest-index order: POST /v1/observations report entries name
+// connections by their position in this slice. It follows a network
+// replacement, and is nil while this node hosts no default scenario.
 func (s *Server) Connections() []Connection {
-	return append([]Connection(nil), s.conns...)
+	var out []Connection
+	for _, c := range s.inner.Connections(server.DefaultScenario) {
+		out = append(out, Connection(c))
+	}
+	return out
 }
 
 // Handler returns the service's HTTP handler — the full API with

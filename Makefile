@@ -5,7 +5,7 @@ GO ?= go
 # for a quick smoke run.
 BENCHFLAGS ?=
 
-.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-oracles bench-json bench-smoke bench-compare bench-compare-wal bench-compare-routing bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
+.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-oracles bench-json bench-smoke bench-compare bench-compare-wal bench-compare-routing bench-compare-partition bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
 
 all: build test
 
@@ -26,6 +26,7 @@ help:
 	@echo "  bench-compare  registry-overhead run gated against the archived seed baseline (CI)"
 	@echo "  bench-compare-wal  WAL append/recovery run gated against the archived WAL baseline (CI)"
 	@echo "  bench-compare-routing  shortest-path-tree kernel gated against the archived routing baseline (CI)"
+	@echo "  bench-compare-partition  placement evaluation kernel gated against the archived partition baseline (CI)"
 	@echo "  bench-stochastic  stochastic-frontier smoke gated against the archived frontier snapshot (CI)"
 	@echo "  docs-check   documentation lint: godoc coverage, markdown links, flag-name drift (CI)"
 	@echo "  fuzz         short fuzz session over the edge-list parser"
@@ -158,6 +159,17 @@ bench-compare-wal:
 bench-compare-routing:
 	$(GO) test -run NONE -bench=ShortestPathTree -benchmem -benchtime=2000x -cpu 1 ./internal/graph/ | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-17_routing.json -fail-over 100 -fail-allocs-over 10
 
+# The placement evaluation kernel: one lazy distinguishability placement
+# over a ~5 000-node hierarchy (8 services × 10 clients, α = 0.3, the
+# instance built before the timer), gated against the snapshot archived
+# when the failure partition moved to per-node labels refined along each
+# new path. evaluations/op (653) and allocs/op are deterministic, so the
+# allocation gate is tight; ns/op gets a 100% margin for shared runners,
+# which still fails a refinement that goes back to re-testing every node
+# of every class (the previous kernel ran about 80x the archived time).
+bench-compare-partition:
+	$(GO) test -run NONE -bench=PartitionPlacement -benchmem -benchtime=200x -cpu 1 ./internal/placement/ | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-17_partition.json -fail-over 100 -fail-allocs-over 10
+
 # Documentation lint (cmd/docscheck): every package and exported
 # package-level identifier has a godoc comment, every relative link in
 # the user-facing markdown resolves, and every `-flag` the docs mention
@@ -190,6 +202,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run NONE -fuzz FuzzMembershipParse -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run NONE -fuzz FuzzGreedyLazyEquivalence -fuzztime $(FUZZTIME) ./internal/placement/
+	$(GO) test -run NONE -fuzz FuzzPartitionRefine -fuzztime $(FUZZTIME) ./internal/monitor/
 	$(GO) test -run NONE -fuzz FuzzLoadPlacement -fuzztime $(FUZZTIME) .
 
 # Regenerate every evaluation artifact (text + CSV) into results/.

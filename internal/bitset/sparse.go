@@ -88,6 +88,10 @@ func (s *Sparse) Contains(i int) bool {
 	return lo < len(s.idx) && s.idx[lo] == v
 }
 
+// Members returns the elements in ascending order. The slice is the
+// set's own storage, shared without a copy: treat it as read-only.
+func (s *Sparse) Members() []int32 { return s.idx }
+
 // ForEach calls fn for each element in ascending order. It stops early
 // if fn returns false.
 func (s *Sparse) ForEach(fn func(i int) bool) {

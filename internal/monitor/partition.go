@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -13,34 +12,50 @@ import (
 // Partition is the efficient incremental counterpart of the equivalence
 // graph Q (Section V-D1). Instead of an adjacency matrix it keeps the
 // equivalence classes of single-node failure hypotheses: two nodes are in
-// the same group iff they are traversed by exactly the same set of paths
-// added so far. Adding measurement paths can only split groups ("once
-// distinguishable, always distinguishable"), so refinement is monotone and
-// cheap: O(|N| · new paths) per update rather than O(|N|² · |P|).
+// the same class iff they are traversed by exactly the same set of paths
+// added so far. Adding measurement paths can only split classes ("once
+// distinguishable, always distinguishable"), so refinement is monotone.
+//
+// Each node carries the label of its class, and a path refines the
+// partition on its own: every class it touches either lies wholly on the
+// path and stays, or splits, its on-path members moving to a new class.
+// Sequential binary splits give exactly the classes of the joint
+// signature split, because two nodes end up together iff they agree on
+// every path. A refinement costs O(Σ|p|) over the new paths, never
+// O(|N|), and |S_1| and |D_1| are updated at every split, so reading them
+// is O(1).
 //
 // The virtual no-failure node v0 is implicit: it always belongs with the
 // uncovered nodes (empty signature). The uncovered nodes, when any exist,
-// form exactly one group because an empty signature is equal only to
+// form exactly one class because an empty signature is equal only to
 // another empty signature.
 type Partition struct {
-	numNodes int
-	covered  *bitset.Set
-	groups   [][]int
+	covered   *bitset.Set
+	label     []int32 // label[v] is the class of node v
+	size      []int32 // size[c] is the member count of class c
+	uncovered int32   // the class of the uncovered nodes, -1 once none is left
+	s1        int
+	d1        int64
+
+	// Refinement scratch, owned by this partition and never copied by
+	// Clone: count[c] is how many of the current path's nodes lie in
+	// class c (then the class they move to), touched the classes the path
+	// reaches.
+	count   []int32
+	touched []int32
 }
 
 // NewPartition returns the partition of an empty path set: every node is
 // uncovered and mutually indistinguishable.
 func NewPartition(numNodes int) *Partition {
 	pt := &Partition{
-		numNodes: numNodes,
-		covered:  bitset.New(numNodes),
+		covered:   bitset.New(numNodes),
+		label:     make([]int32, numNodes),
+		uncovered: -1,
 	}
 	if numNodes > 0 {
-		all := make([]int, numNodes)
-		for i := range all {
-			all[i] = i
-		}
-		pt.groups = [][]int{all}
+		pt.size = []int32{int32(numNodes)}
+		pt.uncovered = 0
 	}
 	return pt
 }
@@ -57,26 +72,25 @@ func NewPartitionFromPaths(ps *PathSet) *Partition {
 }
 
 // NumNodes returns |N|.
-func (pt *Partition) NumNodes() int { return pt.numNodes }
+func (pt *Partition) NumNodes() int { return len(pt.label) }
 
 // NumGroups returns the current number of equivalence classes over real
 // nodes (v0 not counted as a separate group).
-func (pt *Partition) NumGroups() int { return len(pt.groups) }
-
-// pathMembership is the read side the refinement needs from a path;
-// both the dense bitset.Set and the sparse bitset.Sparse satisfy it, so
-// Refine and RefineSparse share one splitting implementation.
-type pathMembership interface {
-	Contains(v int) bool
-	Cap() int
-}
+func (pt *Partition) NumGroups() int { return len(pt.size) }
 
 // Refine splits the partition according to the node membership of the new
-// paths and marks their nodes covered. Paths must use the node universe.
+// paths and marks their nodes covered. Paths must use the node universe;
+// a path over another one panics before the partition changes.
 func (pt *Partition) Refine(paths []*bitset.Set) {
-	refinePartition(pt, paths)
+	checkUniverse(len(pt.label), paths)
+	var members []int32
 	for _, p := range paths {
-		pt.covered.UnionWith(p)
+		members = members[:0]
+		p.ForEach(func(v int) bool {
+			members = append(members, int32(v))
+			return true
+		})
+		pt.refinePath(members)
 	}
 }
 
@@ -84,97 +98,86 @@ func (pt *Partition) Refine(paths []*bitset.Set) {
 // placement engines store at 10k+ nodes. The resulting partition is
 // identical to Refine over the equivalent dense paths.
 func (pt *Partition) RefineSparse(paths []*bitset.Sparse) {
-	refinePartition(pt, paths)
+	checkUniverse(len(pt.label), paths)
 	for _, p := range paths {
-		p.UnionInto(pt.covered)
+		pt.refinePath(p.Members())
 	}
 }
 
-// refinePartition performs the group-splitting half of a refinement
-// (coverage marking differs per representation and stays with the
-// caller). Generic methods are not a thing in Go, hence the free
-// function.
-func refinePartition[P pathMembership](pt *Partition, paths []P) {
-	if len(paths) == 0 {
-		return
-	}
+// checkUniverse panics unless every path is a set over [0, numNodes).
+func checkUniverse[P interface{ Cap() int }](numNodes int, paths []P) {
 	for _, p := range paths {
-		if p.Cap() != pt.numNodes {
-			panic(fmt.Sprintf("monitor: path universe %d != %d", p.Cap(), pt.numNodes))
+		if p.Cap() != numNodes {
+			panic(fmt.Sprintf("monitor: path universe %d != %d", p.Cap(), numNodes))
 		}
 	}
-	var next [][]int
-	for _, group := range pt.groups {
-		if len(group) == 1 {
-			next = append(next, group)
-			continue
-		}
-		next = append(next, splitGroup(group, paths)...)
-	}
-	pt.groups = next
 }
 
-// splitGroup partitions a node group by membership pattern across paths.
-// Patterns are uint64 bitmasks for ≤64 paths (the common case: one
-// placement contributes |C_s| paths) and string keys beyond that.
-func splitGroup[P pathMembership](group []int, paths []P) [][]int {
-	if len(paths) <= 64 {
-		buckets := map[uint64][]int{}
-		var order []uint64
-		for _, v := range group {
-			var pat uint64
-			for i, p := range paths {
-				if p.Contains(v) {
-					pat |= 1 << uint(i)
+// refinePath splits every class the path touches and marks its nodes
+// covered. members are the path's nodes, each listed once.
+func (pt *Partition) refinePath(members []int32) {
+	if short := len(pt.size) - len(pt.count); short > 0 {
+		pt.count = append(pt.count, make([]int32, short)...)
+	}
+	for _, v := range members {
+		c := pt.label[v]
+		if pt.count[c] == 0 {
+			pt.touched = append(pt.touched, c)
+		}
+		pt.count[c]++
+		pt.covered.Add(int(v))
+	}
+	for _, c := range pt.touched {
+		s, k := int64(pt.size[c]), int64(pt.count[c])
+		var u int64 // v0 shares the uncovered class's empty signature
+		if c == pt.uncovered {
+			u = 1
+		}
+		pt.d1 += combinat.Pairs(s+u) - combinat.Pairs(s-k+u) - combinat.Pairs(k)
+		if k == s {
+			// Wholly on the path: the class stays, and if it was the
+			// uncovered one, v0 leaves it.
+			if u == 1 {
+				pt.uncovered = -1
+				if s == 1 {
+					pt.s1++
 				}
 			}
-			if _, ok := buckets[pat]; !ok {
-				order = append(order, pat)
-			}
-			buckets[pat] = append(buckets[pat], v)
+			pt.count[c] = c
+			continue
 		}
-		out := make([][]int, 0, len(order))
-		for _, pat := range order {
-			out = append(out, buckets[pat])
+		// Split: the on-path members move to a new, covered class, and
+		// each side left as a covered singleton joins S_1.
+		if k == 1 {
+			pt.s1++
 		}
-		return out
+		if s-k == 1 && u == 0 {
+			pt.s1++
+		}
+		pt.size[c] -= int32(k)
+		pt.count[c] = int32(len(pt.size))
+		pt.size = append(pt.size, int32(k))
 	}
-	buckets := map[string][]int{}
-	var order []string
-	var b strings.Builder
-	for _, v := range group {
-		b.Reset()
-		for _, p := range paths {
-			if p.Contains(v) {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
-		}
-		key := b.String()
-		if _, ok := buckets[key]; !ok {
-			order = append(order, key)
-		}
-		buckets[key] = append(buckets[key], v)
+	for _, v := range members {
+		pt.label[v] = pt.count[pt.label[v]]
 	}
-	out := make([][]int, 0, len(order))
-	for _, key := range order {
-		out = append(out, buckets[key])
+	for _, c := range pt.touched {
+		pt.count[c] = 0
 	}
-	return out
+	pt.touched = pt.touched[:0]
 }
 
-// Clone returns an independent copy.
+// Clone returns an independent copy. It only reads pt, so several
+// goroutines may clone one partition at once.
 func (pt *Partition) Clone() *Partition {
-	c := &Partition{
-		numNodes: pt.numNodes,
-		covered:  pt.covered.Clone(),
-		groups:   make([][]int, len(pt.groups)),
+	return &Partition{
+		covered:   pt.covered.Clone(),
+		label:     append([]int32(nil), pt.label...),
+		size:      append([]int32(nil), pt.size...),
+		uncovered: pt.uncovered,
+		s1:        pt.s1,
+		d1:        pt.d1,
 	}
-	for i, g := range pt.groups {
-		c.groups[i] = append([]int(nil), g...)
-	}
-	return c
 }
 
 // Coverage returns |C(P)| for the paths refined so far.
@@ -183,56 +186,29 @@ func (pt *Partition) Coverage() int { return pt.covered.Count() }
 // Covered reports whether node v lies on at least one refined path.
 func (pt *Partition) Covered(v int) bool { return pt.covered.Contains(v) }
 
-// isUncovered reports whether a group holds uncovered nodes. Groups are
-// homogeneous: equal signatures are either all empty or all non-empty.
-func (pt *Partition) isUncovered(group []int) bool {
-	return !pt.covered.Contains(group[0])
-}
-
 // S1 returns |S_1(P)|: covered nodes alone in their class.
-func (pt *Partition) S1() int {
-	count := 0
-	for _, g := range pt.groups {
-		if len(g) == 1 && !pt.isUncovered(g) {
-			count++
-		}
-	}
-	return count
-}
+func (pt *Partition) S1() int { return pt.s1 }
 
 // D1 returns |D_1(P)|: total hypothesis pairs C(|N|+1, 2) minus the
 // indistinguishable pairs inside each class, counting v0 with the
 // uncovered class.
-func (pt *Partition) D1() int64 {
-	total := combinat.Pairs(int64(pt.numNodes) + 1)
-	for _, g := range pt.groups {
-		size := int64(len(g))
-		if pt.isUncovered(g) {
-			size++ // v0 shares the empty signature
-		}
-		total -= combinat.Pairs(size)
-	}
-	return total
-}
+func (pt *Partition) D1() int64 { return pt.d1 }
 
 // Degrees returns the degree of uncertainty for every node of Q, with
 // index numNodes holding v0's degree (Fig. 8's statistic). A node's degree
 // is the number of other hypotheses with an identical signature.
 func (pt *Partition) Degrees() []int {
-	deg := make([]int, pt.numNodes+1)
-	v0Degree := 0
-	for _, g := range pt.groups {
-		uncovered := pt.isUncovered(g)
-		d := len(g) - 1
-		if uncovered {
-			d++ // also adjacent to v0
-			v0Degree = len(g)
-		}
-		for _, v := range g {
-			deg[v] = d
+	n := len(pt.label)
+	deg := make([]int, n+1)
+	for v, c := range pt.label {
+		deg[v] = int(pt.size[c]) - 1
+		if c == pt.uncovered {
+			deg[v]++ // also adjacent to v0
 		}
 	}
-	deg[pt.numNodes] = v0Degree
+	if pt.uncovered >= 0 {
+		deg[n] = int(pt.size[pt.uncovered])
+	}
 	return deg
 }
 
@@ -240,13 +216,15 @@ func (pt *Partition) Degrees() []int {
 // by smallest member. The uncovered class, if any, does not include v0;
 // use Degrees for v0-aware statistics.
 func (pt *Partition) Groups() [][]int {
-	out := make([][]int, len(pt.groups))
-	for i, g := range pt.groups {
-		cp := append([]int(nil), g...)
-		sort.Ints(cp)
-		out[i] = cp
+	out := make([][]int, 0, len(pt.size))
+	at := make([]int32, len(pt.size)) // class → 1 + its index in out
+	for v, c := range pt.label {
+		if at[c] == 0 {
+			out = append(out, make([]int, 0, pt.size[c]))
+			at[c] = int32(len(out))
+		}
+		out[at[c]-1] = append(out[at[c]-1], v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
 

@@ -139,7 +139,9 @@ func TestPartitionCloneIndependent(t *testing.T) {
 }
 
 func TestPartitionManyPathsStringKeys(t *testing.T) {
-	// Refining with > 64 paths at once exercises the string-key fallback.
+	// Refining with > 64 paths at once must equal one path at a time
+	// (beyond 64 paths the reference refinement in FuzzPartitionRefine
+	// switches to string keys).
 	n := 80
 	paths := make([]*bitset.Set, 70)
 	for i := range paths {

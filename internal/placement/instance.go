@@ -154,6 +154,11 @@ func NewInstance(r *routing.Router, services []Service, alpha float64) (*Instanc
 		if len(svc.Clients) == 0 {
 			return nil, fmt.Errorf("placement: service %d (%s) has no clients", s, svc.Name)
 		}
+		for _, c := range svc.Clients {
+			if c < 0 || c >= r.NumNodes() {
+				return nil, fmt.Errorf("placement: service %d (%s): client %d outside the network's nodes [0, %d)", s, svc.Name, c, r.NumNodes())
+			}
+		}
 		profile, err := qos.NewProfile(r, svc.Clients)
 		if err != nil {
 			return nil, fmt.Errorf("placement: service %d (%s): %w", s, svc.Name, err)

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -71,6 +72,12 @@ func TestNewInstanceErrors(t *testing.T) {
 	}
 	if _, err := NewInstance(r, []Service{{Clients: clients}}, 1.1); err == nil {
 		t.Fatal("alpha > 1 should error")
+	}
+	for _, bad := range []graph.NodeID{graph.NodeID(r.NumNodes()), -1} {
+		_, err := NewInstance(r, []Service{{Name: "probe", Clients: append([]graph.NodeID{clients[0]}, bad)}}, 0.5)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("service 0 (probe): client %d outside", bad)) {
+			t.Fatalf("client %d outside the network: err = %v", bad, err)
+		}
 	}
 }
 

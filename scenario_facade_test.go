@@ -110,6 +110,62 @@ func TestScenarioServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPlacementClientOutOfRange: a placement job naming a client outside
+// the network is the caller's error, answered 400 with the client named,
+// and the facade entry points return an error rather than panic.
+func TestPlacementClientOutOfRange(t *testing.T) {
+	srv, err := placemon.NewScenarioServer(placemon.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if err := srv.AddScenario("x", placemon.ScenarioSpec{
+		Topology: "Abovenet",
+		Placement: placemon.PlacementFile{
+			Alpha:    1,
+			Services: []placemon.ServiceRecord{{Clients: []int{1, 2}}},
+			Hosts:    []int{0},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, client := range []string{"99999", "-1"} {
+		resp, err := http.Post(ts.URL+"/v1/scenarios/x/placements", "application/json",
+			strings.NewReader(`{"alpha":0.3,"services":[{"clients":[`+client+`]}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "client "+client+" outside") {
+			t.Fatalf("client %s: %d %s, want 400 naming the client", client, resp.StatusCode, raw)
+		}
+	}
+
+	nw, err := placemon.BuildTopology("Abovenet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	services := []placemon.Service{{Name: "s", Clients: []int{1, 500}}}
+	if _, err := nw.Place(services, placemon.PlaceConfig{Alpha: 0.3}); err == nil {
+		t.Fatal("Place accepted client 500")
+	}
+	if _, err := nw.CandidateHosts([]int{500}, 0.3); err == nil {
+		t.Fatal("CandidateHosts accepted client 500")
+	}
+	if _, err := nw.Evaluate(services, []int{0}, 0.3); err == nil {
+		t.Fatal("Evaluate accepted client 500")
+	}
+	if _, err := nw.Observe(services, []int{0}, 0.3, nil); err == nil {
+		t.Fatal("Observe accepted client 500")
+	}
+}
+
 // TestScenarioLimitTyped: the MaxScenarios cap surfaces as
 // ErrScenarioLimit through the facade.
 func TestScenarioLimitTyped(t *testing.T) {

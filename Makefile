@@ -5,7 +5,7 @@ GO ?= go
 # for a quick smoke run.
 BENCHFLAGS ?=
 
-.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-oracles bench-json bench-smoke bench-compare bench-compare-wal bench-compare-routing bench-compare-partition bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
+.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-oracles bench-json bench-smoke bench-compare bench-compare-wal bench-compare-routing bench-compare-partition bench-compare-replace bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
 
 all: build test
 
@@ -27,6 +27,7 @@ help:
 	@echo "  bench-compare-wal  WAL append/recovery run gated against the archived WAL baseline (CI)"
 	@echo "  bench-compare-routing  shortest-path-tree kernel gated against the archived routing baseline (CI)"
 	@echo "  bench-compare-partition  placement evaluation kernel gated against the archived partition baseline (CI)"
+	@echo "  bench-compare-replace  one PUT …/network on a ~5 000-node scenario gated against the archived replace baseline (CI)"
 	@echo "  bench-stochastic  stochastic-frontier smoke gated against the archived frontier snapshot (CI)"
 	@echo "  docs-check   documentation lint: godoc coverage, markdown links, flag-name drift (CI)"
 	@echo "  fuzz         short fuzz session over the edge-list parser"
@@ -169,6 +170,18 @@ bench-compare-routing:
 # of every class (the previous kernel ran about 80x the archived time).
 bench-compare-partition:
 	$(GO) test -run NONE -bench=PartitionPlacement -benchmem -benchtime=200x -cpu 1 ./internal/placement/ | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-17_partition.json -fail-over 100 -fail-allocs-over 10
+
+# One network revision: ReplaceScenarioNetwork on a ~5 000-node
+# hierarchy (8 services × 10 clients, α = 0.3), alternating between two
+# one-link deltas between routers so every iteration re-routes the
+# network, warm-re-places the services and builds the tenant, gated
+# against the snapshot archived when the reviser started handing the
+# server the tenant it routed instead of the server building the revised
+# document a second time. allocs/op is deterministic to a few allocations
+# (the second build cost about 80 % more), so its gate is tight; ns/op
+# gets a 100% margin for shared runners.
+bench-compare-replace:
+	$(GO) test -run NONE -bench='ReplaceNetwork$$' -benchmem -benchtime=30x -cpu 1 . | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-18_replace.json -fail-over 100 -fail-allocs-over 10
 
 # Documentation lint (cmd/docscheck): every package and exported
 # package-level identifier has a godoc comment, every relative link in

@@ -480,7 +480,7 @@ func decodeObsFallback(w http.ResponseWriter, body []byte, v *observationsReques
 		writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
 		return false
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		writeError(w, http.StatusBadRequest, "trailing data after JSON body")
 		return false
 	}

@@ -13,12 +13,16 @@ import (
 
 // ReviseFunc produces a revised scenario document from the stored one
 // plus a network-change request body (the facade owns both formats, like
-// BuildFunc's spec). It must be pure with respect to the server: the
-// returned document, fed back through BuildScenario, is the scenario's
-// new monitoring state. A warm-start reviser may keep placement caches
-// keyed by scenario ID — the server calls it at most once per accepted
-// PUT /v1/scenarios/{id}/network.
-type ReviseFunc func(id string, spec, change []byte) ([]byte, error)
+// BuildFunc's spec), together with the tenant built from that document.
+// The returned TenantConfig must be exactly what BuildScenario builds
+// from the returned document: the document is what the write-ahead log
+// records, and boot replay rebuilds the scenario from it, so the live
+// tenant and the recovered one must not differ. Returning the config
+// lets a reviser that already routed the revised network hand it over
+// instead of the server building it a second time. A warm-start reviser
+// may keep placement caches keyed by scenario ID — the server calls it
+// at most once per accepted PUT /v1/scenarios/{id}/network.
+type ReviseFunc func(id string, spec, change []byte) ([]byte, *TenantConfig, error)
 
 // errScenarioBusy marks a network replacement refused because the
 // scenario is mid-drain or mid-replacement; the HTTP layer answers 409.
@@ -62,9 +66,10 @@ func (s *Server) serveScenarioNetwork(t *tenant, w http.ResponseWriter, r *http.
 // through the configured ReviseFunc: the scenario keeps its ID, dedup
 // window, and audit ledger while monitor state restarts against the new
 // topology. Errors: registry.ErrNotFound, errScenarioBusy surfaced as a
-// conflict, ErrBadSpec-wrapped revise/build failures, or a persistence
-// failure (in which case the old network keeps serving — a replacement
-// either fully survives a restart or changes nothing).
+// conflict, ErrBadSpec-wrapped revise failures (building the revised
+// tenant is part of the revision), or a persistence failure (in which
+// case the old network keeps serving — a replacement either fully
+// survives a restart or changes nothing).
 func (s *Server) ReplaceScenarioNetwork(id string, change []byte) error {
 	if s.revise == nil {
 		return fmt.Errorf("server: network replacement not configured (no ReviseNetwork)")
@@ -83,32 +88,29 @@ func (s *Server) ReplaceScenarioNetwork(id string, change []byte) error {
 	return err
 }
 
-// replaceNetwork swaps old's registry slot for a tenant rebuilt from the
-// revised document. Sequencing is what makes it safe:
+// replaceNetwork swaps old's registry slot for the tenant the reviser
+// built from the revised document. Sequencing is what makes it safe:
 //
 //   - beginDrain on the old tenant is the concurrency guard: a racing
 //     replacement or removal loses and reports a conflict, and once the
 //     swap lands the orphaned old tenant stays draining forever.
-//   - The swap, the durability record, and old.mon.Close() all happen
-//     under old.ingestMu: an in-flight ingest that already resolved the
-//     old tenant pointer either fully commits before the update record
-//     or fails against the closed monitor after it — the WAL never
-//     records an observation for the old network after the update, so
-//     boot replay rebuilds exactly the live state.
+//   - The state adoption, the swap, the durability record, and
+//     old.mon.Close() all happen under old.ingestMu: an in-flight ingest
+//     that already resolved the old tenant pointer either fully commits
+//     (apply, log append, audit entry) before the adoption copies the
+//     dedup window and audit ledger, or fails against the closed monitor
+//     after the swap — the WAL never records an observation for the old
+//     network after the update, and the new tenant carries every event
+//     logged before it, so boot replay rebuilds exactly the live state.
 //   - On a persistence failure the swap is rolled back and the old
 //     tenant un-drained, so served state never runs ahead of durable
 //     state.
 //
-// The revise and build calls are timed as stages of sp, which may be nil.
+// The revise call, which includes building the revised tenant, is timed
+// as a stage of sp, which may be nil.
 func (s *Server) replaceNetwork(sp *trace.Span, old *tenant, change []byte) (*tenant, error) {
 	st := sp.StartStage("revise")
-	newSpec, err := s.revise(old.id, old.spec, change)
-	st.End()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	st = sp.StartStage("build")
-	tc, err := s.build(old.id, newSpec)
+	newSpec, tc, err := s.revise(old.id, old.spec, change)
 	st.End()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
@@ -121,9 +123,9 @@ func (s *Server) replaceNetwork(sp *trace.Span, old *tenant, change []byte) (*te
 		nt.mon.Close()
 		return nil, fmt.Errorf("%w: %q", errScenarioBusy, old.id)
 	}
-	adoptTenantState(old, nt)
 
 	old.ingestMu.Lock()
+	adoptTenantState(old, nt)
 	if _, err := s.tenants.Swap(old.id, nt); err != nil {
 		old.ingestMu.Unlock()
 		nt.mon.Close()

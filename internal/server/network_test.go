@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"repro/internal/wal"
 )
@@ -20,15 +21,16 @@ import (
 // testRevise is the ReviseFunc tests install: the change body IS the
 // revised document (a testSpec), validated the way a real reviser
 // validates a NetworkChange.
-func testRevise(id string, spec, change []byte) ([]byte, error) {
+func testRevise(id string, spec, change []byte) ([]byte, *TenantConfig, error) {
 	var next testSpec
 	if err := json.Unmarshal(change, &next); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if next.NumNodes <= 0 {
-		return nil, fmt.Errorf("num_nodes must be positive")
+		return nil, nil, fmt.Errorf("num_nodes must be positive")
 	}
-	return change, nil
+	tc, err := testBuild(id, change)
+	return change, tc, err
 }
 
 // networkConfig is scenarioConfig plus network replacement and the
@@ -85,16 +87,16 @@ func TestNetworkReplaceLifecycle(t *testing.T) {
 	if info.ID != "net1" || info.Connections != 3 || info.Persistent {
 		t.Fatalf("replace answered %+v", info)
 	}
-	// The PUT's trace splits into its two stages: revising the document
-	// and building the scenario from it.
+	// The PUT's trace has one stage: the reviser revises the document and
+	// builds the scenario from it in one call.
 	var stages []string
 	for _, rec := range getTraces(t, ts.URL) {
 		if rec["method"] == http.MethodPut && rec["path"] == "/v1/scenarios/net1/network" {
 			stages = stageNames(rec)
 		}
 	}
-	if !reflect.DeepEqual(stages, []string{"revise", "build"}) {
-		t.Fatalf("replace stages = %v, want [revise build]", stages)
+	if !reflect.DeepEqual(stages, []string{"revise"}) {
+		t.Fatalf("replace stages = %v, want [revise]", stages)
 	}
 
 	// Monitoring restarted: the old outage is gone.
@@ -325,5 +327,139 @@ func TestNetworkReplaceWALReplay(t *testing.T) {
 	}
 	if replayBody != preBody {
 		t.Fatalf("recovered replay body diverged:\n%s\nvs\n%s", replayBody, preBody)
+	}
+}
+
+// holdSyncFS is the OS filesystem whose first log-file Sync after arming
+// blocks until release is closed: it holds one append after its records
+// are written and before they are acknowledged.
+type holdSyncFS struct {
+	wal.OSFS
+	armed   atomic.Bool
+	held    chan struct{} // closed when the held Sync starts
+	release chan struct{}
+}
+
+func (f *holdSyncFS) Create(name string) (wal.File, error) {
+	file, err := f.OSFS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return holdSyncFile{File: file, fs: f}, nil
+}
+
+type holdSyncFile struct {
+	wal.File
+	fs *holdSyncFS
+}
+
+func (f holdSyncFile) Sync() error {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		close(f.fs.held)
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestNetworkReplaceAdoptsRacingIngest pins where the replacement adopts
+// the old tenant's state. An ingest that resolved the old tenant before
+// a PUT …/network began draining it holds the tenant's ingest lock
+// through its WAL append and audit entry. The replacement must copy the
+// audit ledger after that ingest finishes, so the live ledger keeps the
+// batch's diagnosis event, just as boot replay, which applies the batch
+// before the update record, rebuilds it.
+func TestNetworkReplaceAdoptsRacingIngest(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &holdSyncFS{held: make(chan struct{}), release: make(chan struct{})}
+	cfg := walConfig(dir)
+	cfg.ReviseNetwork = testRevise
+	cfg.WAL.FS = fsys
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s1.Handler())
+	base := ts.URL + "/v1/scenarios/net1"
+	if resp, body := doReq(t, http.MethodPut, base, mustJSON(t, lineSpec())); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, body)
+	}
+	old, _ := s1.tenants.Get("net1")
+	change := mustJSON(t, wideSpec())
+
+	// The batch opens an outage, so its append logs one diagnosis event.
+	fsys.armed.Store(true)
+	type answer struct {
+		code int
+		body string
+		err  error
+	}
+	ingested := make(chan answer, 1)
+	go func() {
+		resp, body, err := rawReq(http.MethodPost, base+"/observations",
+			[]byte(`{"batch_id":"race","time":1,"reports":[{"connection":0,"up":false}]}`))
+		if err != nil {
+			ingested <- answer{err: err}
+			return
+		}
+		ingested <- answer{code: resp.StatusCode, body: body}
+	}()
+	<-fsys.held
+	replaced := make(chan error, 1)
+	go func() { replaced <- s1.ReplaceScenarioNetwork("net1", change) }()
+	for !old.isDraining() {
+		select {
+		case err := <-replaced:
+			close(fsys.release)
+			t.Fatalf("replace returned before draining the old tenant: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	// Let the replacement run as far as it can before the held append
+	// completes. The fixed code blocks on the ingest lock whatever this
+	// wait; the wait only lets an early adoption show.
+	time.Sleep(20 * time.Millisecond)
+	close(fsys.release)
+
+	a := <-ingested
+	if a.err != nil || a.code != http.StatusOK || !strings.Contains(a.body, "outage-started") {
+		t.Fatalf("racing ingest: %d %s %v", a.code, a.body, a.err)
+	}
+	if err := <-replaced; err != nil {
+		t.Fatalf("replace: %v", err)
+	}
+	auditTotal := func(url string) int {
+		t.Helper()
+		resp, body := doReq(t, http.MethodGet, url, nil)
+		var audit struct {
+			TotalEvents int `json:"total_events"`
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("audit: %d %s", resp.StatusCode, body)
+		}
+		if err := json.Unmarshal([]byte(body), &audit); err != nil {
+			t.Fatal(err)
+		}
+		return audit.TotalEvents
+	}
+	if got := auditTotal(base + "/audit"); got != 1 {
+		t.Fatalf("live audit ledger holds %d events, want the racing batch's 1", got)
+	}
+	want := mustExport(t, s1)
+	ts.Close()
+	s1.Abort()
+
+	cfg2 := walConfig(dir)
+	cfg2.ReviseNetwork = testRevise
+	s2, err := New(cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer func() { ts2.Close(); s2.Abort() }()
+	if got := mustExport(t, s2); string(got) != string(want) {
+		t.Fatalf("recovered state diverged from the live state:\n%s\nvs\n%s", got, want)
+	}
+	if got := auditTotal(ts2.URL + "/v1/scenarios/net1/audit"); got != 1 {
+		t.Fatalf("recovered audit ledger holds %d events, want 1", got)
 	}
 }

@@ -139,8 +139,11 @@ type Config struct {
 	// it; see New for the boot rule.
 	DefaultSpec []byte
 	// ReviseNetwork produces a revised scenario document from the stored
-	// one plus a network-change request, enabling in-place network
-	// replacement via PUT /v1/scenarios/{id}/network; nil answers 501.
+	// one plus a network-change request, and the tenant built from it,
+	// enabling in-place network replacement via
+	// PUT /v1/scenarios/{id}/network; nil answers 501. The tenant must be
+	// exactly what BuildScenario builds from the revised document, which
+	// is what boot replay rebuilds it from (see ReviseFunc).
 	ReviseNetwork ReviseFunc
 	// MaxScenarios caps concurrently hosted scenarios (default 64).
 	MaxScenarios int
@@ -1015,7 +1018,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		}
 		return false
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		writeError(w, http.StatusBadRequest, "trailing data after JSON body")
 		return false
 	}

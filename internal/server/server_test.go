@@ -194,6 +194,14 @@ func TestBadRequests(t *testing.T) {
 			`{"time": 1, "reports": [{"connection": -1, "up": false}]}`, http.StatusBadRequest},
 		{"trailing garbage", "/v1/observations",
 			`{"time": 1, "reports": [{"connection": 0, "up": true}]} extra`, http.StatusBadRequest},
+		// A closing bracket or brace after the document is trailing data
+		// too, though json.Decoder.More reports no further value there.
+		{"trailing bracket", "/v1/observations",
+			`{"time": 1, "reports": [{"connection": 0, "up": false}]}]`, http.StatusBadRequest},
+		{"trailing brace", "/v1/observations",
+			`{"time": 1, "reports": [{"connection": 0, "up": false}]}}`, http.StatusBadRequest},
+		{"placement trailing bracket", "/v1/placements",
+			`{"services": [{"name": "s", "clients": [0, 4]}], "alpha": 0.5}]`, http.StatusBadRequest},
 		{"placement no services", "/v1/placements", `{"services": [], "alpha": 0.5}`, http.StatusBadRequest},
 		{"placement clientless service", "/v1/placements",
 			`{"services": [{"name": "s", "clients": []}], "alpha": 0.5}`, http.StatusBadRequest},

@@ -2,6 +2,7 @@ package placemon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -55,9 +56,7 @@ func SavePlacement(w io.Writer, doc PlacementFile) error {
 // separately by PlacementFile.Validate.
 func LoadPlacement(r io.Reader) (PlacementFile, error) {
 	var doc PlacementFile
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
+	if err := decodeStrict(r, &doc); err != nil {
 		return doc, fmt.Errorf("placemon: decode placement: %w", err)
 	}
 	if len(doc.Hosts) != len(doc.Services) {
@@ -82,6 +81,20 @@ func LoadPlacement(r io.Reader) (PlacementFile, error) {
 		}
 	}
 	return doc, nil
+}
+
+// decodeStrict decodes exactly one JSON value from r into v: unknown
+// fields are errors, and so is anything but white space after the value.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after JSON document")
+	}
+	return nil
 }
 
 // Validate checks the document against a concrete network: every host

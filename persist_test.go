@@ -52,6 +52,9 @@ func TestLoadPlacementValidation(t *testing.T) {
 		`{"alpha":1.5,"hosts":[1],"services":[{"clients":[1]}]}`,
 		`{"alpha":0.5,"hosts":[-2],"services":[{"clients":[1]}]}`,
 		`{"alpha":0.5,"hosts":[1],"services":[{"clients":[-3]}]}`,
+		// Anything after the document but white space.
+		`{"alpha":0.5,"hosts":[1],"services":[{"clients":[1]}]}]`,
+		`{"alpha":0.5,"hosts":[1],"services":[{"clients":[1]}]} {}`,
 	}
 	for _, c := range cases {
 		if _, err := LoadPlacement(strings.NewReader(c)); err == nil {

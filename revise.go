@@ -37,15 +37,20 @@ const reviserCacheCap = 64
 
 // newNetworkReviser returns the server.ReviseFunc the facade installs —
 // stored scenario document plus NetworkChange body in, fully revised
-// document out — together with a prewarm function that charges the same
-// per-scenario gain cache from a scenario document alone. Re-placement
-// runs the warm-start engine with that cache, so successive revisions of
-// a large scenario only re-evaluate candidates whose measurement paths
-// actually changed; the result is still bit-identical to a cold greedy
-// run on the new network. The prewarm hook is how a cluster node that
-// just adopted a migrated scenario gets the same warm revisions the
-// source node had: the serving layer calls it in the background after an
-// adopt, and a failure only costs the cold first revision.
+// document and the tenant it builds out — together with a prewarm
+// function that charges the same per-scenario gain cache from a scenario
+// document alone. Re-placement runs the warm-start engine with that
+// cache, so successive revisions of a large scenario only re-evaluate
+// candidates whose measurement paths actually changed; the result is
+// still bit-identical to a cold greedy run on the new network. The
+// tenant comes from the network and instance the re-placement routed:
+// the same validation, paths and place function buildScenario derives
+// from the revised document, which is what boot replay rebuilds from,
+// without parsing and routing the document a second time. The prewarm
+// hook is how a cluster node that just adopted a migrated scenario gets
+// the same warm revisions the source node had: the serving layer calls
+// it in the background after an adopt, and a failure only costs the cold
+// first revision.
 func newNetworkReviser() (server.ReviseFunc, func(id string, spec []byte)) {
 	var mu sync.Mutex
 	warm := map[string]*placement.WarmPlacer{}
@@ -78,19 +83,17 @@ func newNetworkReviser() (server.ReviseFunc, func(id string, spec []byte)) {
 		}
 		_, _ = placement.Run(context.Background(), inst, obj, warmOptions(placerFor(id)))
 	}
-	revise := func(id string, spec, change []byte) ([]byte, error) {
+	revise := func(id string, spec, change []byte) ([]byte, *server.TenantConfig, error) {
 		sp, err := ParseScenarioSpec(spec)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		var ch NetworkChange
-		dec := json.NewDecoder(bytes.NewReader(change))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&ch); err != nil {
-			return nil, fmt.Errorf("placemon: decode network change: %w", err)
+		if err := decodeStrict(bytes.NewReader(change), &ch); err != nil {
+			return nil, nil, fmt.Errorf("placemon: decode network change: %w", err)
 		}
 		if ch.Topology == "" && ch.Nodes <= 0 {
-			return nil, fmt.Errorf("placemon: network change names no network (topology or nodes/edges)")
+			return nil, nil, fmt.Errorf("placemon: network change names no network (topology or nodes/edges)")
 		}
 		revised := sp
 		// A change carries no weights: the revised network routes by hop
@@ -99,23 +102,40 @@ func newNetworkReviser() (server.ReviseFunc, func(id string, spec []byte)) {
 		revised.Placement.Topology = ch.Topology
 		nw, err := revised.Network()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		inst, obj, err := nw.prepare(revised.Placement.ToServices(),
-			PlaceConfig{Alpha: revised.Placement.Alpha})
+		services := revised.Placement.ToServices()
+		inst, obj, err := nw.prepare(services, PlaceConfig{Alpha: revised.Placement.Alpha})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		res, err := placement.Run(context.Background(), inst, obj, warmOptions(placerFor(id)))
 		if err != nil {
-			return nil, fmt.Errorf("placemon: re-place scenario %s: %w", id, err)
+			return nil, nil, fmt.Errorf("placemon: re-place scenario %s: %w", id, err)
 		}
 		revised.Placement.Hosts = append([]int(nil), res.Placement.Hosts...)
+		// The checks buildScenario makes of the revised document.
+		if err := revised.validate(); err != nil {
+			return nil, nil, err
+		}
+		if err := revised.Placement.Validate(nw); err != nil {
+			return nil, nil, err
+		}
+		paths, conns, err := monitoredPaths(inst, services, revised.Placement.Hosts)
+		if err != nil {
+			return nil, nil, err
+		}
 		out, err := json.Marshal(revised)
 		if err != nil {
-			return nil, fmt.Errorf("placemon: encode revised scenario spec: %w", err)
+			return nil, nil, fmt.Errorf("placemon: encode revised scenario spec: %w", err)
 		}
-		return out, nil
+		return out, &server.TenantConfig{
+			NumNodes:    nw.NumNodes(),
+			K:           revised.K,
+			Paths:       paths,
+			Connections: conns,
+			Place:       nw.placeFunc(),
+		}, nil
 	}
 	return revise, prewarm
 }

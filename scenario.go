@@ -118,31 +118,32 @@ func inlineSpec(nw *Network, doc PlacementFile) ScenarioSpec {
 // built.
 func ParseScenarioSpec(raw []byte) (ScenarioSpec, error) {
 	var sp ScenarioSpec
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
+	if err := decodeStrict(bytes.NewReader(raw), &sp); err != nil {
 		return sp, fmt.Errorf("placemon: decode scenario spec: %w", err)
 	}
+	return sp, sp.validate()
+}
+
+// validate is ParseScenarioSpec's structural check of a decoded spec.
+func (sp ScenarioSpec) validate() error {
 	if sp.Nodes < 0 {
-		return sp, fmt.Errorf("placemon: scenario spec: negative node count %d", sp.Nodes)
+		return fmt.Errorf("placemon: scenario spec: negative node count %d", sp.Nodes)
 	}
 	if sp.K < 0 {
-		return sp, fmt.Errorf("placemon: scenario spec: negative failure budget %d", sp.K)
+		return fmt.Errorf("placemon: scenario spec: negative failure budget %d", sp.K)
 	}
 	if err := sp.checkWeights(); err != nil {
-		return sp, err
+		return err
 	}
 	// Round-trip the placement through its own loader so a scenario spec
 	// cannot smuggle in a document SavePlacement/LoadPlacement would
 	// reject.
 	var buf bytes.Buffer
 	if err := SavePlacement(&buf, sp.Placement); err != nil {
-		return sp, err
+		return err
 	}
-	if _, err := LoadPlacement(&buf); err != nil {
-		return sp, err
-	}
-	return sp, nil
+	_, err := LoadPlacement(&buf)
+	return err
 }
 
 // buildScenario is the server.BuildFunc the facade installs: document in,

@@ -235,6 +235,9 @@ func TestParseScenarioSpecValidation(t *testing.T) {
 		{"alpha out of range", `{"nodes": 2, "edges": [[0,1]], "placement": {"alpha": 7, "services": [{"clients": [0]}], "hosts": [1]}}`},
 		{"weights not aligned with edges", `{"nodes": 3, "edges": [[0,1],[1,2]], "weights": [0.5], "placement": {"alpha": 1, "services": [{"clients": [0]}], "hosts": [1]}}`},
 		{"weights with a named topology", `{"topology": "Abovenet", "weights": [0.5], "placement": {"alpha": 1, "services": [{"clients": [0]}], "hosts": [1]}}`},
+		{"trailing word", `{"nodes": 2, "edges": [[0,1]], "placement": {"alpha": 1, "services": [{"clients": [0]}], "hosts": [1]}} trailing`},
+		{"trailing object", `{"nodes": 2, "edges": [[0,1]], "placement": {"alpha": 1, "services": [{"clients": [0]}], "hosts": [1]}}{"x":1}`},
+		{"trailing bracket", `{"nodes": 2, "edges": [[0,1]], "placement": {"alpha": 1, "services": [{"clients": [0]}], "hosts": [1]}}]`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := placemon.ParseScenarioSpec([]byte(tc.raw)); err == nil {

@@ -120,7 +120,9 @@ type Server struct {
 // spec (one host per service) into the serving layer's path and
 // connection lists: the routed (client, host) pair of every placed
 // service, in the same order Network.Observe reports them. Every
-// scenario, the default one included, is built through it, so a scenario
+// scenario, the default one included, is built through it, or through
+// its second half, monitoredPaths, by the network reviser, which has
+// already prepared the instance to re-place the services. So a scenario
 // monitors exactly what Network.Observe describes.
 func buildMonitoring(nw *Network, doc PlacementFile) (paths []*bitset.Set, conns []server.Connection, err error) {
 	services := doc.ToServices()
@@ -131,7 +133,14 @@ func buildMonitoring(nw *Network, doc PlacementFile) (paths []*bitset.Set, conns
 	if err != nil {
 		return nil, nil, err
 	}
-	for s, h := range doc.Hosts {
+	return monitoredPaths(inst, services, doc.Hosts)
+}
+
+// monitoredPaths is buildMonitoring's second half: the routed paths and
+// connections of hosts, one host per service, on the instance prepared
+// for services.
+func monitoredPaths(inst *placement.Instance, services []Service, hosts []int) (paths []*bitset.Set, conns []server.Connection, err error) {
+	for s, h := range hosts {
 		if h == placement.Unplaced {
 			continue
 		}

@@ -43,6 +43,11 @@ type Partition struct {
 	// reaches.
 	count   []int32
 	touched []int32
+	// parent is Try's undo log, empty outside a Try: parent[i] is the
+	// class that class base+i split from, base being the class count
+	// when the Try began.
+	parent []int32
+	trying bool
 }
 
 // NewPartition returns the partition of an empty path set: every node is
@@ -104,6 +109,48 @@ func (pt *Partition) RefineSparse(paths []*bitset.Sparse) {
 	}
 }
 
+// Try refines the partition by the sparse paths, reads value from the
+// refined partition, then rolls the refinement back and returns what it
+// read. Afterwards the partition is exactly as it was: labels, class
+// sizes and count, covered nodes, the uncovered class, S1 and D1. Both
+// halves cost O(Σ|p|), and a partition that has tried before allocates
+// nothing. A path over another universe panics before the partition
+// changes. Try mutates pt while it runs, so it must not overlap any
+// other use of pt, Clone included; value must only read.
+func (pt *Partition) Try(paths []*bitset.Sparse, value func(*Partition) float64) float64 {
+	checkUniverse(len(pt.label), paths)
+	base := int32(len(pt.size))
+	uncovered, s1, d1 := pt.uncovered, pt.s1, pt.d1
+	pt.trying = true
+	for _, p := range paths {
+		pt.refinePath(p.Members())
+	}
+	pt.trying = false
+	v := value(pt)
+	// Every class created above split from an older one, so following
+	// parents down below base restores a node's label; the node was
+	// newly covered iff that label is the uncovered class.
+	for _, p := range paths {
+		for _, u := range p.Members() {
+			c := pt.label[u]
+			for c >= base {
+				c = pt.parent[c-base]
+			}
+			pt.label[u] = c
+			if c == uncovered {
+				pt.covered.Remove(int(u))
+			}
+		}
+	}
+	for i := len(pt.parent) - 1; i >= 0; i-- {
+		pt.size[pt.parent[i]] += pt.size[base+int32(i)]
+	}
+	pt.size = pt.size[:base]
+	pt.parent = pt.parent[:0]
+	pt.uncovered, pt.s1, pt.d1 = uncovered, s1, d1
+	return v
+}
+
 // checkUniverse panics unless every path is a set over [0, numNodes).
 func checkUniverse[P interface{ Cap() int }](numNodes int, paths []P) {
 	for _, p := range paths {
@@ -157,6 +204,9 @@ func (pt *Partition) refinePath(members []int32) {
 		pt.size[c] -= int32(k)
 		pt.count[c] = int32(len(pt.size))
 		pt.size = append(pt.size, int32(k))
+		if pt.trying {
+			pt.parent = append(pt.parent, c)
+		}
 	}
 	for _, v := range members {
 		pt.label[v] = pt.count[pt.label[v]]

@@ -167,13 +167,17 @@ func (r *refPartition) sortedGroups() [][]int {
 // after every batch requires every statistic to agree. Every third batch
 // holds more than 64 paths, the reference's string-key branch. After each
 // batch a Clone is refined further: the clone must match a reference
-// refined the same way, and the original must not move.
+// refined the same way, and the original must not move. The original
+// then tries the same paths: inside the trial it must match the refined
+// clone and reference, and afterwards be exactly as it was, down to
+// every node's class ID.
 func FuzzPartitionRefine(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(5))
 	f.Add(int64(7), uint8(0), uint8(2))
 	f.Add(int64(42), uint8(149), uint8(3))
 	f.Add(int64(-3), uint8(64), uint8(4))
 	f.Add(int64(2016), uint8(1), uint8(0))
+	f.Add(int64(36), uint8(50), uint8(5)) // a try that covers every uncovered node
 	f.Fuzz(func(t *testing.T, seed int64, nodes, batches uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + int(nodes)%150
@@ -190,6 +194,17 @@ func FuzzPartitionRefine(f *testing.F) {
 			rc.refine(extra)
 			comparePartition(t, "clone", c, rc)
 			comparePartition(t, "original after clone refine", pt, ref)
+
+			before := pt.Clone()
+			got := pt.Try(sparsePaths(extra), func(trial *Partition) float64 {
+				comparePartition(t, "inside try", trial, rc)
+				return float64(trial.D1())
+			})
+			if want := float64(c.D1()); got != want {
+				t.Fatalf("Try read D1 %v, refined clone has %v", got, want)
+			}
+			comparePartition(t, "original after try", pt, ref)
+			sameState(t, pt, before)
 		}
 	})
 }
@@ -233,11 +248,29 @@ func refineEither(rng *rand.Rand, pt *Partition, paths []*bitset.Set) {
 		pt.Refine(paths)
 		return
 	}
+	pt.RefineSparse(sparsePaths(paths))
+}
+
+func sparsePaths(paths []*bitset.Set) []*bitset.Sparse {
 	sparse := make([]*bitset.Sparse, len(paths))
 	for i, p := range paths {
 		sparse[i] = bitset.SparseFromSet(p)
 	}
-	pt.RefineSparse(sparse)
+	return sparse
+}
+
+// sameState fails unless pt holds exactly want's state: every node's
+// class ID and covered bit, every class size, the uncovered class, S1
+// and D1.
+func sameState(t *testing.T, pt, want *Partition) {
+	t.Helper()
+	if !reflect.DeepEqual(pt.label, want.label) || !reflect.DeepEqual(pt.size, want.size) ||
+		!pt.covered.Equal(want.covered) || pt.uncovered != want.uncovered ||
+		pt.s1 != want.s1 || pt.d1 != want.d1 {
+		t.Fatalf("state moved:\n got labels %v sizes %v uncovered %d s1 %d d1 %d covered %v\nwant labels %v sizes %v uncovered %d s1 %d d1 %d covered %v",
+			pt.label, pt.size, pt.uncovered, pt.s1, pt.d1, pt.covered,
+			want.label, want.size, want.uncovered, want.s1, want.d1, want.covered)
+	}
 }
 
 func comparePartition(t *testing.T, stage string, pt *Partition, ref *refPartition) {
@@ -274,5 +307,17 @@ func TestPartitionRefinePanicsBeforeChange(t *testing.T) {
 	}()
 	if pt.NumGroups() != 1 || pt.Coverage() != 0 || pt.D1() != 0 {
 		t.Fatalf("a refinement that panicked changed the partition: %v", pt)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected panic from Try")
+			}
+		}()
+		pt.Try([]*bitset.Sparse{bitset.SparseFromNodes(4, []int{0, 1}), bitset.SparseFromNodes(5, []int{2})},
+			func(*Partition) float64 { t.Fatal("Try read a partition over a foreign path"); return 0 })
+	}()
+	if pt.NumGroups() != 1 || pt.Coverage() != 0 || pt.D1() != 0 {
+		t.Fatalf("a Try that panicked changed the partition: %v", pt)
 	}
 }

@@ -17,10 +17,6 @@ type Result struct {
 	Order []int
 	// Evaluations counts objective evaluations, the dominant cost.
 	Evaluations int
-	// WarmReused counts the round-0 gains a warm start (Options.Warm)
-	// served from its cache instead of evaluating; Evaluations leaves
-	// them out. Zero for every other run.
-	WarmReused int
 }
 
 // eager is Algorithm 2 as written: every round evaluates every remaining
@@ -32,17 +28,16 @@ type Result struct {
 // the evaluation count are the sequential loop's.
 func eager(ctx context.Context, inst *Instance, obj Objective, workers int, progress ProgressFunc) (*Result, error) {
 	res := &Result{Placement: NewPlacement(inst.NumServices())}
-	base := obj.newEvaluator(inst.NumNodes())
+	mirrors := newMirrors(inst, obj, workers)
+	base := mirrors[0]
 	baseVal := base.Value()
 	placed := make([]bool, inst.NumServices())
 
-	// pick is the best trial seen so far: its ground element, value, and
-	// evaluator. The winning trial already holds base ∪ P(C_s, h), so it
-	// is adopted as the new base instead of re-refining the old one.
+	// pick is the best candidate seen so far: its ground element and
+	// value.
 	type pick struct {
 		elem int
 		val  float64
-		eval evaluator
 	}
 	none := pick{elem: -1, val: -1}
 	picks := make([]pick, workers)
@@ -64,10 +59,8 @@ func eager(ctx context.Context, inst *Instance, obj Objective, workers int, prog
 		fanOut(len(cands), workers, func(c, lo, hi int) {
 			best := none
 			for _, e := range cands[lo:hi] {
-				trial := base.Clone()
-				trial.Add(inst.elements[e].evalPaths)
-				if v := trial.Value(); v > best.val {
-					best = pick{elem: e, val: v, eval: trial}
+				if v := mirrors[c].Try(inst.elements[e].evalPaths); v > best.val {
+					best = pick{elem: e, val: v}
 				}
 			}
 			picks[c] = best
@@ -83,7 +76,9 @@ func eager(ctx context.Context, inst *Instance, obj Objective, workers int, prog
 			return nil, fmt.Errorf("placement: no feasible placement at iteration %d", iter)
 		}
 		el := &inst.elements[best.elem]
-		base = best.eval
+		for _, m := range mirrors {
+			m.Add(el.evalPaths)
+		}
 		placed[el.service] = true
 		res.Placement.Hosts[el.service] = el.host
 		res.Order = append(res.Order, el.service)

@@ -75,10 +75,8 @@ func BranchAndBound(inst *Instance, obj Objective, nodeBudget int64) (*Result, e
 				if err != nil {
 					return err
 				}
-				trial := eval.Clone()
-				trial.Add(paths)
 				res.Evaluations++
-				gain := trial.Value() - base
+				gain := eval.Try(paths) - base
 				if rem == s {
 					sGains = append(sGains, hostGain{host: h, gain: gain})
 				}

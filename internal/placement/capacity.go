@@ -86,10 +86,8 @@ func GreedyCapacitated(inst *Instance, obj Objective, cons CapacityConstraints) 
 				if err != nil {
 					return nil, err
 				}
-				trial := base.Clone()
-				trial.Add(paths)
 				res.Evaluations++
-				if v := trial.Value(); v > bestVal {
+				if v := base.Try(paths); v > bestVal {
 					bestS, bestH, bestVal = s, h, v
 				}
 			}

@@ -77,3 +77,86 @@ func FuzzGreedyLazyEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEvaluatorTry builds a random instance and, for every objective
+// with its own evaluator — coverage, identifiability and
+// distinguishability at k = 1 and 2, and the three interest variants —
+// grows a placement one random element at a time. Before each step it
+// tries every ground element: Try must return exactly what Clone, Add
+// and Value return, and leave Value where it was. The tried evaluator
+// must then keep agreeing with one that never tried anything, so a
+// rollback that leaves hidden state behind shows up in a later value.
+func FuzzEvaluatorTry(f *testing.F) {
+	f.Add(int64(3), uint8(3), uint8(5))
+	f.Add(int64(13), uint8(1), uint8(10))
+	f.Add(int64(1000), uint8(2), uint8(7))
+	f.Add(int64(4101), uint8(3), uint8(10))
+	f.Add(int64(50), uint8(2), uint8(7)) // a try that covers every uncovered node
+	f.Fuzz(func(t *testing.T, seed int64, svcCount, alphaStep uint8) {
+		n := 6 + int(uint64(seed)%7) // 6..12 nodes
+		maxEdges := n * (n - 1) / 2
+		m := (n - 1) + int(uint64(seed)>>7%uint64(maxEdges-(n-1)+1))
+		g, err := topology.RandomConnected(n, m, seed)
+		if err != nil {
+			t.Skip()
+		}
+		r, err := routing.New(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		services := make([]Service, 1+int(svcCount%4))
+		for s := range services {
+			clients := make([]graph.NodeID, 1+rng.Intn(3))
+			for i := range clients {
+				clients[i] = rng.Intn(n)
+			}
+			services[s] = Service{Name: "fz", Clients: clients}
+		}
+		inst, err := NewInstance(r, services, float64(alphaStep%11)/10)
+		if err != nil {
+			t.Skip()
+		}
+		var interest []int
+		for v := 0; v < n; v++ {
+			if rng.Intn(2) == 0 {
+				interest = append(interest, v)
+			}
+		}
+		for _, obj := range []Objective{
+			NewCoverage(),
+			NewCoverageOfInterest(n, interest),
+			mustObj(NewIdentifiability(1)),
+			mustObj(NewDistinguishability(1)),
+			NewIdentifiabilityOfInterest(n, interest),
+			NewDistinguishabilityOfInterest(n, interest),
+			mustObj(NewIdentifiability(2)),
+			mustObj(NewDistinguishability(2)),
+		} {
+			tried, fresh := obj.newEvaluator(n), obj.newEvaluator(n)
+			for step := 0; step <= len(services); step++ {
+				before := tried.Value()
+				if want := fresh.Value(); before != want {
+					t.Fatalf("%s step %d: tried evaluator reads %v, untouched one %v", obj.Name(), step, before, want)
+				}
+				for e := range inst.elements {
+					paths := inst.elements[e].evalPaths
+					clone := tried.Clone()
+					clone.Add(paths)
+					if got, want := tried.Try(paths), clone.Value(); got != want {
+						t.Fatalf("%s step %d elem %d: Try = %v, Clone+Add+Value = %v", obj.Name(), step, e, got, want)
+					}
+					if got := tried.Value(); got != before {
+						t.Fatalf("%s step %d elem %d: Value moved from %v to %v", obj.Name(), step, e, before, got)
+					}
+				}
+				if len(inst.elements) == 0 {
+					break
+				}
+				paths := inst.elements[rng.Intn(len(inst.elements))].evalPaths
+				tried.Add(paths)
+				fresh.Add(paths)
+			}
+		}
+	})
+}

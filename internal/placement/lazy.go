@@ -19,15 +19,11 @@ import (
 // identical to the eager engine's, including the deterministic tie-break.
 
 // lazyEntry is one heap slot: a ground element (service, host) with the
-// cached marginal gain and the round it was computed in. eval retains the
-// trial evaluator of a per-round recomputation so that, when the entry
-// wins the round, its state is adopted as the new base instead of
-// re-adding the chosen paths.
+// cached marginal gain and the round it was computed in.
 type lazyEntry struct {
 	elem  int
 	gain  float64
 	round int
-	eval  evaluator
 }
 
 // lazyHeap orders entries by gain descending, then ground-element index
@@ -54,69 +50,44 @@ func (h *lazyHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
-	old[n-1] = lazyEntry{} // release the retained evaluator, if any
 	*h = old[:n-1]
 	return e
 }
 
-// lazy is the CELF engine, with an optional warm start. workers > 1
-// fans the initial sweep out in chunks and re-evaluates consecutive stale
-// heap tops as one parallel batch instead of one at a time; the placement
-// is the same, only Result.Evaluations may be slightly higher (a batch
-// can refresh entries the sequential engine would not have reached),
-// never higher than the eager engine's per-round sweeps.
-//
-// A nil seeds is the cold engine: every ground element is evaluated once
-// against the empty placement (the eager engine's first round) before
-// selection begins. A non-nil seeds must hold one entry per ground
-// element carrying its exact round-0 marginal gain (f({e}) − f(∅)),
-// stamped round 0; the engine then skips the initial sweep and counts
-// only preEvals evaluations toward round 0 — the number of seed gains
-// the caller had to compute fresh rather than serve from a cache.
-// Because a correct seed set is value-identical to what the cold sweep
-// would produce, the selection sequence — and thus the placement, order,
-// and value — is bit-for-bit the cold engine's.
-func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progress ProgressFunc, seeds []lazyEntry, preEvals int) (*Result, error) {
+// lazy is the CELF engine. workers > 1 fans the initial sweep out in
+// chunks and re-evaluates consecutive stale heap tops as one parallel
+// batch instead of one at a time; the placement is the same, only
+// Result.Evaluations may be slightly higher (a batch can refresh entries
+// the sequential engine would not have reached), never higher than the
+// eager engine's per-round sweeps.
+func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progress ProgressFunc) (*Result, error) {
 	res := &Result{Placement: NewPlacement(inst.NumServices())}
-	base := obj.newEvaluator(inst.NumNodes())
+	mirrors := newMirrors(inst, obj, workers)
+	base := mirrors[0]
 	baseVal := base.Value()
 	placed := make([]bool, inst.NumServices())
 
 	// refresh recomputes the current-round marginal gain of each entry,
 	// fanned out across workers. Each recomputation is one objective
-	// evaluation, counted exactly as in the eager engine. retain keeps
-	// the trial evaluator on the entry for adoption; the initial sweep
-	// drops it so at most O(recomputations) evaluator clones are ever
-	// live, not O(ground set).
-	refresh := func(ents []lazyEntry, round int, retain bool) {
-		fanOut(len(ents), workers, func(_, lo, hi int) {
+	// evaluation, counted exactly as in the eager engine.
+	refresh := func(ents []lazyEntry, round int) {
+		fanOut(len(ents), workers, func(c, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				e := &ents[i]
-				trial := base.Clone()
-				trial.Add(inst.elements[e.elem].evalPaths)
-				e.gain = trial.Value() - baseVal
+				e.gain = mirrors[c].Try(inst.elements[e.elem].evalPaths) - baseVal
 				e.round = round
-				if retain {
-					e.eval = trial
-				}
 			}
 		})
 		res.Evaluations += len(ents)
 	}
 
-	var h lazyHeap
-	if seeds == nil {
-		// Initial sweep: every ground element evaluated once against the
-		// empty placement — exactly the eager engine's first round.
-		h = make(lazyHeap, len(inst.elements))
-		for e := range inst.elements {
-			h[e] = lazyEntry{elem: e}
-		}
-		refresh(h, 0, false)
-	} else {
-		h = lazyHeap(seeds)
-		res.Evaluations += preEvals
+	// Initial sweep: every ground element evaluated once against the
+	// empty placement — exactly the eager engine's first round.
+	h := make(lazyHeap, len(inst.elements))
+	for e := range inst.elements {
+		h[e] = lazyEntry{elem: e}
 	}
+	refresh(h, 0)
 	heap.Init(&h)
 
 	var batch []lazyEntry
@@ -137,7 +108,7 @@ func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progr
 			if h.Len() == 0 {
 				// The heap drained into the pending batch (the remaining
 				// entries were all retired): flush and keep going.
-				refresh(batch, iter, true)
+				refresh(batch, iter)
 				for _, e := range batch {
 					heap.Push(&h, e)
 				}
@@ -159,7 +130,6 @@ func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progr
 				break
 			}
 			if top.round != iter {
-				top.eval = nil
 				batch = append(batch, top)
 				// Sequentially the batch flushes after every entry; in
 				// parallel mode consecutive stale tops share one fan-out.
@@ -171,7 +141,7 @@ func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progr
 				// above its: refresh them before deciding the round.
 				heap.Push(&h, top)
 			}
-			refresh(batch, iter, true)
+			refresh(batch, iter)
 			for _, e := range batch {
 				heap.Push(&h, e)
 			}
@@ -181,12 +151,8 @@ func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progr
 			return nil, fmt.Errorf("placement: no feasible placement at iteration %d", iter)
 		}
 		el := &inst.elements[chosen.elem]
-		if chosen.eval != nil {
-			// The winning trial already holds base ∪ P(C_s, h): adopt it
-			// instead of re-refining the old base with the chosen paths.
-			base = chosen.eval
-		} else {
-			base.Add(el.evalPaths)
+		for _, m := range mirrors {
+			m.Add(el.evalPaths)
 		}
 		prevVal := baseVal
 		baseVal = base.Value()

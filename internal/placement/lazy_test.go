@@ -256,8 +256,6 @@ func TestRunOptionValidation(t *testing.T) {
 	for _, obj := range []Objective{NewCoverage(), mustObj(NewIdentifiability(1))} {
 		for name, opts := range map[string]Options{
 			"unknown engine":   {Engine: Stochastic + 1},
-			"warm eager":       {Engine: Eager, Warm: NewWarmPlacer()},
-			"warm stochastic":  {Engine: Stochastic, Eps: 0.1, Warm: NewWarmPlacer()},
 			"stochastic eps 0": {Engine: Stochastic},
 		} {
 			if res, err := runWith(inst, obj, opts); err == nil {

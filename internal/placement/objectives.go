@@ -28,15 +28,16 @@ type Objective interface {
 }
 
 // evaluator incrementally tracks the objective value of a growing path
-// set. Add is destructive; use Clone to branch for hypothetical
-// evaluations (line 4 of Algorithm 2). A clone is fully independent of
-// its origin, so an algorithm may adopt a trial evaluator as its new
-// running state — the eager and lazy engines keep the winning trial of
-// each round instead of re-adding the chosen paths. Paths arrive in the
-// sparse representation the instance stores; evaluators whose internal
-// structure is dense convert at the boundary.
+// set. Add is destructive. Try scores a hypothetical addition (line 4 of
+// Algorithm 2): it returns what Value would read after Add(paths), bit
+// for bit, and leaves the evaluator exactly as it was. Try mutates the
+// evaluator while it runs, so concurrent workers each need their own;
+// Clone only reads, and branch-and-bound uses it to branch state. Paths
+// arrive in the sparse representation the instance stores; evaluators
+// whose internal structure is dense convert at the boundary.
 type evaluator interface {
 	Add(paths []*bitset.Sparse)
+	Try(paths []*bitset.Sparse) float64
 	Clone() evaluator
 	Value() float64
 }
@@ -78,27 +79,60 @@ func (o coverageObjective) newEvaluator(numNodes int) evaluator {
 	return &coverageEval{covered: bitset.New(numNodes), interest: o.interest}
 }
 
+// coverageEval keeps the covered nodes and their count (of interest,
+// when set). Try marks the candidate's newly covered nodes, counts them
+// and unmarks them: O(Σ|p|), no copy of the covered set.
 type coverageEval struct {
 	covered  *bitset.Set
 	interest *bitset.Set
+	count    int
+	marked   []int32 // Try's scratch
 }
 
 func (e *coverageEval) Add(paths []*bitset.Sparse) {
-	for _, p := range paths {
-		p.UnionInto(e.covered)
+	e.count += e.mark(paths)
+	e.marked = e.marked[:0]
+}
+
+func (e *coverageEval) Try(paths []*bitset.Sparse) float64 {
+	gain := e.mark(paths)
+	for _, v := range e.marked {
+		e.covered.Remove(int(v))
 	}
+	e.marked = e.marked[:0]
+	return float64(e.count + gain)
+}
+
+// mark covers the paths' nodes, records the newly covered ones in
+// marked, and returns how many of them count toward the value. A path
+// over another universe panics before anything is marked.
+func (e *coverageEval) mark(paths []*bitset.Sparse) int {
+	for _, p := range paths {
+		if p.Cap() != e.covered.Cap() {
+			panic(fmt.Sprintf("placement: path universe %d != %d", p.Cap(), e.covered.Cap()))
+		}
+	}
+	gain := 0
+	for _, p := range paths {
+		for _, v := range p.Members() {
+			if e.covered.Contains(int(v)) {
+				continue
+			}
+			e.covered.Add(int(v))
+			e.marked = append(e.marked, v)
+			if e.interest == nil || e.interest.Contains(int(v)) {
+				gain++
+			}
+		}
+	}
+	return gain
 }
 
 func (e *coverageEval) Clone() evaluator {
-	return &coverageEval{covered: e.covered.Clone(), interest: e.interest}
+	return &coverageEval{covered: e.covered.Clone(), interest: e.interest, count: e.count}
 }
 
-func (e *coverageEval) Value() float64 {
-	if e.interest != nil {
-		return float64(e.covered.IntersectionCount(e.interest))
-	}
-	return float64(e.covered.Count())
-}
+func (e *coverageEval) Value() float64 { return float64(e.count) }
 
 // ---- Identifiability (MISP) and Distinguishability (MDSP), k = 1 ------
 
@@ -130,6 +164,10 @@ type partitionEval struct {
 }
 
 func (e *partitionEval) Add(paths []*bitset.Sparse) { e.pt.RefineSparse(paths) }
+
+func (e *partitionEval) Try(paths []*bitset.Sparse) float64 {
+	return e.pt.Try(paths, func(pt *monitor.Partition) float64 { return e.value(pt, e.interest) })
+}
 
 func (e *partitionEval) Clone() evaluator {
 	return &partitionEval{pt: e.pt.Clone(), value: e.value, interest: e.interest}
@@ -295,6 +333,14 @@ func (e *enumerationEval) Add(paths []*bitset.Sparse) {
 		// validated at construction; failure here is a programming error.
 		panic(fmt.Sprintf("placement: %v", err))
 	}
+}
+
+// Try clones and adds: the exponential enumeration in Value dwarfs the
+// copy, so k ≥ 2 keeps no undo log.
+func (e *enumerationEval) Try(paths []*bitset.Sparse) float64 {
+	trial := e.Clone()
+	trial.Add(paths)
+	return trial.Value()
 }
 
 func (e *enumerationEval) Clone() evaluator {

@@ -23,8 +23,9 @@ const (
 	// Algorithm 2 exactly as the paper writes it.
 	Eager
 	// Stochastic evaluates a seeded random sample of the remaining
-	// candidates per round (stochastic.go), a (1 − 1/e − ε)-approximation
-	// in expectation.
+	// candidates per round (stochastic.go). It proves no factor on this
+	// ground set; measured against exact greedy it reads 0.9987–1.0000
+	// on the archived 10k-node frontier.
 	Stochastic
 )
 
@@ -43,10 +44,6 @@ type Options struct {
 	// a source seeded with Seed, so equal seeds give equal runs.
 	Eps  float64
 	Seed int64
-	// Warm, when non-nil, serves the Lazy engine's round-0 gains from a
-	// cache that lives across runs (see WarmPlacer). Only the Lazy engine
-	// accepts a warm start.
-	Warm *WarmPlacer
 	// Progress, when non-nil, receives one callback per completed round.
 	Progress ProgressFunc
 }
@@ -62,8 +59,8 @@ type Options struct {
 // 1/2-approximation of the optimum (Corollaries 14 and 18). Identifiability
 // is not submodular (Propositions 15 and 16), so neither cached nor
 // sampled gains say anything about it: a non-submodular objective runs
-// the Eager engine whatever Engine or Warm say, with the caller's Workers
-// and Progress. That is the GI heuristic, without a guarantee.
+// the Eager engine whatever Engine says, with the caller's Workers and
+// Progress. That is the GI heuristic, without a guarantee.
 //
 // Cancellation is observed once per round; the returned error then wraps
 // ctx.Err().
@@ -80,19 +77,14 @@ func Run(ctx context.Context, inst *Instance, obj Objective, opts Options) (*Res
 	default:
 		return nil, fmt.Errorf("placement: unknown engine %d", opts.Engine)
 	}
-	if opts.Warm != nil && opts.Engine != Lazy {
-		return nil, fmt.Errorf("placement: a warm start needs the lazy engine")
-	}
 	workers := max(opts.Workers, 1)
 	switch {
 	case opts.Engine == Eager || !obj.submodular():
 		return eager(ctx, inst, obj, workers, opts.Progress)
 	case opts.Engine == Stochastic:
 		return stochastic(ctx, inst, obj, opts.Eps, opts.Seed, opts.Progress)
-	case opts.Warm != nil:
-		return opts.Warm.run(ctx, inst, obj, workers, opts.Progress)
 	}
-	return lazy(ctx, inst, obj, workers, opts.Progress, nil, 0)
+	return lazy(ctx, inst, obj, workers, opts.Progress)
 }
 
 // errCanceled wraps ctx.Err() so callers can errors.Is-match
@@ -101,10 +93,24 @@ func errCanceled(ctx context.Context, iter int) error {
 	return fmt.Errorf("placement: run canceled before round %d: %w", iter, ctx.Err())
 }
 
+// newMirrors returns the evaluators a fanned-out run scores candidates
+// on, one per chunk fanOut can make: chunk c calls Try on mirrors[c]
+// alone, and the run adds every pick to all of them, so they always hold
+// the same placement. mirrors[0] is the run's base; a sequential run has
+// only the base.
+func newMirrors(inst *Instance, obj Objective, workers int) []evaluator {
+	m := make([]evaluator, max(min(workers, len(inst.elements)), 1))
+	for i := range m {
+		m[i] = obj.newEvaluator(inst.NumNodes())
+	}
+	return m
+}
+
 // fanOut splits [0, n) into at most workers contiguous chunks, in index
 // order, and calls fn(c, lo, hi) for chunk c = [lo, hi), concurrently when
 // workers > 1. It returns once every chunk is done. With workers ≤ 1 or
 // n ≤ 1 it makes the single call fn(0, 0, n) on the calling goroutine.
+// There are never more chunks than min(workers, n).
 func fanOut(n, workers int, fn func(c, lo, hi int)) {
 	if workers <= 1 || n <= 1 {
 		fn(0, 0, n)

@@ -10,18 +10,20 @@ import (
 )
 
 // This file implements the "lazier than lazy greedy" stochastic variant
-// of Algorithm 2 (Mirzasoleiman et al., AAAI 2015, adapted to the
+// of Algorithm 2 (Mirzasoleiman et al., AAAI 2015, applied to the
 // partition-matroid ground set): instead of considering every remaining
 // (service, host) candidate each round, the engine draws a uniform
 // random sample of s = ⌈(n/k)·ln(1/ε)⌉ candidates and picks the best of
-// the sample. For a monotone submodular objective the result is a
-// (1 − 1/e − ε)-approximation in expectation, while the per-round work
-// drops from O(n) to O((n/k)·ln(1/ε)) evaluations — at 10k-node
-// topologies that is the difference between placement in minutes and in
-// well under a second. Within the sample, the CELF machinery still
-// applies: gains cached in earlier rounds are upper bounds under
-// submodularity, so the sample is worked through the same lazy heap and
-// most sampled candidates are never re-evaluated either.
+// the sample, so the per-round work drops from O(n) to O((n/k)·ln(1/ε))
+// evaluations. No approximation factor is claimed here: Mirzasoleiman
+// et al. prove (1 − 1/e − ε) in expectation under a cardinality
+// constraint, and on this ground set, a partition matroid, the paper
+// proves only 1/2, for plain greedy (Theorem 11). What is measured is
+// the value against exact greedy: 0.9987–1.0000 on the archived
+// 10k-node frontier (EXPERIMENTS.md). Within the sample, the CELF
+// machinery still applies: gains cached in earlier rounds are upper
+// bounds under submodularity, so the sample is worked through the same
+// lazy heap and most sampled candidates are never re-evaluated either.
 
 // StochasticSampleSize returns the per-round sample size
 // ⌈(nGround/numServices)·ln(1/ε)⌉ (at least 1) that the Stochastic
@@ -41,12 +43,12 @@ func StochasticSampleSize(nGround, numServices int, eps float64) int {
 
 // stochastic runs the sampled ("lazier than lazy") greedy: each round
 // evaluates only a seeded-random sample of the remaining candidates,
-// reusing CELF gain caching inside the sample. For monotone submodular
-// objectives the expected value is within (1 − 1/e − ε) of the optimum;
-// with the same seed and instance the run is fully deterministic. eps
-// lies in (0, 1) (Run checks it); smaller values sample more and
-// approach the lazy engine, and a sample that covers every remaining
-// candidate reproduces the lazy engine's placement bit for bit.
+// reusing CELF gain caching inside the sample. It carries no proven
+// factor on this ground set (see above); with the same seed and
+// instance the run is fully deterministic. eps lies in (0, 1) (Run
+// checks it); smaller values sample more and approach the lazy engine,
+// and a sample that covers every remaining candidate reproduces the lazy
+// engine's placement bit for bit.
 func stochastic(ctx context.Context, inst *Instance, obj Objective, eps float64, seed int64, progress ProgressFunc) (*Result, error) {
 	res := &Result{Placement: NewPlacement(inst.NumServices())}
 	base := obj.newEvaluator(inst.NumNodes())
@@ -113,20 +115,17 @@ func stochastic(ctx context.Context, inst *Instance, obj Objective, eps float64,
 				chosen, found = top, true
 				break
 			}
-			trial := base.Clone()
-			trial.Add(inst.elements[top.elem].evalPaths)
-			gain := trial.Value() - baseVal
+			gain := base.Try(inst.elements[top.elem].evalPaths) - baseVal
 			res.Evaluations++
 			bounds[top.elem] = gain
-			heap.Push(&h, lazyEntry{elem: top.elem, gain: gain, round: iter, eval: trial})
+			heap.Push(&h, lazyEntry{elem: top.elem, gain: gain, round: iter})
 		}
 		if !found {
 			return nil, fmt.Errorf("placement: no feasible placement at iteration %d", iter)
 		}
 
 		el := &inst.elements[chosen.elem]
-		// The winning trial already holds base ∪ P(C_s, h): adopt it.
-		base = chosen.eval
+		base.Add(el.evalPaths)
 		prevVal := baseVal
 		baseVal = base.Value()
 		placed[el.service] = true

@@ -649,12 +649,6 @@ func (s *Server) adoptScenario(doc *walMigrate, persist bool) error {
 		s.cluster.clearRelocation(doc.ID)
 	}
 	s.setOutageGauges(t)
-	if persist && s.prewarm != nil {
-		// Prime the warm-start placement cache in the background so the
-		// first post-migration network revision re-places warm (the cache
-		// is per-process and did not travel with the scenario).
-		go s.prewarm(doc.ID, append([]byte(nil), t.spec...))
-	}
 	return nil
 }
 

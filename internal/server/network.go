@@ -19,8 +19,7 @@ import (
 // records, and boot replay rebuilds the scenario from it, so the live
 // tenant and the recovered one must not differ. Returning the config
 // lets a reviser that already routed the revised network hand it over
-// instead of the server building it a second time. A warm-start reviser
-// may keep placement caches keyed by scenario ID — the server calls it
+// instead of the server building it a second time. The server calls it
 // at most once per accepted PUT /v1/scenarios/{id}/network.
 type ReviseFunc func(id string, spec, change []byte) ([]byte, *TenantConfig, error)
 

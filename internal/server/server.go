@@ -164,11 +164,6 @@ type Config struct {
 	// live scenario migration; see ClusterConfig. Nil keeps the server a
 	// plain single-node daemon with zero routing overhead.
 	Cluster *ClusterConfig
-	// PrewarmPlacer, when set, is called in the background after a
-	// migration adopts a scenario, so the facade can prime its warm-start
-	// placement cache (which is per-process and does not travel with the
-	// scenario state).
-	PrewarmPlacer func(id string, spec []byte)
 }
 
 // Server is the placemond HTTP service. Create with New; the embedded
@@ -192,10 +187,8 @@ type Server struct {
 	closeErr       error
 
 	// cluster is non-nil in multi-node mode: ownership routing, peer
-	// forwarding, relocation table, migration endpoints. prewarm is the
-	// optional post-adoption placement-cache hook.
+	// forwarding, relocation table, migration endpoints.
 	cluster *clusterNode
-	prewarm func(id string, spec []byte)
 
 	// Write-ahead log state (wlog nil when disabled). walMu orders
 	// apply+append pairs (read side) against compaction's state capture
@@ -359,7 +352,6 @@ func New(cfg Config) (*Server, error) {
 			"Monitoring daemon events by kind.", "kind", kind.String())
 	}
 
-	s.prewarm = cfg.PrewarmPlacer
 	if err := s.boot(cfg); err != nil {
 		s.pool.close()
 		if s.wlog != nil {

@@ -102,6 +102,22 @@ func TestLocalizeAmbiguous(t *testing.T) {
 	if !reflect.DeepEqual(d.Unobserved, []int{2}) {
 		t.Fatalf("Unobserved = %v", d.Unobserved)
 	}
+	if want := [][]int{{0}, {1}}; !reflect.DeepEqual(d.Consistent, want) {
+		t.Fatalf("k=1 Consistent = %v, want %v", d.Consistent, want)
+	}
+
+	// At k = 2 the unobserved node 2 rides along with each single
+	// explanation: F_2 ranges over every node, observed or not.
+	d, err = Localize(o, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int{{0}, {1}, {0, 1}, {0, 2}, {1, 2}}; !reflect.DeepEqual(d.Consistent, want) {
+		t.Fatalf("k=2 Consistent = %v, want %v", d.Consistent, want)
+	}
+	if !reflect.DeepEqual(d.Unobserved, []int{2}) {
+		t.Fatalf("k=2 Unobserved = %v", d.Unobserved)
+	}
 }
 
 func TestLocalizeNoFailure(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 // 10k–100k nodes, far beyond the Table I maps. The paper's evaluation
 // tops out at AT&T (108 nodes), but its submodularity results hold at
 // any scale; these generators supply the instances on which the
-// stochastic and warm-start placement engines are exercised and
-// benchmarked.
+// placement engines and network re-placement are exercised and
+// benchmarked at scale.
 
 // HierarchySpec describes a synthetic hierarchical ISP: a ring-plus-
 // chords backbone of core routers, a dual-homed aggregation tier per

@@ -121,8 +121,8 @@ type NetworkChange struct {
 }
 
 // ReplaceNetwork replaces the scenario's network in place: services are
-// re-placed on the new network server-side (warm-started from the
-// previous revision) and monitoring restarts against the new paths,
+// re-placed on the new network server-side and monitoring restarts
+// against the new paths,
 // while the scenario keeps its ID, dedup window, and audit ledger.
 // Answers the refreshed status row; a scenario mid-drain or mid-update
 // surfaces as a 409 APIError.

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/placement"
 	"repro/internal/registry"
@@ -19,8 +17,9 @@ import (
 // the same form ScenarioSpec carries one — a built-in topology name, or
 // an inline node count plus undirected edge list. The scenario keeps its
 // ID, services, QoS slack, failure budget, dedup window, and audit
-// ledger; services are re-placed on the new network by the warm-start
-// engine and monitoring restarts against the new paths.
+// ledger; services are re-placed on the new network by the same cold
+// lazy greedy a placement request runs, and monitoring restarts against
+// the new paths.
 type NetworkChange struct {
 	// Topology names a built-in topology (see TopologyNames); empty means
 	// the network is given inline by Nodes/Edges.
@@ -30,59 +29,16 @@ type NetworkChange struct {
 	Edges [][2]int `json:"edges,omitempty"`
 }
 
-// reviserCacheCap bounds the per-scenario warm-placer cache. Evicting
-// everything past the cap is crude but safe: a warm miss only costs the
-// cold initial sweep, never correctness.
-const reviserCacheCap = 64
-
-// newNetworkReviser returns the server.ReviseFunc the facade installs —
+// newNetworkReviser returns the server.ReviseFunc the facade installs:
 // stored scenario document plus NetworkChange body in, fully revised
-// document and the tenant it builds out — together with a prewarm
-// function that charges the same per-scenario gain cache from a scenario
-// document alone. Re-placement runs the warm-start engine with that
-// cache, so successive revisions of a large scenario only re-evaluate
-// candidates whose measurement paths actually changed; the result is
-// still bit-identical to a cold greedy run on the new network. The
-// tenant comes from the network and instance the re-placement routed:
-// the same validation, paths and place function buildScenario derives
-// from the revised document, which is what boot replay rebuilds from,
-// without parsing and routing the document a second time. The prewarm
-// hook is how a cluster node that just adopted a migrated scenario gets
-// the same warm revisions the source node had: the serving layer calls
-// it in the background after an adopt, and a failure only costs the cold
-// first revision.
-func newNetworkReviser() (server.ReviseFunc, func(id string, spec []byte)) {
-	var mu sync.Mutex
-	warm := map[string]*placement.WarmPlacer{}
-	placerFor := func(id string) *placement.WarmPlacer {
-		mu.Lock()
-		defer mu.Unlock()
-		if w, ok := warm[id]; ok {
-			return w
-		}
-		if len(warm) >= reviserCacheCap {
-			warm = map[string]*placement.WarmPlacer{}
-		}
-		w := placement.NewWarmPlacer()
-		warm[id] = w
-		return w
-	}
-	prewarm := func(id string, spec []byte) {
-		sp, err := ParseScenarioSpec(spec)
-		if err != nil {
-			return
-		}
-		nw, err := sp.Network()
-		if err != nil {
-			return
-		}
-		inst, obj, err := nw.prepare(sp.Placement.ToServices(),
-			PlaceConfig{Alpha: sp.Placement.Alpha})
-		if err != nil {
-			return
-		}
-		_, _ = placement.Run(context.Background(), inst, obj, warmOptions(placerFor(id)))
-	}
+// document and the tenant it builds out. Re-placement is a cold,
+// sequential lazy run on the new network, so it keeps no state between
+// revisions. The tenant comes from the network and instance the
+// re-placement routed: the same validation, paths and place function
+// buildScenario derives from the revised document, which is what boot
+// replay rebuilds from, without parsing and routing the document a
+// second time.
+func newNetworkReviser() server.ReviseFunc {
 	revise := func(id string, spec, change []byte) ([]byte, *server.TenantConfig, error) {
 		sp, err := ParseScenarioSpec(spec)
 		if err != nil {
@@ -109,7 +65,7 @@ func newNetworkReviser() (server.ReviseFunc, func(id string, spec []byte)) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := placement.Run(context.Background(), inst, obj, warmOptions(placerFor(id)))
+		res, err := placement.Run(context.Background(), inst, obj, placement.Options{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("placemon: re-place scenario %s: %w", id, err)
 		}
@@ -137,20 +93,12 @@ func newNetworkReviser() (server.ReviseFunc, func(id string, spec []byte)) {
 			Place:       nw.placeFunc(),
 		}, nil
 	}
-	return revise, prewarm
-}
-
-// warmOptions runs the lazy engine warm-started from w, fanned out over
-// every CPU: re-placement is an operator request the daemon answers
-// while it waits.
-func warmOptions(w *placement.WarmPlacer) placement.Options {
-	return placement.Options{Workers: runtime.GOMAXPROCS(0), Warm: w}
+	return revise
 }
 
 // ReplaceScenarioNetwork revises a hosted scenario's network in place:
 // the new network is built, the scenario's services are re-placed on it
-// (warm-started from the previous revision's marginal gains), and
-// monitoring restarts against the new paths while the scenario keeps its
+// by a cold lazy greedy run, and monitoring restarts against the new paths while the scenario keeps its
 // identity, dedup window, and audit ledger. Errors wrap
 // ErrScenarioNotFound; revision and build failures surface as-is.
 func (s *Server) ReplaceScenarioNetwork(id string, change NetworkChange) error {

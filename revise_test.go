@@ -162,7 +162,7 @@ func reviseAndCompare(t *testing.T, revise server.ReviseFunc, spec ScenarioSpec,
 // boot replay rebuilds.
 func TestReviserTenantMatchesBuild(t *testing.T) {
 	t.Run("hierarchy one-link revisions", func(t *testing.T) {
-		revise, _ := newNetworkReviser()
+		revise := newNetworkReviser()
 		spec, routers := hierarchySpec(t, 800, 4, 6, 2)
 		base := spec.Edges
 		rng := rand.New(rand.NewSource(2))
@@ -183,7 +183,7 @@ func TestReviserTenantMatchesBuild(t *testing.T) {
 		}
 	})
 	t.Run("built-in topology", func(t *testing.T) {
-		revise, _ := newNetworkReviser()
+		revise := newNetworkReviser()
 		spec := ScenarioSpec{
 			Nodes: 5,
 			Edges: [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}},
@@ -197,7 +197,7 @@ func TestReviserTenantMatchesBuild(t *testing.T) {
 		}
 	})
 	t.Run("weighted original", func(t *testing.T) {
-		revise, _ := newNetworkReviser()
+		revise := newNetworkReviser()
 		// A 4-cycle 0-1-2-3 whose heavy 0-3 edge sends 0's traffic to 3
 		// the long way round; the revision drops the weights.
 		spec := ScenarioSpec{
@@ -327,8 +327,8 @@ func TestReplaceScenarioNetworkWALReplay(t *testing.T) {
 // size of placebench's replan tenant: a ~5 000-node hierarchy, 8
 // services × 10 clients drawn with seed 1, α 0.3. Iterations alternate
 // between two one-link deltas between routers, so each one re-routes the
-// network, warm-re-places the services and builds the tenant. The
-// scenario is created before the timer.
+// network, re-places the services with a cold lazy run and builds the
+// tenant. The scenario is created before the timer.
 func BenchmarkReplaceNetwork(b *testing.B) {
 	spec, routers := hierarchySpec(b, 5000, 8, 10, 0)
 	srv, err := NewScenarioServer(ServerConfig{})

@@ -198,7 +198,6 @@ func newServer(cfg ServerConfig, defaultSpec []byte) (*Server, error) {
 // NewScenarioServer, including the multi-tenant, cluster and
 // write-ahead log ones.
 func (cfg ServerConfig) innerConfig() (server.Config, error) {
-	revise, prewarm := newNetworkReviser()
 	sc := server.Config{
 		K:                  cfg.K,
 		Workers:            cfg.Workers,
@@ -212,8 +211,7 @@ func (cfg ServerConfig) innerConfig() (server.Config, error) {
 		SlowRequest:        cfg.SlowRequest,
 		TraceBuffer:        cfg.TraceBuffer,
 		BuildScenario:      buildScenario,
-		ReviseNetwork:      revise,
-		PrewarmPlacer:      prewarm,
+		ReviseNetwork:      newNetworkReviser(),
 		MaxScenarios:       cfg.MaxScenarios,
 		TenantSeriesCap:    cfg.TenantSeriesCap,
 		MaxJobsPerScenario: cfg.MaxJobsPerScenario,

@@ -285,8 +285,8 @@ func TestScenarioSpecNetworkFallback(t *testing.T) {
 	}
 }
 
-// TestReplaceScenarioNetworkEndToEnd drives the full warm-start
-// re-placement stack: facade method and placemonclient against a live
+// TestReplaceScenarioNetworkEndToEnd drives the full re-placement
+// stack: facade method and placemonclient against a live
 // server, replacing an inline network and then a built-in topology while
 // the scenario keeps serving under its ID.
 func TestReplaceScenarioNetworkEndToEnd(t *testing.T) {

@@ -155,34 +155,39 @@ bench-compare-wal:
 # The routing kernel: one shortest-path tree over a ~5 000-node
 # hierarchy, unit weights (breadth-first path) and the same edges at
 # weight 2 (binary-heap path), gated against the snapshot archived when
-# hop-count trees moved to BFS. allocs/op is deterministic (4 on the BFS
-# path, 19 on the heap), so its gate is tight; ns/op gets a 100% margin
-# for shared runners, which still fails a unit-weight graph sent back to
-# the heap (about 10x the archived time).
+# trees shrank to int32 parents and hop counts. allocs/op (4 on the BFS
+# path, 19 on the heap) and B/op (61 520 and 326 126) are deterministic,
+# so their gates are tight: a tree back at 16 bytes per node (122 944
+# B/op on the unit row) fails the bytes gate though it allocates as
+# often. ns/op gets a 100% margin for shared runners, which still fails
+# a unit-weight graph sent back to the heap (about 10x the archived
+# time).
 bench-compare-routing:
-	$(GO) test -run NONE -bench=ShortestPathTree -benchmem -benchtime=2000x -cpu 1 ./internal/graph/ | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-17_routing.json -fail-over 100 -fail-allocs-over 10
+	$(GO) test -run NONE -bench=ShortestPathTree -benchmem -benchtime=2000x -cpu 1 ./internal/graph/ | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-19_routing.json -fail-over 100 -fail-allocs-over 10 -fail-bytes-over 10
 
 # The placement evaluation kernel: one lazy distinguishability placement
 # over a ~5 000-node hierarchy (8 services × 10 clients, α = 0.3, the
 # instance built before the timer), gated against the snapshot archived
-# when candidates began to be scored by trying them on the partition and
-# rolling back instead of cloning it. evaluations/op (653) and allocs/op
-# are deterministic, so the allocation gate is tight: a per-candidate
-# clone coming back (10 470 allocs/op against 1 470) fails it. ns/op gets
-# a 100% margin for shared runners.
+# when the CELF heap stopped allocating per push and pop.
+# evaluations/op (653), allocs/op (44) and B/op are deterministic, so
+# the allocation gates are tight: a boxing heap coming back (1 470
+# allocs/op) or a per-candidate partition clone (10 470) fails them.
+# ns/op gets a 100% margin for shared runners.
 bench-compare-partition:
-	$(GO) test -run NONE -bench=PartitionPlacement -benchmem -benchtime=200x -cpu 1 ./internal/placement/ | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-18_partition.json -fail-over 100 -fail-allocs-over 10
+	$(GO) test -run NONE -bench=PartitionPlacement -benchmem -benchtime=200x -cpu 1 ./internal/placement/ | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-19_partition.json -fail-over 100 -fail-allocs-over 10 -fail-bytes-over 10
 
 # One network revision: ReplaceScenarioNetwork on a ~5 000-node
 # hierarchy (8 services × 10 clients, α = 0.3), alternating between two
 # one-link deltas between routers so every iteration re-routes the
 # network, re-places the services with a cold lazy run and builds the
-# tenant, gated against the snapshot archived when candidates began to
-# be scored by trying them on the evaluator and rolling back instead of
-# cloning it. allocs/op is deterministic to a few allocations, so its
-# gate is tight; ns/op gets a 100% margin for shared runners.
+# tenant, gated against the snapshot archived when routing trees shrank
+# to 8 bytes per node and each routed path to one allocation. allocs/op
+# and B/op are deterministic to within a few allocations, so their gates
+# are tight: 16-byte trees (about 27 MB/op against 15) or per-hop path
+# appends (about 40 000 allocs/op against 27 121) fail them. ns/op gets a
+# 100% margin for shared runners.
 bench-compare-replace:
-	$(GO) test -run NONE -bench='ReplaceNetwork$$' -benchmem -benchtime=30x -cpu 1 . | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-18_replace_cold.json -fail-over 100 -fail-allocs-over 10
+	$(GO) test -run NONE -bench='ReplaceNetwork$$' -benchmem -benchtime=30x -cpu 1 . | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-19_replace.json -fail-over 100 -fail-allocs-over 10 -fail-bytes-over 10
 
 # Documentation lint (cmd/docscheck): every package and exported
 # package-level identifier has a godoc comment, every relative link in

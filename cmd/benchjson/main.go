@@ -31,6 +31,9 @@
 // allocation-reduction work against silent backsliding:
 //
 //	go test -run NONE -bench=Registry -benchmem . | go run ./cmd/benchjson -compare BENCH_streaming.json -fail-allocs-over 10
+//
+// -fail-bytes-over N gates the B/op column the same way, which catches
+// allocations that grow without growing in number.
 package main
 
 import (
@@ -80,22 +83,35 @@ func main() {
 	compare := flag.String("compare", "", "baseline snapshot JSON; diff against a second snapshot file or stdin bench text")
 	failOver := flag.Float64("fail-over", 0, "with -compare: exit non-zero if any shared benchmark's ns/op regressed by more than this percentage (0 disables)")
 	failAllocsOver := flag.Float64("fail-allocs-over", 0, "with -compare: exit non-zero if any shared benchmark's allocs/op regressed by more than this percentage (0 disables)")
+	failBytesOver := flag.Float64("fail-bytes-over", 0, "with -compare: exit non-zero if any shared benchmark's B/op regressed by more than this percentage (0 disables)")
 	flag.Parse()
-	if err := run(*compare, *failOver, *failAllocsOver, flag.Args(), os.Stdin, os.Stdout, os.Stderr); err != nil {
+	if err := run(*compare, *failOver, *failAllocsOver, *failBytesOver, flag.Args(), os.Stdin, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-func run(compare string, failOver, failAllocsOver float64, args []string, stdin io.Reader, stdout, stderr io.Writer) error {
-	if (failOver != 0 || failAllocsOver != 0) && compare == "" {
-		return fmt.Errorf("-fail-over and -fail-allocs-over need -compare")
+// gate is one -fail-*-over flag: the compare fails when a shared
+// benchmark's unit column regressed by more than margin percent. A zero
+// margin disables it.
+type gate struct {
+	flag, unit string
+	margin     float64
+}
+
+func run(compare string, failOver, failAllocsOver, failBytesOver float64, args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	gates := []gate{
+		{"-fail-over", "ns/op", failOver},
+		{"-fail-allocs-over", "allocs/op", failAllocsOver},
+		{"-fail-bytes-over", "B/op", failBytesOver},
 	}
-	if failOver < 0 {
-		return fmt.Errorf("-fail-over must be non-negative, got %v", failOver)
-	}
-	if failAllocsOver < 0 {
-		return fmt.Errorf("-fail-allocs-over must be non-negative, got %v", failAllocsOver)
+	for _, g := range gates {
+		if g.margin < 0 {
+			return fmt.Errorf("%s must be non-negative, got %v", g.flag, g.margin)
+		}
+		if g.margin != 0 && compare == "" {
+			return fmt.Errorf("%s needs -compare", g.flag)
+		}
 	}
 	if compare == "" {
 		sum, err := parse(stdin, time.Now())
@@ -122,17 +138,12 @@ func run(compare string, failOver, failAllocsOver float64, args []string, stdin 
 	} else if cand, err = parse(stdin, time.Now()); err != nil {
 		return err
 	}
-	shared, regressed, allocRegressed := compareSummaries(stdout, base, cand, failOver, failAllocsOver)
+	shared, failures := compareSummaries(stdout, base, cand, gates)
 	if shared == 0 {
 		return fmt.Errorf("no benchmark names in common between the two snapshots")
 	}
-	if len(regressed) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed more than %v%% in ns/op: %s",
-			len(regressed), failOver, strings.Join(regressed, ", "))
-	}
-	if len(allocRegressed) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed more than %v%% in allocs/op: %s",
-			len(allocRegressed), failAllocsOver, strings.Join(allocRegressed, ", "))
+	if len(failures) > 0 {
+		return errors.New(strings.Join(failures, "; "))
 	}
 	return nil
 }
@@ -164,18 +175,19 @@ func readSummary(path string) (*Summary, error) {
 // compareSummaries prints, for every benchmark name present in both
 // snapshots, each shared metric side by side with the relative change
 // (negative = the candidate improved). It returns the number of shared
-// benchmarks plus — when the corresponding gate is > 0 — the names whose
-// ns/op (failOver) or allocs/op (failAllocsOver) regressed past that
-// percentage; names unique to one side are listed at the end so a
-// renamed benchmark is not mistaken for a regression-free run.
-func compareSummaries(w io.Writer, base, cand *Summary, failOver, failAllocsOver float64) (int, []string, []string) {
+// benchmarks plus one message for each enabled gate whose column
+// regressed past its margin in some benchmark, naming them; names unique
+// to one side are listed at the end so a renamed benchmark is not
+// mistaken for a regression-free run.
+func compareSummaries(w io.Writer, base, cand *Summary, gates []gate) (int, []string) {
 	old := make(map[string]Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		old[b.Name] = b
 	}
 	fmt.Fprintf(w, "baseline %s vs candidate %s\n", base.Date, cand.Date)
 	shared := 0
-	var onlyNew, regressed, allocRegressed []string
+	var onlyNew []string
+	regressed := make([][]string, len(gates))
 	seen := map[string]bool{}
 	for _, nb := range cand.Benchmarks {
 		seen[nb.Name] = true
@@ -191,13 +203,12 @@ func compareSummaries(w io.Writer, base, cand *Summary, failOver, failAllocsOver
 			fmt.Fprintf(w, "    %-18s %16s -> %-16s %8s\n",
 				unit, trimFloat(o), trimFloat(n), relChange(o, n))
 		}
-		if failOver > 0 && ob.NsPerOp > 0 &&
-			100*(nb.NsPerOp-ob.NsPerOp)/ob.NsPerOp > failOver {
-			regressed = append(regressed, nb.Name)
-		}
-		oa, na := ob.Metrics["allocs/op"], nb.Metrics["allocs/op"]
-		if failAllocsOver > 0 && oa > 0 && 100*(na-oa)/oa > failAllocsOver {
-			allocRegressed = append(allocRegressed, nb.Name)
+		for i, g := range gates {
+			// A column the baseline lacks reads 0 and is not gated.
+			o, n := ob.Metrics[g.unit], nb.Metrics[g.unit]
+			if g.margin > 0 && o > 0 && 100*(n-o)/o > g.margin {
+				regressed[i] = append(regressed[i], nb.Name)
+			}
 		}
 	}
 	var onlyOld []string
@@ -212,7 +223,14 @@ func compareSummaries(w io.Writer, base, cand *Summary, failOver, failAllocsOver
 	for _, name := range onlyNew {
 		fmt.Fprintf(w, "only in candidate: %s\n", name)
 	}
-	return shared, regressed, allocRegressed
+	var failures []string
+	for i, names := range regressed {
+		if len(names) > 0 {
+			failures = append(failures, fmt.Sprintf("%d benchmark(s) regressed more than %v%% in %s: %s",
+				len(names), gates[i].margin, gates[i].unit, strings.Join(names, ", ")))
+		}
+	}
+	return shared, failures
 }
 
 // sharedUnits returns the metric units both lines report, ns/op first

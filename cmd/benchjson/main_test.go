@@ -121,7 +121,7 @@ func TestCompareSummaries(t *testing.T) {
 		},
 	}
 	var out strings.Builder
-	if shared, _, _ := compareSummaries(&out, base, cand, 0, 0); shared != 1 {
+	if shared, _ := compareSummaries(&out, base, cand, nil); shared != 1 {
 		t.Fatalf("shared = %d, want 1", shared)
 	}
 	text := out.String()
@@ -158,7 +158,7 @@ func TestRunCompareFiles(t *testing.T) {
 	new_ := write("new.json", `{"date":"d2","benchmarks":[{"name":"BenchmarkX-8","ns_per_op":20,"metrics":{"ns/op":20}}]}`)
 
 	var out, errOut strings.Builder
-	if err := run(old, 0, 0, []string{new_}, strings.NewReader(""), &out, &errOut); err != nil {
+	if err := run(old, 0, 0, 0, []string{new_}, strings.NewReader(""), &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "+100.0%") {
@@ -167,7 +167,7 @@ func TestRunCompareFiles(t *testing.T) {
 
 	// Candidate from stdin bench text.
 	out.Reset()
-	if err := run(old, 0, 0, nil, strings.NewReader("BenchmarkX-8  3  5 ns/op\nPASS\n"), &out, &errOut); err != nil {
+	if err := run(old, 0, 0, 0, nil, strings.NewReader("BenchmarkX-8  3  5 ns/op\nPASS\n"), &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "-50.0%") {
@@ -177,16 +177,16 @@ func TestRunCompareFiles(t *testing.T) {
 	// Disjoint snapshots are an error, not a silent all-clear.
 	disjoint := write("disjoint.json", `{"date":"d3","benchmarks":[{"name":"BenchmarkY-8","ns_per_op":1,"metrics":{"ns/op":1}}]}`)
 	out.Reset()
-	if err := run(old, 0, 0, []string{disjoint}, strings.NewReader(""), &out, &errOut); err == nil {
+	if err := run(old, 0, 0, 0, []string{disjoint}, strings.NewReader(""), &out, &errOut); err == nil {
 		t.Fatal("disjoint snapshots should error")
 	}
 
 	// Missing or corrupt baseline files error out.
-	if err := run(dir+"/missing.json", 0, 0, nil, strings.NewReader(""), &out, &errOut); err == nil {
+	if err := run(dir+"/missing.json", 0, 0, 0, nil, strings.NewReader(""), &out, &errOut); err == nil {
 		t.Fatal("missing baseline should error")
 	}
 	corrupt := write("corrupt.json", "{not json")
-	if err := run(corrupt, 0, 0, nil, strings.NewReader(""), &out, &errOut); err == nil {
+	if err := run(corrupt, 0, 0, 0, nil, strings.NewReader(""), &out, &errOut); err == nil {
 		t.Fatal("corrupt baseline should error")
 	}
 }
@@ -208,25 +208,25 @@ func TestFailOverGate(t *testing.T) {
 
 	var out, errOut strings.Builder
 	// +50% regression over a 10% gate fails and names the benchmark.
-	err := run(base, 10, 0, nil, strings.NewReader("BenchmarkX-8  3  150 ns/op\nPASS\n"), &out, &errOut)
+	err := run(base, 10, 0, 0, nil, strings.NewReader("BenchmarkX-8  3  150 ns/op\nPASS\n"), &out, &errOut)
 	if err == nil || !strings.Contains(err.Error(), "BenchmarkX-8") {
 		t.Fatalf("regression past the gate returned %v", err)
 	}
 	// +5% under a 10% gate passes.
 	out.Reset()
-	if err := run(base, 10, 0, nil, strings.NewReader("BenchmarkX-8  3  105 ns/op\nPASS\n"), &out, &errOut); err != nil {
+	if err := run(base, 10, 0, 0, nil, strings.NewReader("BenchmarkX-8  3  105 ns/op\nPASS\n"), &out, &errOut); err != nil {
 		t.Fatalf("small regression under the gate failed: %v", err)
 	}
 	// An improvement passes.
 	out.Reset()
-	if err := run(base, 10, 0, nil, strings.NewReader("BenchmarkX-8  3  50 ns/op\nPASS\n"), &out, &errOut); err != nil {
+	if err := run(base, 10, 0, 0, nil, strings.NewReader("BenchmarkX-8  3  50 ns/op\nPASS\n"), &out, &errOut); err != nil {
 		t.Fatalf("improvement failed the gate: %v", err)
 	}
 	// -fail-over without -compare, and negative values, are usage errors.
-	if err := run("", 10, 0, nil, strings.NewReader(""), &out, &errOut); err == nil {
+	if err := run("", 10, 0, 0, nil, strings.NewReader(""), &out, &errOut); err == nil {
 		t.Fatal("-fail-over without -compare accepted")
 	}
-	if err := run(base, -1, 0, nil, strings.NewReader(""), &out, &errOut); err == nil {
+	if err := run(base, -1, 0, 0, nil, strings.NewReader(""), &out, &errOut); err == nil {
 		t.Fatal("negative -fail-over accepted")
 	}
 }
@@ -246,7 +246,7 @@ func TestFailAllocsOverGate(t *testing.T) {
 
 	var out, errOut strings.Builder
 	// 10 -> 15 allocs/op is +50% over a 10% gate: fail, naming the column.
-	err := run(base, 0, 10, nil,
+	err := run(base, 0, 10, 0, nil,
 		strings.NewReader("BenchmarkX-8  3  100 ns/op  500 B/op  15 allocs/op\nPASS\n"), &out, &errOut)
 	if err == nil || !strings.Contains(err.Error(), "allocs/op") || !strings.Contains(err.Error(), "BenchmarkX-8") {
 		t.Fatalf("allocs regression past the gate returned %v", err)
@@ -254,7 +254,7 @@ func TestFailAllocsOverGate(t *testing.T) {
 	// 10 -> 10 passes; 10 -> 5 (an improvement) passes.
 	for _, allocs := range []string{"10", "5"} {
 		out.Reset()
-		if err := run(base, 0, 10, nil,
+		if err := run(base, 0, 10, 0, nil,
 			strings.NewReader("BenchmarkX-8  3  100 ns/op  500 B/op  "+allocs+" allocs/op\nPASS\n"), &out, &errOut); err != nil {
 			t.Fatalf("allocs/op=%s failed a 10%% gate: %v", allocs, err)
 		}
@@ -262,16 +262,61 @@ func TestFailAllocsOverGate(t *testing.T) {
 	// A candidate without -benchmem columns shares no allocs data; the
 	// gate has nothing to measure and stays quiet.
 	out.Reset()
-	if err := run(base, 0, 10, nil,
+	if err := run(base, 0, 10, 0, nil,
 		strings.NewReader("BenchmarkX-8  3  100 ns/op\nPASS\n"), &out, &errOut); err != nil {
 		t.Fatalf("candidate without allocs data tripped the gate: %v", err)
 	}
 	// Usage errors mirror -fail-over.
-	if err := run("", 0, 10, nil, strings.NewReader(""), &out, &errOut); err == nil {
+	if err := run("", 0, 10, 0, nil, strings.NewReader(""), &out, &errOut); err == nil {
 		t.Fatal("-fail-allocs-over without -compare accepted")
 	}
-	if err := run(base, 0, -1, nil, strings.NewReader(""), &out, &errOut); err == nil {
+	if err := run(base, 0, -1, 0, nil, strings.NewReader(""), &out, &errOut); err == nil {
 		t.Fatal("negative -fail-allocs-over accepted")
+	}
+}
+
+// TestFailBytesOverGate: -fail-bytes-over gates the B/op column the way
+// -fail-allocs-over gates allocs/op, and fires on its own: a benchmark
+// whose allocations grow in size but not in number fails it.
+func TestFailBytesOverGate(t *testing.T) {
+	dir := t.TempDir()
+	base := dir + "/base.json"
+	if err := os.WriteFile(base, []byte(
+		`{"date":"d1","benchmarks":[{"name":"BenchmarkX-8","ns_per_op":100,"metrics":{"ns/op":100,"B/op":1000,"allocs/op":4}}]}`,
+	), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out, errOut strings.Builder
+	// 1000 -> 2000 B/op at the same 4 allocs/op is +100% over a 10% gate:
+	// it fails naming the column, and the allocs gate alone passes.
+	doubled := "BenchmarkX-8  3  100 ns/op  2000 B/op  4 allocs/op\nPASS\n"
+	err := run(base, 0, 10, 10, nil, strings.NewReader(doubled), &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "B/op") || !strings.Contains(err.Error(), "BenchmarkX-8") {
+		t.Fatalf("bytes regression past the gate returned %v", err)
+	}
+	if err := run(base, 0, 10, 0, nil, strings.NewReader(doubled), &out, &errOut); err != nil {
+		t.Fatalf("allocs gate fired on a bytes-only regression: %v", err)
+	}
+	// 1000 -> 1050 is under the gate, and 1000 -> 500 is an improvement.
+	for _, bytes := range []string{"1050", "500"} {
+		out.Reset()
+		if err := run(base, 0, 0, 10, nil,
+			strings.NewReader("BenchmarkX-8  3  100 ns/op  "+bytes+" B/op  4 allocs/op\nPASS\n"), &out, &errOut); err != nil {
+			t.Fatalf("B/op=%s failed a 10%% gate: %v", bytes, err)
+		}
+	}
+	// A candidate without -benchmem columns has nothing to gate.
+	if err := run(base, 0, 0, 10, nil,
+		strings.NewReader("BenchmarkX-8  3  100 ns/op\nPASS\n"), &out, &errOut); err != nil {
+		t.Fatalf("candidate without bytes data tripped the gate: %v", err)
+	}
+	// Usage errors mirror -fail-over.
+	if err := run("", 0, 0, 10, nil, strings.NewReader(""), &out, &errOut); err == nil {
+		t.Fatal("-fail-bytes-over without -compare accepted")
+	}
+	if err := run(base, 0, 0, -1, nil, strings.NewReader(""), &out, &errOut); err == nil {
+		t.Fatal("negative -fail-bytes-over accepted")
 	}
 }
 

@@ -2,7 +2,7 @@ package bitset
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -39,7 +39,7 @@ func SparseFromNodes(n int, nodes []int) *Sparse {
 		}
 		s.idx = append(s.idx, int32(v))
 	}
-	sort.Slice(s.idx, func(i, j int) bool { return s.idx[i] < s.idx[j] })
+	slices.Sort(s.idx)
 	// Drop duplicates in place; the slice is already sorted.
 	w := 0
 	for i, v := range s.idx {

@@ -173,16 +173,38 @@ func (g *Graph) DanglingNodes() []NodeID {
 // equal-length shortest paths, the one whose predecessor has the smallest
 // node ID is chosen. Deterministic routing makes every experiment in this
 // repository reproducible.
+//
+// A tree is read-only once built, and its layout follows the graph's:
+// int32 parents always, and int32 hop counts on a hop-count graph (8
+// bytes per node) or float64 distances on a weighted one (12 bytes per
+// node). Routers keep one tree per queried root for as long as the
+// network lives, so these bytes are most of a routed network's memory.
+// The int32 parents bound a routed graph to 2^31 − 1 nodes.
 type ShortestPathTree struct {
+	// Source is the root of the tree.
 	Source NodeID
-	Dist   []float64 // Dist[v] = distance from Source, -1 if unreachable
-	Parent []NodeID  // Parent[v] = predecessor on the chosen path, -1 at source/unreachable
+	parent []int32   // predecessor on the chosen path, -1 at the source and when unreachable
+	hops   []int32   // hop-count graphs: hops from Source, -1 when unreachable; else nil
+	dist   []float64 // weighted graphs: distance from Source, -1 when unreachable; else nil
 }
+
+// Dist returns the distance from the tree's source to v, or -1 when v is
+// unreachable. On a hop-count graph it is the exact hop count.
+func (t *ShortestPathTree) Dist(v NodeID) float64 {
+	if t.hops != nil {
+		return float64(t.hops[v])
+	}
+	return t.dist[v]
+}
+
+// Parent returns v's predecessor on the chosen path from the source, or
+// -1 at the source itself and when v is unreachable.
+func (t *ShortestPathTree) Parent(v NodeID) NodeID { return NodeID(t.parent[v]) }
 
 // Dijkstra computes a deterministic shortest path tree from src using edge
 // weights. When every edge weighs 1 (hop-count routing, the paper's QoS
 // distance) it runs a breadth-first search instead of the binary-heap
-// Dijkstra: the tree is the same, Dist holds exact hop counts, and the
+// Dijkstra: the tree is the same, stored as int32 hop counts, and the
 // search needs no priority queue. A single edge of any other weight sends
 // the whole graph down the heap path.
 func (g *Graph) Dijkstra(src NodeID) *ShortestPathTree {
@@ -193,30 +215,30 @@ func (g *Graph) Dijkstra(src NodeID) *ShortestPathTree {
 	n := len(g.adj)
 	t := &ShortestPathTree{
 		Source: src,
-		Dist:   make([]float64, n),
-		Parent: make([]NodeID, n),
+		parent: make([]int32, n),
+		hops:   make([]int32, n),
 	}
-	for i := range t.Dist {
-		t.Dist[i] = -1
-		t.Parent[i] = -1
+	for i := range t.hops {
+		t.hops[i] = -1
+		t.parent[i] = -1
 	}
-	t.Dist[src] = 0
-	queue := make([]NodeID, 1, n)
-	queue[0] = src
+	t.hops[src] = 0
+	queue := make([]int32, 1, n)
+	queue[0] = int32(src)
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		d := t.Dist[u] + 1
+		d := t.hops[u] + 1
 		for _, nb := range g.adj[u] {
 			v := nb.to
 			switch {
-			case t.Dist[v] < 0:
-				t.Dist[v] = d
-				t.Parent[v] = u
-				queue = append(queue, v)
-			case t.Dist[v] == d && t.Parent[v] > u:
+			case t.hops[v] < 0:
+				t.hops[v] = d
+				t.parent[v] = u
+				queue = append(queue, int32(v))
+			case t.hops[v] == d && t.parent[v] > u:
 				// The heap path's tie-break: every node one hop nearer
 				// relaxes v, and the smallest of them stays its parent.
-				t.Parent[v] = u
+				t.parent[v] = u
 			}
 		}
 	}
@@ -231,14 +253,14 @@ func (g *Graph) dijkstraHeap(src NodeID) *ShortestPathTree {
 	const inf = 1e18
 	t := &ShortestPathTree{
 		Source: src,
-		Dist:   make([]float64, n),
-		Parent: make([]NodeID, n),
+		parent: make([]int32, n),
+		dist:   make([]float64, n),
 	}
-	for i := range t.Dist {
-		t.Dist[i] = inf
-		t.Parent[i] = -1
+	for i := range t.dist {
+		t.dist[i] = inf
+		t.parent[i] = -1
 	}
-	t.Dist[src] = 0
+	t.dist[src] = 0
 
 	h := &nodeHeap{}
 	h.push(heapItem{dist: 0, node: src})
@@ -252,46 +274,44 @@ func (g *Graph) dijkstraHeap(src NodeID) *ShortestPathTree {
 		done[u] = true
 		for _, nb := range g.adj[u] {
 			v := nb.to
-			nd := t.Dist[u] + nb.weight
+			nd := t.dist[u] + nb.weight
 			switch {
-			case nd < t.Dist[v]:
-				t.Dist[v] = nd
-				t.Parent[v] = u
+			case nd < t.dist[v]:
+				t.dist[v] = nd
+				t.parent[v] = int32(u)
 				h.push(heapItem{dist: nd, node: v})
-			case nd == t.Dist[v] && t.Parent[v] > u:
+			case nd == t.dist[v] && int(t.parent[v]) > u:
 				// Lexicographic tie-break: prefer the smaller predecessor.
-				t.Parent[v] = u
+				t.parent[v] = int32(u)
 			}
 		}
 	}
-	for i := range t.Dist {
-		if t.Dist[i] >= inf {
-			t.Dist[i] = -1
+	for i := range t.dist {
+		if t.dist[i] >= inf {
+			t.dist[i] = -1
 		}
 	}
 	return t
 }
 
 // PathTo reconstructs the node sequence from the tree source to dst,
-// inclusive of both endpoints. It returns nil if dst is unreachable.
+// inclusive of both endpoints, in one allocation of exactly its length.
+// It returns nil if dst is unreachable.
 func (t *ShortestPathTree) PathTo(dst NodeID) []NodeID {
-	if dst < 0 || dst >= len(t.Dist) || t.Dist[dst] < 0 {
+	if dst < 0 || dst >= len(t.parent) || t.Dist(dst) < 0 {
 		return nil
 	}
-	var rev []NodeID
-	for v := dst; v != -1; v = t.Parent[v] {
-		rev = append(rev, v)
-		if v == t.Source {
-			break
+	n := 1
+	for v := dst; v != t.Source; n++ {
+		if v = t.Parent(v); v < 0 {
+			return nil
 		}
 	}
-	if rev[len(rev)-1] != t.Source {
-		return nil
+	path := make([]NodeID, n)
+	for i, v := n-1, dst; i >= 0; i, v = i-1, t.Parent(v) {
+		path[i] = v
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return path
 }
 
 // Components returns the connected components as slices of node IDs, each

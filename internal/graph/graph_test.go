@@ -113,7 +113,10 @@ func unitGraph(t testing.TB, n int, edges [][2]int) *Graph {
 
 // checkBFSMatchesHeap requires that Dijkstra on a unit-weight graph takes
 // the breadth-first path and returns, from every source, the tree the
-// binary-heap Dijkstra builds: the same Dist and the same Parent.
+// binary-heap Dijkstra builds: the same Source, and at every node the
+// same distance and the same parent. The two trees store distances in
+// different layouts (hop counts against float64), so they are compared
+// through the accessors.
 func checkBFSMatchesHeap(t testing.TB, g *Graph) {
 	t.Helper()
 	if g.weighted {
@@ -121,11 +124,28 @@ func checkBFSMatchesHeap(t testing.TB, g *Graph) {
 	}
 	for src := 0; src < g.NumNodes(); src++ {
 		got, want := g.Dijkstra(src), g.dijkstraHeap(src)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("source %d:\nBFS  dist %v parent %v\nheap dist %v parent %v",
-				src, got.Dist, got.Parent, want.Dist, want.Parent)
+		if got.hops == nil {
+			t.Fatalf("source %d: unit-weight tree without hop counts", src)
+		}
+		if got.Source != want.Source {
+			t.Fatalf("source %d: BFS tree rooted at %d, heap tree at %d", src, got.Source, want.Source)
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			if got.Dist(v) != want.Dist(v) || got.Parent(v) != want.Parent(v) {
+				t.Fatalf("source %d, node %d: BFS dist %v parent %d, heap dist %v parent %d",
+					src, v, got.Dist(v), got.Parent(v), want.Dist(v), want.Parent(v))
+			}
 		}
 	}
+}
+
+// dists returns every node's distance in t, in node order.
+func dists(t *ShortestPathTree, n int) []float64 {
+	out := make([]float64, n)
+	for v := range out {
+		out[v] = t.Dist(v)
+	}
+	return out
 }
 
 func TestShortestPathTreeBFSMatchesHeap(t *testing.T) {
@@ -187,7 +207,7 @@ func TestShortestPathTreeBFSMatchesHeap(t *testing.T) {
 			g := unitGraph(t, c.n, c.edges)
 			checkBFSMatchesHeap(t, g)
 			if c.dist0 != nil {
-				if got := g.Dijkstra(0).Dist; !reflect.DeepEqual(got, c.dist0) {
+				if got := dists(g.Dijkstra(0), c.n); !reflect.DeepEqual(got, c.dist0) {
 					t.Fatalf("Dist from 0 = %v, want %v", got, c.dist0)
 				}
 			}
@@ -206,8 +226,8 @@ func TestDijkstraNonUnitEdgeTakesHeapPath(t *testing.T) {
 	}
 	for name, h := range map[string]*Graph{"graph": g, "clone": g.Clone()} {
 		sp := h.Dijkstra(0)
-		if sp.Dist[3] != 1.5 {
-			t.Fatalf("%s: Dist[3] = %v, want 1.5", name, sp.Dist[3])
+		if sp.Dist(3) != 1.5 {
+			t.Fatalf("%s: Dist(3) = %v, want 1.5", name, sp.Dist(3))
 		}
 		if got := sp.PathTo(3); !reflect.DeepEqual(got, []int{0, 2, 3}) {
 			t.Fatalf("%s: PathTo(3) = %v, want [0 2 3]", name, got)
@@ -228,8 +248,8 @@ func TestDijkstraWeighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := g.Dijkstra(0)
-	if sp.Dist[1] != 2 {
-		t.Fatalf("Dist[1] = %v, want 2", sp.Dist[1])
+	if sp.Dist(1) != 2 {
+		t.Fatalf("Dist(1) = %v, want 2", sp.Dist(1))
 	}
 	if got := sp.PathTo(1); !reflect.DeepEqual(got, []int{0, 2, 1}) {
 		t.Fatalf("PathTo(1) = %v", got)

@@ -47,8 +47,8 @@ func TestSplitLinksPreservesShortestPathStructure(t *testing.T) {
 	for v := 0; v < g.NumNodes(); v++ {
 		// Half-weight per sub-edge ⇒ identical distances between
 		// original nodes.
-		if spOrig.Dist[v] != spSplit.Dist[v] {
-			t.Fatalf("distance to %d changed: %v → %v", v, spOrig.Dist[v], spSplit.Dist[v])
+		if spOrig.Dist(v) != spSplit.Dist(v) {
+			t.Fatalf("distance to %d changed: %v → %v", v, spOrig.Dist(v), spSplit.Dist(v))
 		}
 	}
 }

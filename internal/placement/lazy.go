@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"time"
@@ -30,28 +29,65 @@ type lazyEntry struct {
 // ascending. Element indices are assigned in (service, candidate-position)
 // scan order, so the secondary key reproduces the eager engine's
 // first-maximum tie-break (smaller service index, then smaller host ID)
-// exactly.
+// exactly. It sifts lazyEntry values in place, so a push or pop allocates
+// nothing beyond the slice's own growth.
 type lazyHeap []lazyEntry
 
-func (h lazyHeap) Len() int { return len(h) }
-
-func (h lazyHeap) Less(i, j int) bool {
+func (h lazyHeap) less(i, j int) bool {
 	if h[i].gain != h[j].gain {
 		return h[i].gain > h[j].gain
 	}
 	return h[i].elem < h[j].elem
 }
 
-func (h lazyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// heapify establishes the heap order over arbitrary contents.
+func (h lazyHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
 
-func (h *lazyHeap) Push(x any) { *h = append(*h, x.(lazyEntry)) }
+func (h *lazyHeap) push(e lazyEntry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
 
-func (h *lazyHeap) Pop() any {
+// pop removes and returns the top entry; the heap must not be empty.
+func (h *lazyHeap) pop() lazyEntry {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	top, last := old[0], len(old)-1
+	old[0] = old[last]
+	*h = old[:last]
+	h.down(0)
+	return top
+}
+
+func (h lazyHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h lazyHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // lazy is the CELF engine. workers > 1 fans the initial sweep out in
@@ -69,15 +105,23 @@ func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progr
 
 	// refresh recomputes the current-round marginal gain of each entry,
 	// fanned out across workers. Each recomputation is one objective
-	// evaluation, counted exactly as in the eager engine.
-	refresh := func(ents []lazyEntry, round int) {
-		fanOut(len(ents), workers, func(c, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := &ents[i]
-				e.gain = mirrors[c].Try(inst.elements[e.elem].evalPaths) - baseVal
-				e.round = round
-			}
-		})
+	// evaluation, counted exactly as in the eager engine. The fan-out body
+	// is built once and reads its entries and round from stale and
+	// round, so a refresh allocates no closure.
+	var (
+		stale []lazyEntry
+		round int
+	)
+	refreshChunk := func(c, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := &stale[i]
+			e.gain = mirrors[c].Try(inst.elements[e.elem].evalPaths) - baseVal
+			e.round = round
+		}
+	}
+	refresh := func(ents []lazyEntry, r int) {
+		stale, round = ents, r
+		fanOut(len(ents), workers, refreshChunk)
 		res.Evaluations += len(ents)
 	}
 
@@ -88,7 +132,7 @@ func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progr
 		h[e] = lazyEntry{elem: e}
 	}
 	refresh(h, 0)
-	heap.Init(&h)
+	h.heapify()
 
 	var batch []lazyEntry
 	for iter := 0; iter < inst.NumServices(); iter++ {
@@ -104,18 +148,18 @@ func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progr
 		}
 		pops := 0
 		chosen, found := lazyEntry{}, false
-		for h.Len() > 0 || len(batch) > 0 {
-			if h.Len() == 0 {
+		for len(h) > 0 || len(batch) > 0 {
+			if len(h) == 0 {
 				// The heap drained into the pending batch (the remaining
 				// entries were all retired): flush and keep going.
 				refresh(batch, iter)
 				for _, e := range batch {
-					heap.Push(&h, e)
+					h.push(e)
 				}
 				batch = batch[:0]
 				continue
 			}
-			top := heap.Pop(&h).(lazyEntry)
+			top := h.pop()
 			pops++
 			if placed[inst.elements[top.elem].service] {
 				continue // service already placed; retire the entry
@@ -133,17 +177,17 @@ func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progr
 				batch = append(batch, top)
 				// Sequentially the batch flushes after every entry; in
 				// parallel mode consecutive stale tops share one fan-out.
-				if len(batch) < workers && h.Len() > 0 {
+				if len(batch) < workers && len(h) > 0 {
 					continue
 				}
 			} else {
 				// Fresh, but entries batched before it had cached gains
 				// above its: refresh them before deciding the round.
-				heap.Push(&h, top)
+				h.push(top)
 			}
 			refresh(batch, iter)
 			for _, e := range batch {
-				heap.Push(&h, e)
+				h.push(e)
 			}
 			batch = batch[:0]
 		}

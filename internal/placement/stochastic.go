@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -105,11 +104,11 @@ func stochastic(ctx context.Context, inst *Instance, obj Objective, eps float64,
 		for _, e := range remaining[:s] {
 			h = append(h, lazyEntry{elem: e, gain: bounds[e], round: -1})
 		}
-		heap.Init(&h)
+		h.heapify()
 		pops := 0
 		chosen, found := lazyEntry{}, false
-		for h.Len() > 0 {
-			top := heap.Pop(&h).(lazyEntry)
+		for len(h) > 0 {
+			top := h.pop()
 			pops++
 			if top.round == iter {
 				chosen, found = top, true
@@ -118,7 +117,7 @@ func stochastic(ctx context.Context, inst *Instance, obj Objective, eps float64,
 			gain := base.Try(inst.elements[top.elem].evalPaths) - baseVal
 			res.Evaluations++
 			bounds[top.elem] = gain
-			heap.Push(&h, lazyEntry{elem: top.elem, gain: gain, round: iter})
+			h.push(lazyEntry{elem: top.elem, gain: gain, round: iter})
 		}
 		if !found {
 			return nil, fmt.Errorf("placement: no feasible placement at iteration %d", iter)

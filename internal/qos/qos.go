@@ -44,18 +44,14 @@ func NewProfile(r *routing.Router, clients []graph.NodeID) (*Profile, error) {
 	}
 	n := r.NumNodes()
 	p := &Profile{Dist: make([]float64, n)}
-	for i, c := range clients {
-		d := r.DistancesFrom(c)
-		if i == 0 {
-			copy(p.Dist, d)
-			continue
-		}
-		for h := 0; h < n; h++ {
-			switch {
-			case p.Dist[h] < 0 || d[h] < 0:
+	for _, c := range clients {
+		t := r.Tree(c)
+		for h := range p.Dist {
+			switch d := t.Dist(h); {
+			case p.Dist[h] < 0 || d < 0:
 				p.Dist[h] = -1 // some client cannot reach h
-			case d[h] > p.Dist[h]:
-				p.Dist[h] = d[h]
+			case d > p.Dist[h]:
+				p.Dist[h] = d
 			}
 		}
 	}

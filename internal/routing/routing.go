@@ -71,24 +71,6 @@ func NewLazy(g *graph.Graph) (*Router, error) {
 // Lazy reports whether the router computes trees on demand.
 func (r *Router) Lazy() bool { return r.lazy }
 
-// TreesBuilt returns how many shortest-path trees have been computed so
-// far — N for an eager router, the number of distinct roots queried for
-// a lazy one. It exists for tests and capacity accounting.
-func (r *Router) TreesBuilt() int {
-	if !r.lazy {
-		return len(r.trees)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, t := range r.trees {
-		if t != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // tree returns v's shortest-path tree, computing and memoizing it in
 // lazy mode. The tree is built under the mutex: concurrent first
 // touches of the same root would otherwise duplicate the work, and the
@@ -117,18 +99,18 @@ func (r *Router) NumNodes() int { return r.g.NumNodes() }
 func (r *Router) Distance(u, v graph.NodeID) float64 {
 	r.mustHave(u)
 	r.mustHave(v)
-	return r.tree(u).Dist[v]
+	return r.tree(u).Dist(v)
 }
 
-// DistancesFrom returns the distance vector rooted at v: entry u is
-// d(v, u), or -1 if unreachable. The slice is the router's own memoized
-// tree data — callers must treat it as read-only. One call costs one
-// tree in lazy mode and nothing afterwards, which is what makes the
+// Tree returns the shortest-path tree rooted at v: its Dist(u) is
+// d(v, u), or -1 if unreachable. It is the router's own memoized tree,
+// read-only like every graph.ShortestPathTree. One call costs one tree
+// in lazy mode and nothing afterwards, which is what makes the
 // client-rooted QoS sweep (one tree per client instead of one per host)
 // scale to 10k–100k nodes.
-func (r *Router) DistancesFrom(v graph.NodeID) []float64 {
+func (r *Router) Tree(v graph.NodeID) *graph.ShortestPathTree {
 	r.mustHave(v)
-	return r.tree(v).Dist
+	return r.tree(v)
 }
 
 // PathNodes returns the node sequence from c to h inclusive, or nil if h is
@@ -171,11 +153,7 @@ func (r *Router) SparsePath(c, h graph.NodeID) (*bitset.Sparse, error) {
 	if nodes == nil {
 		return nil, fmt.Errorf("routing: no path between %d and %d", c, h)
 	}
-	ints := make([]int, len(nodes))
-	for i, v := range nodes {
-		ints[i] = int(v)
-	}
-	return bitset.SparseFromNodes(r.g.NumNodes(), ints), nil
+	return bitset.SparseFromNodes(r.g.NumNodes(), nodes), nil
 }
 
 // PathSet returns the measurement paths P(C, h) = {p(c, h) : c ∈ C}
@@ -217,24 +195,6 @@ func (r *Router) SparsePathSet(clients []graph.NodeID, h graph.NodeID) ([]*bitse
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// Eccentricity returns max_{c ∈ C} d(c, h), the worst-case client distance
-// d(C, h) of Section III-A, or -1 if any client is unreachable from h.
-func (r *Router) Eccentricity(clients []graph.NodeID, h graph.NodeID) float64 {
-	r.mustHave(h)
-	dist := r.tree(h).Dist
-	worst := 0.0
-	for _, c := range clients {
-		d := dist[c]
-		if d < 0 {
-			return -1
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
 }
 
 func (r *Router) mustHave(v graph.NodeID) {

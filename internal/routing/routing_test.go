@@ -2,7 +2,9 @@ package routing
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -55,9 +57,6 @@ func TestDistanceUnreachable(t *testing.T) {
 	}
 	if _, err := r.Path(0, 2); err == nil {
 		t.Fatal("Path should error for unreachable pair")
-	}
-	if e := r.Eccentricity([]graph.NodeID{0, 2}, 1); e != -1 {
-		t.Fatalf("Eccentricity = %v, want -1", e)
 	}
 }
 
@@ -130,16 +129,6 @@ func TestPathSetDuplicateClient(t *testing.T) {
 	}
 }
 
-func TestEccentricity(t *testing.T) {
-	r := lineRouter(t, 6)
-	if e := r.Eccentricity([]graph.NodeID{0, 5}, 2); e != 3 {
-		t.Fatalf("Eccentricity = %v, want 3", e)
-	}
-	if e := r.Eccentricity(nil, 2); e != 0 {
-		t.Fatalf("Eccentricity(no clients) = %v, want 0", e)
-	}
-}
-
 func TestPathsConsistentWithDistance(t *testing.T) {
 	topo := topology.MustBuild(topology.Tiscali)
 	r, err := New(topo.Graph)
@@ -163,6 +152,62 @@ func TestPathsConsistentWithDistance(t *testing.T) {
 			for i := 1; i < len(nodes); i++ {
 				if !topo.Graph.HasEdge(nodes[i-1], nodes[i]) {
 					t.Fatalf("non-edge on path: %d-%d", nodes[i-1], nodes[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSparsePathMatchesPathNodes: over seeded random connected graphs,
+// hop-count and weighted, every (client, host) pair's sparse path holds
+// exactly the nodes of its node sequence, the sequence runs from the
+// client to the host, and on hop-count graphs it has Distance+1 nodes.
+func TestSparsePathMatchesPathNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(30)
+		weighted := trial%2 == 1
+		g := graph.New(n)
+		add := func(u, v int) {
+			if u == v || g.HasEdge(u, v) {
+				return
+			}
+			w := 1.0
+			if weighted {
+				w = float64(1 + rng.Intn(4))
+			}
+			if err := g.AddWeightedEdge(u, v, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for v := 1; v < n; v++ {
+			add(rng.Intn(v), v)
+		}
+		for m := rng.Intn(n + 1); m > 0; m-- {
+			add(rng.Intn(n), rng.Intn(n))
+		}
+		r, err := NewLazy(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < n; c++ {
+			for h := 0; h < n; h++ {
+				nodes := r.PathNodes(c, h)
+				if len(nodes) == 0 || nodes[0] != c || nodes[len(nodes)-1] != h {
+					t.Fatalf("trial %d: PathNodes(%d, %d) = %v, want a path from %d to %d", trial, c, h, nodes, c, h)
+				}
+				if !weighted && float64(len(nodes)) != r.Distance(c, h)+1 {
+					t.Fatalf("trial %d: PathNodes(%d, %d) = %v, %d nodes at distance %v",
+						trial, c, h, nodes, len(nodes), r.Distance(c, h))
+				}
+				sp, err := r.SparsePath(c, h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := append([]int(nil), nodes...)
+				sort.Ints(want)
+				if got := sp.Indices(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d: SparsePath(%d, %d) = %v, PathNodes holds %v", trial, c, h, got, want)
 				}
 			}
 		}

@@ -57,6 +57,13 @@ func NewNetwork(numNodes int, edges []Edge) (*Network, error) {
 // newNetwork is NewNetwork with per-edge routing weights, index-aligned
 // with edges; nil weights mean every edge weighs 1.
 func newNetwork(numNodes int, edges []Edge, weights []float64) (*Network, error) {
+	// A connected graph needs at least n−1 edges. Checking that before
+	// graph.New keeps a document that names millions of nodes from
+	// allocating for each of them only to fail as disconnected.
+	if numNodes > len(edges)+1 {
+		return nil, fmt.Errorf("placemon: %w: %d nodes need at least %d edges, have %d",
+			graph.ErrDisconnected, numNodes, numNodes-1, len(edges))
+	}
 	g := graph.New(numNodes)
 	for i, e := range edges {
 		w := 1.0

@@ -2,6 +2,7 @@ package placemon_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -258,6 +259,77 @@ func TestParseScenarioSpecValidation(t *testing.T) {
 	}
 	if nw.NumNodes() != 5 {
 		t.Fatalf("spec network has %d nodes, want 5", nw.NumNodes())
+	}
+}
+
+// hugeNodes is a node count no one-edge network can connect. It is large
+// enough that building its graph before finding it disconnected takes
+// seconds and hundreds of megabytes, and small enough that doing so is
+// still safe.
+const hugeNodes = 2_000_000
+
+// wantCountsNamed fails unless err's text names both the node count and
+// the one edge.
+func wantCountsNamed(t *testing.T, what, text string) {
+	t.Helper()
+	if !strings.Contains(text, "2000000 nodes") || !strings.Contains(text, "have 1") {
+		t.Fatalf("%s: %q does not name both the 2000000 nodes and the 1 edge", what, text)
+	}
+}
+
+// TestNodeCountBeyondEdgesRejected: a network that names more nodes than
+// its edges can connect is rejected before anything is allocated for
+// those nodes, by the facade constructors and on every HTTP route that
+// builds a network.
+func TestNodeCountBeyondEdgesRejected(t *testing.T) {
+	spec := placemon.ScenarioSpec{
+		Nodes: hugeNodes,
+		Edges: [][2]int{{0, 1}},
+		Placement: placemon.PlacementFile{Alpha: 1,
+			Services: []placemon.ServiceRecord{{Clients: []int{0}}}, Hosts: []int{1}},
+	}
+	for name, build := range map[string]func() error{
+		"NewNetwork": func() error {
+			_, err := placemon.NewNetwork(hugeNodes, []placemon.Edge{{U: 0, V: 1}})
+			return err
+		},
+		"ScenarioSpec.Network": func() error {
+			_, err := spec.Network()
+			return err
+		},
+	} {
+		err := build()
+		if err == nil {
+			t.Fatalf("%s built a %d-node network from one edge", name, hugeNodes)
+		}
+		wantCountsNamed(t, name, err.Error())
+		if allocs := testing.AllocsPerRun(1, func() { _ = build() }); allocs > 10 {
+			t.Fatalf("%s made %v allocations to reject the network, want a handful", name, allocs)
+		}
+	}
+
+	srv, err := placemon.NewScenarioServer(placemon.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.AddScenario("line", lineScenarioSpec()); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []struct{ path, body string }{
+		{"/v1/scenarios/huge", string(raw)},
+		{"/v1/scenarios/line/network", `{"nodes":2000000,"edges":[[0,1]]}`},
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPut, req.path, strings.NewReader(req.body)))
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("PUT %s: %d %s, want 422", req.path, rec.Code, rec.Body)
+		}
+		wantCountsNamed(t, "PUT "+req.path, rec.Body.String())
 	}
 }
 

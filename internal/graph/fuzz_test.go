@@ -82,3 +82,41 @@ func FuzzShortestPathTree(f *testing.F) {
 		checkBFSMatchesHeap(t, unitGraph(t, n, edges))
 	})
 }
+
+// FuzzReroute builds a graph and a revision of it from the input and
+// checks Reroute from every source against a fresh Dijkstra on the
+// revision (see checkReroute). The first byte sets the node count, the
+// second picks weights (bit 0 weighs the revision, bit 1 the original),
+// and each later byte triple is an edge with its fate: in the original
+// only (removed), in the revision only (added), or in both.
+func FuzzReroute(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 1, 2, 1, 2, 2})                                  // nothing changes
+	f.Add([]byte{4, 0, 0, 1, 2, 1, 2, 2, 2, 3, 2, 0, 3, 1})                // a shortcut moves distances
+	f.Add([]byte{4, 0, 0, 1, 2, 0, 2, 2, 1, 3, 2, 2, 3, 1})                // a tie moves one parent
+	f.Add([]byte{5, 0, 0, 1, 2, 1, 2, 0, 2, 3, 2, 3, 4, 2, 4, 0, 2})       // a cycle loses a link
+	f.Add([]byte{4, 0, 0, 1, 2, 1, 2, 0, 2, 3, 2})                         // a bridge goes: disconnected
+	f.Add([]byte{6, 0, 0, 1, 2, 1, 2, 2, 3, 4, 2, 4, 5, 2, 2, 3, 1})       // components join
+	f.Add([]byte{6, 0, 0, 1, 2, 2, 3, 2, 4, 5, 2, 3, 4, 1, 4, 5, 1})       // an edge between unreachable nodes
+	f.Add([]byte{6, 0, 0, 1, 0, 0, 2, 1, 1, 3, 0, 2, 3, 1, 3, 4, 2, 4, 5}) // many links swap
+	f.Add([]byte{4, 1, 0, 1, 2, 1, 2, 2, 2, 3, 2})                         // weighted revision
+	f.Add([]byte{4, 2, 0, 1, 2, 1, 2, 2, 2, 3, 2})                         // weighted original
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(data[0])%48
+		var before, after [][2]int
+		for i := 2; i+2 < len(data); i += 3 {
+			e := [2]int{int(data[i]) % n, int(data[i+1]) % n}
+			switch data[i+2] % 3 {
+			case 0:
+				before = append(before, e)
+			case 1:
+				after = append(after, e)
+			default:
+				before, after = append(before, e), append(after, e)
+			}
+		}
+		checkReroute(t, weighGraph(t, n, before, data[1]&2 != 0), weighGraph(t, n, after, data[1]&1 != 0))
+	})
+}

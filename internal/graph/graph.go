@@ -4,9 +4,10 @@
 // search on hop-count graphs, Dijkstra on weighted ones), connected
 // components, and degree queries.
 //
-// Nodes are dense integer IDs in [0, NumNodes) and carry an optional label.
-// Links do not fail (the paper models link failures as logical nodes), so
-// edges are plain unweighted or weighted pairs.
+// Nodes are dense integer IDs in [0, NumNodes) and carry an optional label
+// (the decimal ID until one is set). Links do not fail (the paper models
+// link failures as logical nodes), so edges are plain unweighted or
+// weighted pairs.
 package graph
 
 import (
@@ -14,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"sync/atomic"
 )
 
 // NodeID identifies a node in a Graph. IDs are dense in [0, NumNodes).
@@ -29,7 +32,10 @@ type Edge struct {
 // Graph is an undirected simple graph. The zero value is an empty graph;
 // use New to construct one.
 type Graph struct {
-	labels []string
+	// labels holds the labels SetLabel set; a node without one reads as
+	// its decimal ID. Nil until the first SetLabel, so the graphs the
+	// serving path builds format no label at all.
+	labels map[NodeID]string
 	adj    [][]neighbor
 	edges  []Edge
 	// weighted records whether any edge weighs other than 1, which decides
@@ -56,14 +62,7 @@ var (
 
 // New returns a graph with n isolated nodes labeled "0".."n-1".
 func New(n int) *Graph {
-	g := &Graph{
-		labels: make([]string, n),
-		adj:    make([][]neighbor, n),
-	}
-	for i := range g.labels {
-		g.labels[i] = fmt.Sprintf("%d", i)
-	}
-	return g
+	return &Graph{adj: make([][]neighbor, n)}
 }
 
 // NumNodes returns |N|.
@@ -72,15 +71,22 @@ func (g *Graph) NumNodes() int { return len(g.adj) }
 // NumEdges returns |L|.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// Label returns the label of node v.
+// Label returns the label of node v: the one SetLabel set, even an empty
+// one, or else v's decimal ID.
 func (g *Graph) Label(v NodeID) string {
 	g.mustHave(v)
-	return g.labels[v]
+	if l, ok := g.labels[v]; ok {
+		return l
+	}
+	return strconv.Itoa(v)
 }
 
 // SetLabel sets the label of node v.
 func (g *Graph) SetLabel(v NodeID, label string) {
 	g.mustHave(v)
+	if g.labels == nil {
+		g.labels = make(map[NodeID]string)
+	}
 	g.labels[v] = label
 }
 
@@ -201,6 +207,17 @@ func (t *ShortestPathTree) Dist(v NodeID) float64 {
 // -1 at the source itself and when v is unreachable.
 func (t *ShortestPathTree) Parent(v NodeID) NodeID { return NodeID(t.parent[v]) }
 
+// searches counts the trees Dijkstra has built; see Searches.
+var searches atomic.Int64
+
+// Searches returns how many shortest-path trees Dijkstra has built in this
+// process, by breadth-first or heap search; Reroute adds to it only when
+// it falls back to a search. It is a read-only count for the tests and
+// benchmarks that measure how much routing a network revision saves: the
+// difference between two readings counts every search the process ran in
+// between, so it is exact only while nothing else routes.
+func Searches() int64 { return searches.Load() }
+
 // Dijkstra computes a deterministic shortest path tree from src using edge
 // weights. When every edge weighs 1 (hop-count routing, the paper's QoS
 // distance) it runs a breadth-first search instead of the binary-heap
@@ -209,6 +226,7 @@ func (t *ShortestPathTree) Parent(v NodeID) NodeID { return NodeID(t.parent[v]) 
 // the whole graph down the heap path.
 func (g *Graph) Dijkstra(src NodeID) *ShortestPathTree {
 	g.mustHave(src)
+	searches.Add(1)
 	if g.weighted {
 		return g.dijkstraHeap(src)
 	}
@@ -370,7 +388,9 @@ func (g *Graph) Validate() error {
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := New(g.NumNodes())
-	copy(c.labels, g.labels)
+	for v, l := range g.labels {
+		c.SetLabel(v, l)
+	}
 	for _, e := range g.edges {
 		// Errors are impossible: the source graph already holds the invariants.
 		if err := c.AddWeightedEdge(e.U, e.V, e.Weight); err != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,32 @@ func TestNewGraph(t *testing.T) {
 	}
 	if g.Label(0) != "0" || g.Label(2) != "2" {
 		t.Fatal("default labels should be decimal IDs")
+	}
+}
+
+// TestLabels pins the label defaults: a node reads as its decimal ID
+// until SetLabel sets a label, and a set label reads back as set, an
+// empty one included, through Label, Clone and SplitLinks.
+func TestLabels(t *testing.T) {
+	g := New(12)
+	for v := 0; v < g.NumNodes(); v++ {
+		if got := g.Label(v); got != strconv.Itoa(v) {
+			t.Fatalf("Label(%d) = %q, want the decimal ID", v, got)
+		}
+	}
+	g.SetLabel(3, "")
+	g.SetLabel(11, "eleven")
+	if err := g.AddEdge(3, 11); err != nil {
+		t.Fatal(err)
+	}
+	split, links := g.SplitLinks()
+	for _, h := range []*Graph{g, g.Clone(), split} {
+		if h.Label(3) != "" || h.Label(11) != "eleven" || h.Label(10) != "10" {
+			t.Fatalf("labels 3, 10, 11 read %q, %q, %q", h.Label(3), h.Label(10), h.Label(11))
+		}
+	}
+	if got := split.Label(links[0]); got != "link(-eleven)" {
+		t.Fatalf("link label = %q", got)
 	}
 }
 
@@ -386,4 +413,111 @@ func TestParseRejectsHugeNodeID(t *testing.T) {
 	if _, err := Parse(strings.NewReader("node 99999999 far\n")); err == nil {
 		t.Fatal("huge node record should be rejected")
 	}
+}
+
+// weighGraph is unitGraph, with every edge at weight 2 when weighted: the
+// same routes, through the binary-heap Dijkstra.
+func weighGraph(t testing.TB, n int, edges [][2]int, weighted bool) *Graph {
+	t.Helper()
+	g := unitGraph(t, n, edges)
+	if !weighted {
+		return g
+	}
+	w := New(n)
+	for _, e := range g.Edges() {
+		if err := w.AddWeightedEdge(e.U, e.V, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w
+}
+
+// sameTree reports whether two trees have the same source and, at every
+// node, the same distance and parent.
+func sameTree(a, b *ShortestPathTree, n int) bool {
+	if a.Source != b.Source {
+		return false
+	}
+	for v := 0; v < n; v++ {
+		if a.Dist(v) != b.Dist(v) || a.Parent(v) != b.Parent(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkReroute reroutes prev's tree from every source across the diff to
+// g and requires the tree a fresh Dijkstra builds on g. Reroute must
+// return prev's tree itself exactly when that tree is unchanged, a tree
+// that shares its hop counts when only parents moved, and a new tree
+// whenever either graph is weighted.
+func checkReroute(t testing.TB, prev, g *Graph) {
+	t.Helper()
+	removed, added := g.Diff(prev)
+	n := g.NumNodes()
+	for src := 0; src < n; src++ {
+		old, want := prev.Dijkstra(src), g.Dijkstra(src)
+		got := g.Reroute(old, removed, added)
+		if !sameTree(got, want, n) {
+			t.Fatalf("source %d, removed %v, added %v: rerouted tree differs from a fresh one", src, removed, added)
+		}
+		if prev.weighted || g.weighted {
+			if got == old {
+				t.Fatalf("source %d: a weighted revision reused the old tree", src)
+			}
+			continue
+		}
+		if unchanged := sameTree(old, want, n); (got == old) != unchanged {
+			t.Fatalf("source %d, removed %v, added %v: returned the old tree %t, tree unchanged %t",
+				src, removed, added, got == old, unchanged)
+		}
+		if got != old && sameDists(old, want, n) && &got.hops[0] != &old.hops[0] {
+			t.Fatalf("source %d: only parents moved, but the hop counts were rebuilt", src)
+		}
+	}
+}
+
+// sameDists reports whether two trees have the same distance at every
+// node.
+func sameDists(a, b *ShortestPathTree, n int) bool {
+	for v := 0; v < n; v++ {
+		if a.Dist(v) != b.Dist(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReroute checks Reroute on random graphs, some disconnected, across
+// revisions that change nothing, one link, several links, a tenth of all
+// links, and a removal that disconnects the graph.
+func TestReroute(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(40)
+		var edges [][2]int
+		for i := rng.Intn(3 * n); i >= 0; i-- {
+			edges = append(edges, [2]int{rng.Intn(n), rng.Intn(n)})
+		}
+		prev := unitGraph(t, n, edges)
+		all := prev.Edges()
+		for _, changes := range []int{0, 1, 3, 1 + len(all)/10} {
+			next := append([][2]int(nil), edges...)
+			for c := 0; c < changes; c++ {
+				if rng.Intn(2) == 0 && len(next) > 0 {
+					i := rng.Intn(len(next))
+					next = append(next[:i:i], next[i+1:]...)
+				} else {
+					next = append(next, [2]int{rng.Intn(n), rng.Intn(n)})
+				}
+			}
+			checkReroute(t, prev, unitGraph(t, n, next))
+		}
+	}
+	// A path loses its middle link: everything past it becomes
+	// unreachable, and back.
+	line := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}}
+	cut := [][2]int{{0, 1}, {2, 3}, {3, 4}}
+	checkReroute(t, unitGraph(t, 5, line), unitGraph(t, 5, cut))
+	checkReroute(t, unitGraph(t, 5, cut), unitGraph(t, 5, line))
 }

@@ -135,8 +135,8 @@ func (g *Graph) Write(w io.Writer) error {
 	fmt.Fprintf(bw, "# %d nodes, %d edges\n", g.NumNodes(), g.NumEdges())
 	fmt.Fprintf(bw, "nodes %d\n", g.NumNodes())
 	for v := 0; v < g.NumNodes(); v++ {
-		if g.labels[v] != strconv.Itoa(v) {
-			fmt.Fprintf(bw, "node %d %s\n", v, g.labels[v])
+		if l, ok := g.labels[v]; ok && l != strconv.Itoa(v) {
+			fmt.Fprintf(bw, "node %d %s\n", v, l)
 		}
 	}
 	edges := g.Edges()
@@ -161,7 +161,7 @@ func (g *Graph) DOT(name string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "graph %q {\n", name)
 	for v := 0; v < g.NumNodes(); v++ {
-		fmt.Fprintf(&b, "  %d [label=%q];\n", v, g.labels[v])
+		fmt.Fprintf(&b, "  %d [label=%q];\n", v, g.Label(v))
 	}
 	for _, e := range g.edges {
 		fmt.Fprintf(&b, "  %d -- %d;\n", e.U, e.V)

@@ -135,3 +135,46 @@ func TestWritePreservesIsolatedNodes(t *testing.T) {
 		t.Fatalf("round trip nodes = %d, want 1", g2.NumNodes())
 	}
 }
+
+// TestWriteAndDOTUnlabelled pins both writers' output for a graph whose
+// labels were never set: every node reads as its decimal ID, so Write
+// emits no node records and DOT labels each node with its ID.
+func TestWriteAndDOTUnlabelled(t *testing.T) {
+	g := New(3)
+	if err := g.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddWeightedEdge(1, 2, 2.5); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := g.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# 3 nodes, 2 edges\nnodes 3\nedge 0 1\nedge 1 2 2.5\n"; buf.String() != want {
+		t.Fatalf("Write:\n%q\nwant\n%q", buf.String(), want)
+	}
+	want := "graph \"g\" {\n  0 [label=\"0\"];\n  1 [label=\"1\"];\n  2 [label=\"2\"];\n  0 -- 1;\n  1 -- 2;\n}\n"
+	if got := g.DOT("g"); got != want {
+		t.Fatalf("DOT:\n%q\nwant\n%q", got, want)
+	}
+}
+
+// TestParseWriteRoundTripText pins the text a parsed graph writes back:
+// node records for labels other than the decimal ID, in node order, then
+// the edges sorted.
+func TestParseWriteRoundTripText(t *testing.T) {
+	src := "node 3 denver\nnode 1 1\nedge 2 3\nedge 0 1 2.5\nnode 0 seattle wa\n"
+	g, err := Parse(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := g.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# 4 nodes, 2 edges\nnodes 4\nnode 0 seattle wa\nnode 3 denver\nedge 0 1 2.5\nedge 2 3\n"
+	if buf.String() != want {
+		t.Fatalf("Write after Parse:\n%q\nwant\n%q", buf.String(), want)
+	}
+}

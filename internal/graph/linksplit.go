@@ -18,8 +18,8 @@ func (g *Graph) SplitLinks() (*Graph, []NodeID) {
 	n := g.NumNodes()
 	edges := g.Edges()
 	out := New(n + len(edges))
-	for v := 0; v < n; v++ {
-		out.SetLabel(v, g.Label(v))
+	for v, l := range g.labels {
+		out.SetLabel(v, l)
 	}
 	linkNodes := make([]NodeID, len(edges))
 	for i, e := range edges {

@@ -59,7 +59,7 @@ func eager(ctx context.Context, inst *Instance, obj Objective, workers int, prog
 		fanOut(len(cands), workers, func(c, lo, hi int) {
 			best := none
 			for _, e := range cands[lo:hi] {
-				if v := mirrors[c].Try(inst.elements[e].evalPaths); v > best.val {
+				if v := mirrors[c].Try(inst.elements[e].paths); v > best.val {
 					best = pick{elem: e, val: v}
 				}
 			}
@@ -77,7 +77,7 @@ func eager(ctx context.Context, inst *Instance, obj Objective, workers int, prog
 		}
 		el := &inst.elements[best.elem]
 		for _, m := range mirrors {
-			m.Add(el.evalPaths)
+			m.Add(el.paths)
 		}
 		placed[el.service] = true
 		res.Placement.Hosts[el.service] = el.host
@@ -109,7 +109,7 @@ func QoS(inst *Instance, obj Objective) (*Result, error) {
 	eval := obj.newEvaluator(inst.NumNodes())
 	for s := 0; s < inst.NumServices(); s++ {
 		h := inst.profiles[s].BestHost()
-		paths, err := inst.EvalPaths(s, h)
+		paths, err := inst.SparsePaths(s, h)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +134,7 @@ func Random(inst *Instance, obj Objective, rng *rand.Rand) (*Result, error) {
 	eval := obj.newEvaluator(inst.NumNodes())
 	for s := 0; s < inst.NumServices(); s++ {
 		h := inst.candidates[s][rng.Intn(len(inst.candidates[s]))]
-		paths, err := inst.EvalPaths(s, h)
+		paths, err := inst.SparsePaths(s, h)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +174,7 @@ func BruteForce(inst *Instance, obj Objective, budget int64) (*Result, error) {
 	for {
 		eval := obj.newEvaluator(inst.NumNodes())
 		for s, ci := range choice {
-			eval.Add(inst.elements[inst.elemIndex[s][ci]].evalPaths)
+			eval.Add(inst.elements[inst.elemIndex[s][ci]].paths)
 		}
 		res.Evaluations++
 		if v := eval.Value(); v > res.Value {
@@ -214,7 +214,7 @@ func EvaluateWith(inst *Instance, obj Objective, pl Placement) (float64, error) 
 		if h == Unplaced {
 			continue
 		}
-		paths, err := inst.EvalPaths(s, h)
+		paths, err := inst.SparsePaths(s, h)
 		if err != nil {
 			return 0, err
 		}

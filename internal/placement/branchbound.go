@@ -71,7 +71,7 @@ func BranchAndBound(inst *Instance, obj Objective, nodeBudget int64) (*Result, e
 		for rem := s; rem < inst.NumServices(); rem++ {
 			bestGain := 0.0
 			for _, h := range inst.candidates[rem] {
-				paths, err := inst.EvalPaths(rem, h)
+				paths, err := inst.SparsePaths(rem, h)
 				if err != nil {
 					return err
 				}
@@ -99,7 +99,7 @@ func BranchAndBound(inst *Instance, obj Objective, nodeBudget int64) (*Result, e
 			}
 		}
 		for _, hg := range sGains {
-			paths, err := inst.EvalPaths(s, hg.host)
+			paths, err := inst.SparsePaths(s, hg.host)
 			if err != nil {
 				return err
 			}

@@ -82,7 +82,7 @@ func GreedyCapacitated(inst *Instance, obj Objective, cons CapacityConstraints) 
 				if !fits(s, h) {
 					continue
 				}
-				paths, err := inst.EvalPaths(s, h)
+				paths, err := inst.SparsePaths(s, h)
 				if err != nil {
 					return nil, err
 				}
@@ -95,7 +95,7 @@ func GreedyCapacitated(inst *Instance, obj Objective, cons CapacityConstraints) 
 		if bestS < 0 {
 			break // remaining services cannot fit anywhere
 		}
-		paths, err := inst.EvalPaths(bestS, bestH)
+		paths, err := inst.SparsePaths(bestS, bestH)
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +160,7 @@ func (inst *Instance) ObjectiveOnElements(obj Objective) matroid.SetFunction {
 	return matroid.SetFunctionFunc(func(selected []int) float64 {
 		eval := obj.newEvaluator(inst.NumNodes())
 		for _, e := range selected {
-			eval.Add(inst.elements[e].evalPaths)
+			eval.Add(inst.elements[e].paths)
 		}
 		return eval.Value()
 	})

@@ -140,7 +140,7 @@ func FuzzEvaluatorTry(f *testing.F) {
 					t.Fatalf("%s step %d: tried evaluator reads %v, untouched one %v", obj.Name(), step, before, want)
 				}
 				for e := range inst.elements {
-					paths := inst.elements[e].evalPaths
+					paths := inst.elements[e].paths
 					clone := tried.Clone()
 					clone.Add(paths)
 					if got, want := tried.Try(paths), clone.Value(); got != want {
@@ -153,7 +153,7 @@ func FuzzEvaluatorTry(f *testing.F) {
 				if len(inst.elements) == 0 {
 					break
 				}
-				paths := inst.elements[rng.Intn(len(inst.elements))].evalPaths
+				paths := inst.elements[rng.Intn(len(inst.elements))].paths
 				tried.Add(paths)
 				fresh.Add(paths)
 			}

@@ -78,41 +78,12 @@ type element struct {
 	host    graph.NodeID
 	// paths holds one path per client, index-aligned with
 	// Service.Clients — the per-connection view the serving and
-	// localization layers rely on.
+	// localization layers rely on — and is what the objective
+	// evaluators consume. The paths are pairwise distinct: each ends at
+	// host and is read from host's shortest-path tree, so two equal
+	// paths would make each client the other's ancestor in that tree,
+	// that is the same client, and the router rejects a repeated client.
 	paths []*bitset.Sparse
-	// evalPaths is paths with duplicate node sets removed. Every
-	// objective evaluator is idempotent in repeated paths — coverage
-	// unions, partition refinement, and signature-based enumeration all
-	// ignore duplicates — so the algorithms evaluate this smaller slice.
-	// Today the routing layer rejects duplicate clients at construction,
-	// making every per-element path distinct and evalPaths an alias of
-	// paths; the dedup is the guard that keeps evaluation counts honest
-	// should coincident paths ever become constructible.
-	evalPaths []*bitset.Sparse
-}
-
-// dedupPaths returns paths with duplicate node sets removed, keeping the
-// first occurrence. The input slice is returned unchanged (not copied)
-// when every path is distinct.
-func dedupPaths(paths []*bitset.Sparse) []*bitset.Sparse {
-	seen := make(map[string]struct{}, len(paths))
-	out := paths
-	deduped := false
-	for i, p := range paths {
-		k := p.Key()
-		if _, dup := seen[k]; dup {
-			if !deduped {
-				out = append([]*bitset.Sparse(nil), paths[:i]...)
-				deduped = true
-			}
-			continue
-		}
-		seen[k] = struct{}{}
-		if deduped {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // Instance is a fully prepared placement problem: the routed graph, the
@@ -176,12 +147,7 @@ func NewInstance(r *routing.Router, services []Service, alpha float64) (*Instanc
 				return nil, fmt.Errorf("placement: service %d (%s) host %d: %w", s, svc.Name, h, err)
 			}
 			inst.elemIndex[s][i] = len(inst.elements)
-			inst.elements = append(inst.elements, element{
-				service:   s,
-				host:      h,
-				paths:     paths,
-				evalPaths: dedupPaths(paths),
-			})
+			inst.elements = append(inst.elements, element{service: s, host: h, paths: paths})
 		}
 	}
 	return inst, nil
@@ -213,10 +179,9 @@ func (inst *Instance) Profile(s int) *qos.Profile { return inst.profiles[s] }
 // It returns an error if h is not a candidate.
 //
 // The result is index-aligned with the service's Clients slice — entry i
-// is the routed path of Clients[i] — and may therefore contain duplicate
-// paths when a client is listed twice. Observation ingest and
-// localization depend on this alignment; objective evaluation should use
-// EvalPaths instead, which serves the stored sparse form without the
+// is the routed path of Clients[i]. Observation ingest and localization
+// depend on this alignment; objective evaluation should use SparsePaths
+// instead, which serves the stored sparse form without the
 // O(clients × N) materialization cost.
 func (inst *Instance) ServicePaths(s int, h graph.NodeID) ([]*bitset.Set, error) {
 	for i, cand := range inst.candidates[s] {
@@ -240,19 +205,6 @@ func (inst *Instance) SparsePaths(s int, h graph.NodeID) ([]*bitset.Sparse, erro
 	for i, cand := range inst.candidates[s] {
 		if cand == h {
 			return inst.elements[inst.elemIndex[s][i]].paths, nil
-		}
-	}
-	return nil, fmt.Errorf("placement: host %d not a candidate for service %d", h, s)
-}
-
-// EvalPaths returns P(C_s, h) with duplicate paths removed — the form the
-// objective evaluators consume (identical objective values, fewer
-// refinements). Unlike ServicePaths the result is NOT index-aligned with
-// the service's clients.
-func (inst *Instance) EvalPaths(s int, h graph.NodeID) ([]*bitset.Sparse, error) {
-	for i, cand := range inst.candidates[s] {
-		if cand == h {
-			return inst.elements[inst.elemIndex[s][i]].evalPaths, nil
 		}
 	}
 	return nil, fmt.Errorf("placement: host %d not a candidate for service %d", h, s)

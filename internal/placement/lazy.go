@@ -115,7 +115,7 @@ func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progr
 	refreshChunk := func(c, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := &stale[i]
-			e.gain = mirrors[c].Try(inst.elements[e.elem].evalPaths) - baseVal
+			e.gain = mirrors[c].Try(inst.elements[e.elem].paths) - baseVal
 			e.round = round
 		}
 	}
@@ -196,7 +196,7 @@ func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progr
 		}
 		el := &inst.elements[chosen.elem]
 		for _, m := range mirrors {
-			m.Add(el.evalPaths)
+			m.Add(el.paths)
 		}
 		prevVal := baseVal
 		baseVal = base.Value()

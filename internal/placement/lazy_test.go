@@ -1,11 +1,11 @@
 package placement
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -265,75 +265,72 @@ func TestRunOptionValidation(t *testing.T) {
 	}
 }
 
-// TestDedupPaths unit-tests the path-signature dedup: repeated node sets
-// collapse to the first occurrence, and fully distinct inputs are
-// returned as the same slice (no copy).
-func TestDedupPaths(t *testing.T) {
-	mk := func(idx ...int) *bitset.Sparse { return bitset.SparseFromNodes(8, idx) }
-	a, b, c := mk(0, 1), mk(2, 3), mk(0, 1) // c duplicates a's node set
-	got := dedupPaths([]*bitset.Sparse{a, b, c, b})
-	if len(got) != 2 || got[0] != a || got[1] != b {
-		t.Fatalf("dedupPaths kept %d paths, want [a b]", len(got))
+// TestElementPathsDistinct pins why the engines evaluate an element's
+// paths as stored: every path of an element ends at its host and is read
+// from the host's shortest-path tree, so two clients with equal paths
+// would each be the other's ancestor in that tree, that is the same
+// client, and a repeated client is rejected. It checks every pair of
+// paths of every element, on the paper's topologies and on generated
+// hierarchies, with hop-count and with weighted routing.
+func TestElementPathsDistinct(t *testing.T) {
+	type network struct {
+		name    string
+		g       *graph.Graph
+		clients []graph.NodeID
 	}
-	distinct := []*bitset.Sparse{a, b, mk(4)}
-	if out := dedupPaths(distinct); len(out) != 3 || &out[0] != &distinct[0] {
-		t.Fatal("dedupPaths should alias a fully distinct input slice")
+	var networks []network
+	for _, spec := range topology.Specs() {
+		topo := topology.MustBuild(spec)
+		weighted, err := topology.BuildWeighted(spec, 1, 10, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		networks = append(networks,
+			network{spec.Name, topo.Graph, topo.CandidateClients},
+			network{spec.Name + "/weighted", weighted.Graph, weighted.CandidateClients})
 	}
-}
-
-// TestEvalPathsAliasesServicePaths pins the invariant the dedup relies
-// on today: the routing layer rejects duplicate clients at construction,
-// so every precomputed path of an element is distinct and EvalPaths
-// returns exactly the stored SparsePaths slice (ServicePaths now
-// materializes dense copies on demand, so the aliasing is checked
-// against the sparse accessor). The dedup machinery is the guard that
-// keeps evaluation counts honest should coincident paths ever become
-// constructible.
-func TestEvalPathsAliasesServicePaths(t *testing.T) {
-	g, err := topology.RandomConnected(10, 16, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := routing.New(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewInstance(r, []Service{
-		{Name: "dup", Clients: []graph.NodeID{0, 1, 0}},
-	}, 0.8); err == nil {
-		t.Fatal("duplicate clients should be rejected at instance construction")
-	}
-	inst, err := NewInstance(r, []Service{
-		{Name: "a", Clients: []graph.NodeID{0, 1, 2}},
-		{Name: "b", Clients: []graph.NodeID{3, 4}},
-	}, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < inst.NumServices(); s++ {
-		for _, h := range inst.Candidates(s) {
-			sp, err := inst.SparsePaths(s, h)
-			if err != nil {
+	for _, n := range []int{300, 1000} {
+		topo, err := topology.BuildHierarchy(topology.HierarchyForNodes("plan", n, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		weighted := graph.New(topo.Graph.NumNodes())
+		for _, e := range topo.Graph.Edges() {
+			if err := weighted.AddWeightedEdge(e.U, e.V, 1+3*rng.Float64()); err != nil {
 				t.Fatal(err)
 			}
-			ep, err := inst.EvalPaths(s, h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(sp) != len(ep) {
-				t.Fatalf("service %d host %d: EvalPaths dropped paths from a distinct set", s, h)
-			}
-			if &sp[0] != &ep[0] {
-				t.Fatalf("service %d host %d: EvalPaths should alias SparsePaths when distinct", s, h)
-			}
-			// ServicePaths materializes dense copies of the same node sets.
-			dense, err := inst.ServicePaths(s, h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range dense {
-				if !sp[i].Dense().Equal(dense[i]) {
-					t.Fatalf("service %d host %d path %d: dense materialization mismatch", s, h, i)
+		}
+		name := fmt.Sprintf("hierarchy-%d", n)
+		networks = append(networks,
+			network{name, topo.Graph, topo.CandidateClients},
+			network{name + "/weighted", weighted, topo.CandidateClients})
+	}
+	for _, nw := range networks {
+		r, err := routing.NewLazy(nw.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewInstance(r, []Service{
+			{Name: "dup", Clients: []graph.NodeID{nw.clients[0], nw.clients[1], nw.clients[0]}},
+		}, 0.8); err == nil {
+			t.Fatalf("%s: duplicate clients should be rejected at instance construction", nw.name)
+		}
+		var services []Service
+		for s := 0; s < 3 && (s+1)*4 <= len(nw.clients); s++ {
+			services = append(services, Service{Name: fmt.Sprint(s), Clients: nw.clients[s*4 : (s+1)*4]})
+		}
+		inst, err := NewInstance(r, services, 0.5)
+		if err != nil {
+			t.Fatalf("%s: %v", nw.name, err)
+		}
+		for _, el := range inst.elements {
+			for i := range el.paths {
+				for j := i + 1; j < len(el.paths); j++ {
+					if el.paths[i].Equal(el.paths[j]) {
+						t.Fatalf("%s: service %d host %d: clients %d and %d share a path",
+							nw.name, el.service, el.host, inst.services[el.service].Clients[i], inst.services[el.service].Clients[j])
+					}
 				}
 			}
 		}

@@ -114,7 +114,7 @@ func stochastic(ctx context.Context, inst *Instance, obj Objective, eps float64,
 				chosen, found = top, true
 				break
 			}
-			gain := base.Try(inst.elements[top.elem].evalPaths) - baseVal
+			gain := base.Try(inst.elements[top.elem].paths) - baseVal
 			res.Evaluations++
 			bounds[top.elem] = gain
 			h.push(lazyEntry{elem: top.elem, gain: gain, round: iter})
@@ -124,7 +124,7 @@ func stochastic(ctx context.Context, inst *Instance, obj Objective, eps float64,
 		}
 
 		el := &inst.elements[chosen.elem]
-		base.Add(el.evalPaths)
+		base.Add(el.paths)
 		prevVal := baseVal
 		baseVal = base.Value()
 		placed[el.service] = true

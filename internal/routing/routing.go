@@ -23,7 +23,9 @@ import (
 // actually queried (clients plus candidate hosts) rather than N². Both
 // variants produce identical paths and distances and are safe for
 // concurrent use. Each tree is a graph.Dijkstra: a breadth-first search
-// on hop-count graphs, a binary-heap Dijkstra on weighted ones.
+// on hop-count graphs, a binary-heap Dijkstra on weighted ones. A lazy
+// router made by NewRevised for a revised network carries each tree over
+// from the router it revises where graph.Reroute proves it the same.
 type Router struct {
 	g     *graph.Graph
 	trees []*graph.ShortestPathTree
@@ -33,6 +35,16 @@ type Router struct {
 	// never need the lock again.
 	lazy bool
 	mu   sync.Mutex
+	// from, until Detach, is the revision this router's graph came from;
+	// see NewRevised. Guarded by mu.
+	from *revision
+}
+
+// revision is an earlier router plus the edges its graph lost and gained
+// on the way to the revised router's graph.
+type revision struct {
+	prev           *Router
+	removed, added []graph.Edge
 }
 
 // New builds a Router for g with every shortest-path tree precomputed.
@@ -68,11 +80,48 @@ func NewLazy(g *graph.Graph) (*Router, error) {
 	}, nil
 }
 
+// NewRevised is NewLazy for g, a revision of prev's graph, that takes
+// each tree it is asked for from prev while prev holds that root's tree:
+// graph.Reroute carries the tree across the edges the revision removed
+// and added, as is, with patched parents, or by search when a distance
+// may move. Trees prev never built are built by search, and prev is not
+// asked to build any. The link to prev lasts until Detach, so a revision
+// keeps its predecessor's trees alive only while it is being routed.
+// With a nil prev, or one over a different node count, it is NewLazy.
+func NewRevised(g *graph.Graph, prev *Router) (*Router, error) {
+	r, err := NewLazy(g)
+	if err != nil || prev == nil || prev.NumNodes() != g.NumNodes() {
+		return r, err
+	}
+	removed, added := g.Diff(prev.g)
+	r.from = &revision{prev: prev, removed: removed, added: added}
+	return r, nil
+}
+
+// Detach drops the link NewRevised made to the earlier router: trees not
+// yet built are then built by search.
+func (r *Router) Detach() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.from = nil
+}
+
+// held returns v's tree if r has already built it, without building it.
+func (r *Router) held(v graph.NodeID) *graph.ShortestPathTree {
+	if !r.lazy {
+		return r.trees[v]
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.trees[v]
+}
+
 // Lazy reports whether the router computes trees on demand.
 func (r *Router) Lazy() bool { return r.lazy }
 
 // tree returns v's shortest-path tree, computing and memoizing it in
-// lazy mode. The tree is built under the mutex: concurrent first
+// lazy mode, by rerouting the earlier router's tree while NewRevised's
+// link lasts. The tree is built under the mutex: concurrent first
 // touches of the same root would otherwise duplicate the work, and the
 // placement build path is effectively single-threaded per root anyway.
 func (r *Router) tree(v graph.NodeID) *graph.ShortestPathTree {
@@ -84,9 +133,24 @@ func (r *Router) tree(v graph.NodeID) *graph.ShortestPathTree {
 	if t := r.trees[v]; t != nil {
 		return t
 	}
-	t := r.g.Dijkstra(v)
+	var t *graph.ShortestPathTree
+	if old := r.revised(v); old != nil {
+		t = r.g.Reroute(old, r.from.removed, r.from.added)
+	} else {
+		t = r.g.Dijkstra(v)
+	}
 	r.trees[v] = t
 	return t
+}
+
+// revised returns the earlier router's tree for v while r is linked to
+// one that holds it, else nil. Called with r.mu held; the lock order is
+// always from a revision to its predecessor.
+func (r *Router) revised(v graph.NodeID) *graph.ShortestPathTree {
+	if r.from == nil {
+		return nil
+	}
+	return r.from.prev.held(v)
 }
 
 // Graph returns the routed graph.

@@ -236,3 +236,153 @@ func TestMustHavePanics(t *testing.T) {
 	}()
 	r.Distance(0, 9)
 }
+
+// reviseGraph returns a copy of g without drop random links and with add
+// random new ones.
+func reviseGraph(t *testing.T, g *graph.Graph, drop, add int, rng *rand.Rand) *graph.Graph {
+	t.Helper()
+	edges := g.Edges()
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	out := graph.New(g.NumNodes())
+	for _, e := range edges[drop:] {
+		if err := out.AddEdge(e.U, e.V); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for added := 0; added < add; {
+		u, v := rng.Intn(g.NumNodes()), rng.Intn(g.NumNodes())
+		if u != v && !out.HasEdge(u, v) && !g.HasEdge(u, v) {
+			if err := out.AddEdge(u, v); err != nil {
+				t.Fatal(err)
+			}
+			added++
+		}
+	}
+	return out
+}
+
+// sameTree reports whether two trees agree in source and, at every node,
+// in distance and parent.
+func sameTree(a, b *graph.ShortestPathTree, n int) bool {
+	if a.Source != b.Source {
+		return false
+	}
+	for v := 0; v < n; v++ {
+		if a.Dist(v) != b.Dist(v) || a.Parent(v) != b.Parent(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNewRevised routes a chain of revisions of a generated hierarchy,
+// each revised from the router before it, and compares every tree each
+// revised router memoized with a fresh Dijkstra on its own graph. An
+// unchanged graph must carry every tree over as it is, and small
+// revisions some; Detach must drop the link to the earlier router, after
+// which trees are built by search.
+func TestNewRevised(t *testing.T) {
+	topo, err := topology.BuildHierarchy(topology.HierarchyForNodes("plan", 600, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, n := topo.Graph, topo.Graph.NumNodes()
+	roots := append(append([]int(nil), topo.CandidateClients[:30]...), 0, 1, 2, 3)
+	prev, err := NewLazy(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range roots {
+		prev.Tree(v)
+	}
+	rng := rand.New(rand.NewSource(12))
+	total := 0
+	for step, diff := range [][2]int{{0, 0}, {0, 1}, {1, 1}, {2, 2}, {1, 0}, {0, 3}, {60, 60}} {
+		next := reviseGraph(t, prev.Graph(), diff[0], diff[1], rng)
+		r, err := NewRevised(next, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.from == nil {
+			t.Fatalf("step %d: revised router not linked to its predecessor", step)
+		}
+		reused := 0
+		for _, v := range roots[:len(roots)-2] {
+			if r.Tree(v) == prev.trees[v] {
+				reused++
+			}
+		}
+		r.Detach()
+		if r.from != nil {
+			t.Fatalf("step %d: Detach kept the link", step)
+		}
+		// Roots the revision did not ask for before Detach are searched.
+		for _, v := range roots[len(roots)-2:] {
+			if r.Tree(v) == prev.trees[v] {
+				t.Fatalf("step %d: root %d taken from the predecessor after Detach", step, v)
+			}
+		}
+		for v, tr := range r.trees {
+			if tr != nil && !sameTree(tr, next.Dijkstra(v), n) {
+				t.Fatalf("step %d, diff %v: root %d's tree differs from a fresh one", step, diff, v)
+			}
+		}
+		if diff == [2]int{} && reused != len(roots)-2 {
+			t.Fatalf("an unchanged graph carried %d of %d trees over as they are", reused, len(roots)-2)
+		}
+		total += reused
+		prev = r
+	}
+	if total == len(roots)-2 {
+		t.Fatal("no revision that changed a link carried a tree over as it is")
+	}
+	// Other node counts route from scratch.
+	if r, err := NewRevised(graph.New(n+1), prev); err != nil || r.from != nil {
+		t.Fatalf("revision to another node count: linked %t, %v", r.from != nil, err)
+	}
+	if r, err := NewRevised(g, nil); err != nil || r.from != nil {
+		t.Fatalf("revision of nothing: linked %t, %v", r.from != nil, err)
+	}
+}
+
+// TestNewRevisedConcurrent queries a revised router from several
+// goroutines while its predecessor, still serving, builds trees of its
+// own; run it under -race.
+func TestNewRevisedConcurrent(t *testing.T) {
+	topo, err := topology.BuildHierarchy(topology.HierarchyForNodes("plan", 300, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := NewLazy(topo.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := reviseGraph(t, topo.Graph, 1, 1, rand.New(rand.NewSource(3)))
+	r, err := NewRevised(next, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := next.NumNodes()
+	done := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		go func(w int) {
+			defer func() { done <- struct{}{} }()
+			for v := w; v < n; v += 4 {
+				if w%2 == 0 {
+					prev.Tree(v)
+				} else {
+					r.Tree(v)
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < 4; w++ {
+		<-done
+	}
+	r.Detach()
+	for v := 0; v < n; v++ {
+		if !sameTree(r.Tree(v), next.Dijkstra(v), n) {
+			t.Fatalf("root %d's tree differs from a fresh one", v)
+		}
+	}
+}

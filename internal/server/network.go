@@ -11,17 +11,19 @@ import (
 	"repro/internal/wal"
 )
 
-// ReviseFunc produces a revised scenario document from the stored one
-// plus a network-change request body (the facade owns both formats, like
-// BuildFunc's spec), together with the tenant built from that document.
-// The returned TenantConfig must be exactly what BuildScenario builds
-// from the returned document: the document is what the write-ahead log
-// records, and boot replay rebuilds the scenario from it, so the live
-// tenant and the recovered one must not differ. Returning the config
-// lets a reviser that already routed the revised network hand it over
-// instead of the server building it a second time. The server calls it
-// at most once per accepted PUT /v1/scenarios/{id}/network.
-type ReviseFunc func(id string, spec, change []byte) ([]byte, *TenantConfig, error)
+// ReviseFunc is one tenant's reviser: a network-change request body in
+// (the facade owns its format, like BuildFunc's spec), the revised
+// scenario document and the tenant built from it out. It belongs to the
+// tenant it revises, bound to the network and document that tenant was
+// built from, so it can start from that routed network instead of
+// decoding the stored document. The returned TenantConfig must be exactly
+// what BuildScenario builds from the returned document: the document is
+// what the write-ahead log records, and boot replay rebuilds the scenario
+// from it, so the live tenant and the recovered one must not differ.
+// Returning the config lets the reviser hand over the network it already
+// routed instead of the server building it a second time. The server
+// calls it at most once per accepted PUT /v1/scenarios/{id}/network.
+type ReviseFunc func(change []byte) ([]byte, *TenantConfig, error)
 
 // errScenarioBusy marks a network replacement refused because the
 // scenario is mid-drain or mid-replacement; the HTTP layer answers 409.
@@ -31,7 +33,7 @@ var errScenarioBusy = errors.New("server: scenario is being modified")
 // the scenario's network in place, keeping its identity, dedup window,
 // and audit ledger.
 func (s *Server) serveScenarioNetwork(t *tenant, w http.ResponseWriter, r *http.Request) {
-	if s.revise == nil {
+	if t.revise == nil {
 		writeError(w, http.StatusNotImplemented, "network replacement not configured")
 		return
 	}
@@ -62,7 +64,7 @@ func (s *Server) serveScenarioNetwork(t *tenant, w http.ResponseWriter, r *http.
 }
 
 // ReplaceScenarioNetwork revises a hosted scenario's network in place
-// through the configured ReviseFunc: the scenario keeps its ID, dedup
+// through the tenant's own ReviseFunc: the scenario keeps its ID, dedup
 // window, and audit ledger while monitor state restarts against the new
 // topology. Errors: registry.ErrNotFound, errScenarioBusy surfaced as a
 // conflict, ErrBadSpec-wrapped revise failures (building the revised
@@ -70,15 +72,15 @@ func (s *Server) serveScenarioNetwork(t *tenant, w http.ResponseWriter, r *http.
 // case the old network keeps serving — a replacement either fully
 // survives a restart or changes nothing).
 func (s *Server) ReplaceScenarioNetwork(id string, change []byte) error {
-	if s.revise == nil {
-		return fmt.Errorf("server: network replacement not configured (no ReviseNetwork)")
-	}
 	if s.readOnly.Load() {
 		return errWALUnavailable
 	}
 	t, ok := s.tenants.Get(id)
 	if !ok {
 		return fmt.Errorf("%w: %q", registry.ErrNotFound, id)
+	}
+	if t.revise == nil {
+		return fmt.Errorf("server: scenario %q: network replacement not configured (no reviser)", id)
 	}
 	if t.isDraining() {
 		return fmt.Errorf("%w: %q", errScenarioBusy, id)
@@ -87,8 +89,9 @@ func (s *Server) ReplaceScenarioNetwork(id string, change []byte) error {
 	return err
 }
 
-// replaceNetwork swaps old's registry slot for the tenant the reviser
-// built from the revised document. Sequencing is what makes it safe:
+// replaceNetwork swaps old's registry slot for the tenant old's own
+// reviser built from the revised document. Sequencing is what makes it
+// safe:
 //
 //   - beginDrain on the old tenant is the concurrency guard: a racing
 //     replacement or removal loses and reports a conflict, and once the
@@ -109,7 +112,7 @@ func (s *Server) ReplaceScenarioNetwork(id string, change []byte) error {
 // as a stage of sp, which may be nil.
 func (s *Server) replaceNetwork(sp *trace.Span, old *tenant, change []byte) (*tenant, error) {
 	st := sp.StartStage("revise")
-	newSpec, tc, err := s.revise(old.id, old.spec, change)
+	newSpec, tc, err := old.revise(change)
 	st.End()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)

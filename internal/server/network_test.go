@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -18,26 +17,26 @@ import (
 	"repro/internal/wal"
 )
 
-// testRevise is the ReviseFunc tests install: the change body IS the
-// revised document (a testSpec), validated the way a real reviser
-// validates a NetworkChange.
-func testRevise(id string, spec, change []byte) ([]byte, *TenantConfig, error) {
-	var next testSpec
-	if err := json.Unmarshal(change, &next); err != nil {
-		return nil, nil, err
+// revisingBuild is testBuild whose tenants carry a reviser: the change
+// body IS the revised document (a testSpec), validated as testBuild
+// validates a document, and the tenant it builds can be revised again.
+func revisingBuild(id string, raw []byte) (*TenantConfig, error) {
+	tc, err := testBuild(id, raw)
+	if err != nil {
+		return nil, err
 	}
-	if next.NumNodes <= 0 {
-		return nil, nil, fmt.Errorf("num_nodes must be positive")
+	tc.Revise = func(change []byte) ([]byte, *TenantConfig, error) {
+		next, err := revisingBuild(id, change)
+		return change, next, err
 	}
-	tc, err := testBuild(id, change)
-	return change, tc, err
+	return tc, nil
 }
 
-// networkConfig is scenarioConfig plus network replacement and the
+// networkConfig is scenarioConfig plus revisable tenants and the
 // idempotent-ingest window.
 func networkConfig() Config {
 	cfg := scenarioConfig()
-	cfg.ReviseNetwork = testRevise
+	cfg.BuildScenario = revisingBuild
 	cfg.DedupWindow = 64
 	return cfg
 }
@@ -134,8 +133,8 @@ func TestNetworkReplaceLifecycle(t *testing.T) {
 	}
 }
 
-// TestNetworkReplaceUnconfigured pins the 501 when no ReviseFunc is
-// installed.
+// TestNetworkReplaceUnconfigured pins the 501 for a tenant built without
+// a ReviseFunc.
 func TestNetworkReplaceUnconfigured(t *testing.T) {
 	_, ts := newTestServer(t, scenarioConfig())
 	base := ts.URL + "/v1/scenarios/net1"
@@ -249,7 +248,7 @@ func (f failingFile) Sync() error {
 func TestNetworkReplaceRollback(t *testing.T) {
 	fsys := &failingFS{}
 	cfg := walConfig(t.TempDir())
-	cfg.ReviseNetwork = testRevise
+	cfg.BuildScenario = revisingBuild
 	cfg.WAL.FS = fsys
 	s, ts := newTestServer(t, cfg)
 	base := ts.URL + "/v1/scenarios/net1"
@@ -286,7 +285,7 @@ func TestNetworkReplaceRollback(t *testing.T) {
 func TestNetworkReplaceWALReplay(t *testing.T) {
 	dir := t.TempDir()
 	cfg := walConfig(dir)
-	cfg.ReviseNetwork = testRevise
+	cfg.BuildScenario = revisingBuild
 	s1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +310,7 @@ func TestNetworkReplaceWALReplay(t *testing.T) {
 	s1.Abort() // crash: recovery must come from the raw log
 
 	cfg2 := walConfig(dir)
-	cfg2.ReviseNetwork = testRevise
+	cfg2.BuildScenario = revisingBuild
 	s2, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +371,7 @@ func TestNetworkReplaceAdoptsRacingIngest(t *testing.T) {
 	dir := t.TempDir()
 	fsys := &holdSyncFS{held: make(chan struct{}), release: make(chan struct{})}
 	cfg := walConfig(dir)
-	cfg.ReviseNetwork = testRevise
+	cfg.BuildScenario = revisingBuild
 	cfg.WAL.FS = fsys
 	s1, err := New(cfg)
 	if err != nil {
@@ -449,7 +448,7 @@ func TestNetworkReplaceAdoptsRacingIngest(t *testing.T) {
 	s1.Abort()
 
 	cfg2 := walConfig(dir)
-	cfg2.ReviseNetwork = testRevise
+	cfg2.BuildScenario = revisingBuild
 	s2, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)

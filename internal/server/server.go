@@ -138,13 +138,6 @@ type Config struct {
 	// is configured — unless the log already holds it or another node owns
 	// it; see New for the boot rule.
 	DefaultSpec []byte
-	// ReviseNetwork produces a revised scenario document from the stored
-	// one plus a network-change request, and the tenant built from it,
-	// enabling in-place network replacement via
-	// PUT /v1/scenarios/{id}/network; nil answers 501. The tenant must be
-	// exactly what BuildScenario builds from the revised document, which
-	// is what boot replay rebuilds it from (see ReviseFunc).
-	ReviseNetwork ReviseFunc
 	// MaxScenarios caps concurrently hosted scenarios (default 64).
 	MaxScenarios int
 	// TenantSeriesCap caps tenant-labeled metric cardinality: the first
@@ -172,7 +165,6 @@ type Config struct {
 type Server struct {
 	tenants        *registry.Registry[*tenant]
 	build          BuildFunc
-	revise         ReviseFunc // nil disables in-place network replacement
 	labeler        *metrics.Labeler
 	pool           *pool
 	registry       *metrics.Registry
@@ -301,7 +293,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		tenants:        registry.New[*tenant](maxScenarios),
 		build:          cfg.BuildScenario,
-		revise:         cfg.ReviseNetwork,
 		labeler:        metrics.NewLabeler(seriesCap),
 		pool:           newPool(workers, depth, reg),
 		registry:       reg,

@@ -39,6 +39,9 @@ type TenantConfig struct {
 	// Place runs this scenario's placement jobs; must be safe for
 	// concurrent use.
 	Place PlaceFunc
+	// Revise revises this scenario's network in place, enabling
+	// PUT /v1/scenarios/{id}/network; nil answers 501. See ReviseFunc.
+	Revise ReviseFunc
 }
 
 // BuildFunc turns a stored scenario document (an opaque JSON blob owned
@@ -52,12 +55,13 @@ type BuildFunc func(id string, spec []byte) (*TenantConfig, error)
 // Tenants never share mutable state, so requests for different scenarios
 // only meet at the sharded registry lookup and the bounded worker pool.
 type tenant struct {
-	id    string
-	mon   *monitord.Loop
-	conns []Connection
-	place PlaceFunc
-	dedup *dedupWindow // nil when disabled
-	ring  *trace.Ring  // nil when disabled
+	id     string
+	mon    *monitord.Loop
+	conns  []Connection
+	place  PlaceFunc
+	revise ReviseFunc   // nil when the scenario cannot be revised
+	dedup  *dedupWindow // nil when disabled
+	ring   *trace.Ring  // nil when disabled
 	// spec is the scenario document the tenant was built from.
 	spec []byte
 
@@ -250,11 +254,12 @@ func (s *Server) newTenant(id string, tc *TenantConfig, spec []byte) (*tenant, e
 	}
 	label := s.labeler.Value(id)
 	t := &tenant{
-		id:    id,
-		mon:   monitord.NewLoop(core),
-		conns: append([]Connection(nil), tc.Connections...),
-		place: tc.Place,
-		spec:  spec,
+		id:     id,
+		mon:    monitord.NewLoop(core),
+		conns:  append([]Connection(nil), tc.Connections...),
+		place:  tc.Place,
+		revise: tc.Revise,
+		spec:   spec,
 		obsIngested: s.registry.Counter("placemond_tenant_observations_ingested_total",
 			"Connection state reports accepted, by scenario (capped cardinality; overflow in tenant=\"other\").",
 			"tenant", label),

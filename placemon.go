@@ -51,12 +51,16 @@ type Edge struct {
 // NewNetwork builds a network with numNodes nodes and the given undirected
 // edges. The graph must be connected, simple, and loop-free.
 func NewNetwork(numNodes int, edges []Edge) (*Network, error) {
-	return newNetwork(numNodes, edges, nil)
+	return newNetwork(numNodes, edges, nil, nil)
 }
 
 // newNetwork is NewNetwork with per-edge routing weights, index-aligned
-// with edges; nil weights mean every edge weighs 1.
-func newNetwork(numNodes int, edges []Edge, weights []float64) (*Network, error) {
+// with edges (nil weights mean every edge weighs 1), routed from prev's
+// trees where it can (see finishNetwork; nil prev routes from scratch).
+func newNetwork(numNodes int, edges []Edge, weights []float64, prev *Network) (*Network, error) {
+	if numNodes < 0 {
+		return nil, fmt.Errorf("placemon: negative node count %d", numNodes)
+	}
 	// A connected graph needs at least n−1 edges. Checking that before
 	// graph.New keeps a document that names millions of nodes from
 	// allocating for each of them only to fail as disconnected.
@@ -74,7 +78,7 @@ func newNetwork(numNodes int, edges []Edge, weights []float64) (*Network, error)
 			return nil, fmt.Errorf("placemon: edge (%d, %d): %w", e.U, e.V, err)
 		}
 	}
-	return finishNetwork(g)
+	return finishNetwork(g, prev)
 }
 
 // Load reads a network from the textual edge-list format (see the README
@@ -84,7 +88,7 @@ func Load(r io.Reader) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("placemon: %w", err)
 	}
-	return finishNetwork(g)
+	return finishNetwork(g, nil)
 }
 
 // BuildTopology constructs one of the paper's calibrated evaluation
@@ -115,7 +119,10 @@ func TopologyNames() []string {
 	return names
 }
 
-func finishNetwork(g *graph.Graph) (*Network, error) {
+// finishNetwork validates g and routes it lazily. A non-nil prev is the
+// network g revises: until the caller detaches the router, each tree is
+// carried over from prev's router where prev holds it (routing.NewRevised).
+func finishNetwork(g *graph.Graph, prev *Network) (*Network, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("placemon: %w", err)
 	}
@@ -123,7 +130,11 @@ func finishNetwork(g *graph.Graph) (*Network, error) {
 	// queried root, so a 100k-node custom network costs memory and time
 	// proportional to the clients and candidate hosts actually routed,
 	// not O(N²) for all-pairs. Results are identical to eager routing.
-	router, err := routing.NewLazy(g)
+	var from *routing.Router
+	if prev != nil {
+		from = prev.router
+	}
+	router, err := routing.NewRevised(g, from)
 	if err != nil {
 		return nil, fmt.Errorf("placemon: %w", err)
 	}
@@ -488,7 +499,7 @@ func (nw *Network) objective(cfg PlaceConfig) (placement.Objective, error) {
 // network monitor both node and link health.
 func (nw *Network) WithLinkNodes() (*Network, []int, error) {
 	split, linkNodes := nw.g.SplitLinks()
-	out, err := finishNetwork(split)
+	out, err := finishNetwork(split, nil)
 	if err != nil {
 		return nil, nil, err
 	}

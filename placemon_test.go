@@ -1,9 +1,12 @@
 package placemon
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // fig1Network is the paper's Fig. 1 example as a facade Network:
@@ -36,8 +39,14 @@ func TestNewNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork(2, []Edge{{0, 0}}); err == nil {
 		t.Fatal("self loop should error")
 	}
-	if _, err := NewNetwork(0, nil); err == nil {
-		t.Fatal("empty graph should error")
+	if _, err := NewNetwork(0, nil); !errors.Is(err, graph.ErrEmptyGraph) {
+		t.Fatalf("empty graph: %v, want the empty-graph error", err)
+	}
+	// A negative node count is an error that names it, not a panic.
+	for _, edges := range [][]Edge{nil, {{0, 1}}} {
+		if _, err := NewNetwork(-1, edges); err == nil || !strings.Contains(err.Error(), "negative node count -1") {
+			t.Fatalf("NewNetwork(-1, %v): %v", edges, err)
+		}
 	}
 }
 

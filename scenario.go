@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bitset"
 	"repro/internal/cluster"
 	"repro/internal/registry"
 	"repro/internal/server"
@@ -60,7 +61,12 @@ type ScenarioSpec struct {
 // Network builds the spec's network: Topology if named, else the inline
 // Nodes/Edges (and Weights), else the topology the placement document
 // names.
-func (sp ScenarioSpec) Network() (*Network, error) {
+func (sp ScenarioSpec) Network() (*Network, error) { return sp.networkFrom(nil) }
+
+// networkFrom is Network for a revision of prev: an inline network is
+// routed from prev's trees where it can (see finishNetwork). A named
+// topology is built and routed afresh.
+func (sp ScenarioSpec) networkFrom(prev *Network) (*Network, error) {
 	if err := sp.checkWeights(); err != nil {
 		return nil, err
 	}
@@ -72,7 +78,7 @@ func (sp ScenarioSpec) Network() (*Network, error) {
 		for i, e := range sp.Edges {
 			edges[i] = Edge{U: e[0], V: e[1]}
 		}
-		return newNetwork(sp.Nodes, edges, sp.Weights)
+		return newNetwork(sp.Nodes, edges, sp.Weights, prev)
 	case sp.Placement.Topology != "":
 		return BuildTopology(sp.Placement.Topology)
 	default:
@@ -163,13 +169,21 @@ func buildScenario(id string, raw []byte) (*server.TenantConfig, error) {
 	if err != nil {
 		return nil, err
 	}
+	return tenantConfig(id, nw, sp, paths, conns), nil
+}
+
+// tenantConfig is the tenant of scenario id, described by sp and routed
+// on nw, monitoring paths and conns: its place function and its reviser
+// both close over nw.
+func tenantConfig(id string, nw *Network, sp ScenarioSpec, paths []*bitset.Set, conns []server.Connection) *server.TenantConfig {
 	return &server.TenantConfig{
 		NumNodes:    nw.NumNodes(),
 		K:           sp.K,
 		Paths:       paths,
 		Connections: conns,
 		Place:       nw.placeFunc(),
-	}, nil
+		Revise:      nw.reviser(id, sp),
+	}
 }
 
 // NewScenarioServer builds a multi-tenant monitoring service with no
@@ -211,7 +225,6 @@ func (cfg ServerConfig) innerConfig() (server.Config, error) {
 		SlowRequest:        cfg.SlowRequest,
 		TraceBuffer:        cfg.TraceBuffer,
 		BuildScenario:      buildScenario,
-		ReviseNetwork:      newNetworkReviser(),
 		MaxScenarios:       cfg.MaxScenarios,
 		TenantSeriesCap:    cfg.TenantSeriesCap,
 		MaxJobsPerScenario: cfg.MaxJobsPerScenario,

@@ -25,9 +25,9 @@
 //
 // The core is deliberately synchronous and deterministic: callers feed
 // it state transitions (from netsim, from production probes, or from
-// tests) and receive the events the transition triggered. Loop adds
-// concurrency safety by running a Monitor behind a single-writer event
-// loop — every operation is a message to the owning goroutine, so batch
-// ingest serializes without lock contention. The HTTP serving layer (internal/server) uses Loop;
-// everyone else gets single-threaded determinism for free.
+// tests) and receive the events the transition triggered. Guarded adds
+// concurrency safety by holding one mutex across each call, so a batch
+// applies as one unit and a scenario owns no goroutine. The HTTP serving
+// layer (internal/server) uses Guarded; everyone else gets
+// single-threaded determinism for free.
 package monitord

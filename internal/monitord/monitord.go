@@ -213,6 +213,26 @@ func (m *Monitor) Report(t float64, conn int, up bool) ([]Event, error) {
 	return events, nil
 }
 
+// ReportBatch feeds several observations at the same virtual time, in
+// order, and returns the concatenated events. A conns/ups length
+// mismatch rejects the whole batch before anything is applied; on a bad
+// connection index the prefix already applied stays applied, and its
+// events are returned alongside the error.
+func (m *Monitor) ReportBatch(t float64, conns []int, ups []bool) ([]Event, error) {
+	if len(conns) != len(ups) {
+		return nil, fmt.Errorf("monitord: batch has %d connections but %d states", len(conns), len(ups))
+	}
+	var events []Event
+	for i, conn := range conns {
+		evs, err := m.Report(t, conn, ups[i])
+		events = append(events, evs...)
+		if err != nil {
+			return events, err
+		}
+	}
+	return events, nil
+}
+
 // Diagnosis returns the current diagnosis, computed incrementally from
 // the maintained observation structures. It returns an error outside
 // outages (nothing to diagnose) or when the reports are inconsistent

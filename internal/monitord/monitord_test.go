@@ -111,6 +111,55 @@ func TestOutageLifecycle(t *testing.T) {
 	}
 }
 
+// ReportBatch's own semantics, on the bare Monitor: a batch emits what
+// its reports emit one at a time, a conns/ups length mismatch applies
+// nothing, a bad connection index keeps the applied prefix and returns
+// its events with the error, and an empty batch is a no-op.
+func TestReportBatch(t *testing.T) {
+	m := twoBranchMonitor(t, 1)
+	ev, err := m.ReportBatch(1, []int{0, 1}, []bool{false, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := twoBranchMonitor(t, 1)
+	var want []Event
+	for i, conn := range []int{0, 1} {
+		evs, err := one.Report(1, conn, []bool{false, true}[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, evs...)
+	}
+	if !reflect.DeepEqual(ev, want) {
+		t.Fatalf("batch events = %v, report by report %v", ev, want)
+	}
+
+	m = twoBranchMonitor(t, 1)
+	for _, ups := range [][]bool{{false}, {false, true, true}} {
+		if ev, err := m.ReportBatch(1, []int{0, 1}, ups); err == nil || len(ev) != 0 {
+			t.Fatalf("%d states for 2 connections: events %v, err %v", len(ups), ev, err)
+		}
+	}
+	if m.State(0) != StateUnknown || m.State(1) != StateUnknown {
+		t.Fatalf("rejected batch applied a report: states %v, %v", m.State(0), m.State(1))
+	}
+
+	ev, err = m.ReportBatch(1, []int{0, 99, 1}, []bool{false, false, true})
+	if err == nil {
+		t.Fatal("out-of-range connection accepted")
+	}
+	if len(ev) != 1 || ev[0].Kind != EventOutageStarted {
+		t.Fatalf("prefix events = %v, want outage-started", ev)
+	}
+	if m.State(0) != StateDown || m.State(1) != StateUnknown {
+		t.Fatalf("states %v, %v, want the prefix applied and nothing after it", m.State(0), m.State(1))
+	}
+
+	if ev, err := m.ReportBatch(2, nil, nil); err != nil || len(ev) != 0 {
+		t.Fatalf("empty batch: events %v, err %v", ev, err)
+	}
+}
+
 func TestDiagnosisRefinesAsReportsArrive(t *testing.T) {
 	m := twoBranchMonitor(t, 1)
 	// Only connection 0 has reported, and it is down: candidates are all

@@ -201,7 +201,7 @@ func (s *Server) routeScenario(w http.ResponseWriter, r *http.Request, id string
 // proceed locally.
 func (s *Server) clusterAdminLocal(w http.ResponseWriter, r *http.Request, id string) bool {
 	if t, hosted := s.tenants.Get(id); hosted {
-		if h := t.currentHandoff(); h != nil {
+		if h := t.handoff.Load(); h != nil {
 			return s.resolveHandoff(h, w, r, false)
 		}
 		return true
@@ -433,17 +433,17 @@ func (s *Server) serveScenarioMigrate(t *tenant, w http.ResponseWriter, r *http.
 func (s *Server) migrateScenario(ctx context.Context, t *tenant, target cluster.Member) (*migrateResponse, error) {
 	start := time.Now()
 	h := newHandoff()
-	if !t.armHandoff(h) {
+	if !t.handoff.CompareAndSwap(nil, h) {
 		return nil, fmt.Errorf("%w: %q (migration already in progress)", errScenarioBusy, t.id)
 	}
 	if !t.beginDrain() {
-		t.clearHandoff()
+		t.handoff.Store(nil)
 		h.finish(nil)
 		return nil, fmt.Errorf("%w: %q", errScenarioBusy, t.id)
 	}
 	resumeLocal := func() {
-		t.clearHandoff()
-		t.endDrain()
+		t.handoff.Store(nil)
+		t.draining.Store(false)
 		h.finish(nil)
 	}
 
@@ -480,7 +480,7 @@ func (s *Server) migrateScenario(ctx context.Context, t *tenant, target cluster.
 				s.logger.Error("migration rollback append failed; scenario recoverable from fence record",
 					"scenario", t.id, "error", rerr)
 			} else {
-				t.setSplice(&auditSplice{
+				t.splice.Store(&auditSplice{
 					SourceNode:     s.cluster.self(),
 					SourceHeadSeq:  doc.SourceHeadSeq,
 					SourceHeadHash: doc.SourceHeadHash,
@@ -629,7 +629,7 @@ func (s *Server) adoptScenario(doc *walMigrate, persist bool) error {
 		t.mon.Close()
 		return fmt.Errorf("%w: restore monitor state: %v", ErrBadSpec, err)
 	}
-	t.setSplice(&auditSplice{
+	t.splice.Store(&auditSplice{
 		SourceNode:     doc.Source,
 		SourceHeadSeq:  doc.SourceHeadSeq,
 		SourceHeadHash: doc.SourceHeadHash,
@@ -664,7 +664,7 @@ func (s *Server) validateClusterOwnership() error {
 	}
 	var bad []string
 	s.tenants.Range(func(id string, t *tenant) bool {
-		if t.getSplice() != nil {
+		if t.splice.Load() != nil {
 			return true
 		}
 		owner := s.ownerOf(id)
@@ -734,7 +734,7 @@ func (s *Server) replayMigrateIn(seq uint64, p walMigrate) {
 	if t, ok := s.tenants.Get(p.ID); ok {
 		// A re-adoption for a tenant that never left (the fence and its
 		// compensation both sit in the tail): just record the splice.
-		t.setSplice(&auditSplice{
+		t.splice.Store(&auditSplice{
 			SourceNode: p.Source, SourceHeadSeq: p.SourceHeadSeq, SourceHeadHash: p.SourceHeadHash,
 		})
 		if s.cluster != nil {

@@ -277,7 +277,7 @@ func TestNDJSONDedupReplay(t *testing.T) {
 }
 
 // An observation racing a scenario delete — tenant resolved, then the
-// monitor loop closed — must answer 409, not corrupt a deleted scenario.
+// monitor closed — must answer 409, not corrupt a deleted scenario.
 func TestObservationAfterScenarioRemoved(t *testing.T) {
 	s, ts := newTestServer(t, testConfig())
 	tn, ok := s.tenants.Get(DefaultScenario)
@@ -285,7 +285,7 @@ func TestObservationAfterScenarioRemoved(t *testing.T) {
 		t.Fatal("no default tenant")
 	}
 	// Simulate the delete landing between tenant resolution and apply by
-	// closing the monitor loop directly.
+	// closing the monitor directly.
 	tn.mon.Close()
 	resp, raw := postCT(t, ts.URL+"/v1/observations", "application/json",
 		`{"time": 1, "reports": [{"connection": 0, "up": false}]}`)

@@ -82,7 +82,7 @@ func (s *Server) ReplaceScenarioNetwork(id string, change []byte) error {
 	if t.revise == nil {
 		return fmt.Errorf("server: scenario %q: network replacement not configured (no reviser)", id)
 	}
-	if t.isDraining() {
+	if t.draining.Load() {
 		return fmt.Errorf("%w: %q", errScenarioBusy, id)
 	}
 	_, err := s.replaceNetwork(nil, t, change)
@@ -140,7 +140,7 @@ func (s *Server) replaceNetwork(sp *trace.Span, old *tenant, change []byte) (*te
 				s.logger.Error("network replacement rollback lost the scenario", "scenario", old.id, "error", err)
 			}
 			old.ingestMu.Unlock()
-			old.endDrain()
+			old.draining.Store(false)
 			nt.mon.Close()
 			return nil, perr
 		}

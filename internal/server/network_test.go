@@ -170,9 +170,9 @@ func TestNetworkReplaceErrors(t *testing.T) {
 	if !errors.Is(err, errScenarioBusy) {
 		t.Fatalf("draining replace: %v", err)
 	}
-	tn.endDrain()
+	tn.draining.Store(false)
 	if err := s.ReplaceScenarioNetwork("net1", mustJSON(t, wideSpec())); err != nil {
-		t.Fatalf("replace after endDrain: %v", err)
+		t.Fatalf("replace after the drain flag is cleared: %v", err)
 	}
 
 	// Only a body over the route's limit is 413; one the client stops
@@ -405,7 +405,7 @@ func TestNetworkReplaceAdoptsRacingIngest(t *testing.T) {
 	<-fsys.held
 	replaced := make(chan error, 1)
 	go func() { replaced <- s1.ReplaceScenarioNetwork("net1", change) }()
-	for !old.isDraining() {
+	for !old.draining.Load() {
 		select {
 		case err := <-replaced:
 			close(fsys.release)

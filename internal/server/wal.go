@@ -124,8 +124,8 @@ func (s *Server) buildWALState() *walState {
 	s.tenants.Range(func(id string, t *tenant) bool {
 		mst, ok := t.mon.ExportState()
 		if !ok {
-			// The loop is closed: the tenant is mid-removal and its delete
-			// record follows in the log, so skip it here.
+			// The monitor is closed: the tenant is mid-removal and its
+			// delete record follows in the log, so skip it here.
 			return true
 		}
 		ts := &walTenantState{Spec: t.spec, Monitor: mst}
@@ -133,7 +133,7 @@ func (s *Server) buildWALState() *walState {
 			ts.Dedup = t.dedup.export()
 		}
 		ts.Audit, ts.AuditTotal = t.auditSnapshot(0)
-		ts.Splice = t.getSplice()
+		ts.Splice = t.splice.Load()
 		st.Scenarios[id] = ts
 		return true
 	})
@@ -408,7 +408,7 @@ func (s *Server) restoreTenantState(t *tenant, ts *walTenantState) error {
 		}
 	}
 	t.restoreAudit(ts.Audit, ts.AuditTotal)
-	t.setSplice(ts.Splice)
+	t.splice.Store(ts.Splice)
 	return nil
 }
 
@@ -470,11 +470,7 @@ func (s *Server) replayRecord(r wal.Record) {
 		// the outage gauge. (Audit entries come from the TypeDiagnosis
 		// records that follow, not from the regenerated events.)
 		out, diags := buildObsResponse(events)
-		for _, d := range diags {
-			if d != nil {
-				t.recordGoodDiagnosis(d)
-			}
-		}
+		t.recordEmitted(diags)
 		s.setOutageGauges(t)
 		if t.dedup != nil && p.BatchID != "" {
 			if body, err := json.Marshal(out); err == nil {
@@ -603,7 +599,7 @@ func (s *Server) serveAudit(t *tenant, w http.ResponseWriter, r *http.Request) {
 		// chains join.
 		Splice *auditSplice   `json:"splice,omitempty"`
 		Chain  auditChainJSON `json:"chain"`
-	}{Scenario: t.id, TotalEvents: total, Events: events, Splice: t.getSplice()}
+	}{Scenario: t.id, TotalEvents: total, Events: events, Splice: t.splice.Load()}
 
 	rep, err := s.wlog.Verify()
 	if err != nil {

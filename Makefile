@@ -5,7 +5,7 @@ GO ?= go
 # for a quick smoke run.
 BENCHFLAGS ?=
 
-.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-oracles bench-json bench-smoke bench-compare bench-compare-wal bench-compare-routing bench-compare-partition bench-compare-replace bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
+.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-oracles bench-json bench-smoke bench-compare bench-compare-ingest bench-compare-wal bench-compare-routing bench-compare-partition bench-compare-replace bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
 
 all: build test
 
@@ -24,6 +24,7 @@ help:
 	@echo "  bench-json   machine-readable benchmark snapshot (BENCH_<date>.json)"
 	@echo "  bench-smoke  single-iteration benchmark compile-and-run gate (CI)"
 	@echo "  bench-compare  registry-overhead run gated against the archived seed baseline (CI)"
+	@echo "  bench-compare-ingest  ingest-curve allocations (memory and group-commit WAL, 1 and 8 writers) gated against the archived ingest baseline (CI)"
 	@echo "  bench-compare-wal  WAL append/recovery run gated against the archived WAL baseline (CI)"
 	@echo "  bench-compare-routing  shortest-path-tree kernel gated against the archived routing baseline (CI)"
 	@echo "  bench-compare-partition  placement evaluation kernel gated against the archived partition baseline (CI)"
@@ -123,6 +124,20 @@ bench-compare:
 	$(GO) test -run NONE -bench=RegistryOverhead -benchmem -benchtime=2000x -cpu 1 . > /tmp/bench_registry.txt
 	$(GO) run ./cmd/benchjson -compare BENCH_2026-08-06_registry_seed.json -fail-over 10 < /tmp/bench_registry.txt
 	$(GO) run ./cmd/benchjson -compare BENCH_2026-08-08_streaming.json -fail-allocs-over 10 < /tmp/bench_registry.txt
+
+# The ingest curve's allocations: BenchmarkIngestWAL's in-memory and
+# group-commit WAL rows at 1 and 8 writers, on one scenario and spread
+# over 8, each 2 000 observe-sized batches of 256 reports through the
+# handler, gated on allocs/op against the snapshot archived when every
+# mode took the tenant's ingest lock and the monitor lost its goroutine.
+# A batch costs 50–63 allocations, counting every goroutine's (the
+# group commit's and compaction's included), and the count repeats to
+# within a few percent, so the gate is tight: a per-batch allocation in
+# the decode, the dedup window, the monitor or the WAL path shows. ns/op
+# is not gated: these rows include fsyncs and compactions, and the
+# contended ones swing with the host.
+bench-compare-ingest:
+	$(GO) test -run NONE -bench='IngestWAL/^(memory|wal-group)$$/^w(1|8)$$' -benchmem -benchtime=2000x -cpu 1 . | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-19_ingest.json -fail-allocs-over 10
 
 # Stochastic-frontier smoke: the small generated hierarchy (fixed seed)
 # through exact greedy, every ε row, and the instance rebuild after an

@@ -103,7 +103,6 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 				sw.status = http.StatusOK
 			}
 			elapsed := time.Since(start)
-			s.reqHist.Observe(elapsed.Seconds())
 			if s.logRequests {
 				// Guarded so a disabled logger skips the variadic arg
 				// boxing entirely, not just the record formatting.

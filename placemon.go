@@ -189,8 +189,11 @@ const (
 	// exact greedy instead.
 	AlgorithmLazy Algorithm = "lazy"
 	// AlgorithmLazyParallel is AlgorithmLazy with the evaluations fanned
-	// out across GOMAXPROCS goroutines; same placement, fastest on large
-	// networks and k ≥ 2 objectives.
+	// out across GOMAXPROCS goroutines; same placement. Measured on two
+	// CPUs it pays only for k ≥ 2 objectives (1.3–1.6× faster than
+	// AlgorithmLazy on Tiscali and AT&T); at k = 1 it is slower than
+	// AlgorithmLazy on the paper's topologies and on a 10 000-node
+	// hierarchy alike.
 	AlgorithmLazyParallel Algorithm = "lazy-parallel"
 	// AlgorithmQoS places each service at its minimum-worst-distance host.
 	AlgorithmQoS Algorithm = "qos"

@@ -5,7 +5,7 @@ GO ?= go
 # for a quick smoke run.
 BENCHFLAGS ?=
 
-.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-oracles bench-json bench-smoke bench-compare bench-compare-ingest bench-compare-wal bench-compare-routing bench-compare-partition bench-compare-replace bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
+.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-oracles bench-json bench-smoke bench-compare bench-compare-ingest bench-compare-wal bench-compare-routing bench-compare-partition bench-compare-k2 bench-compare-replace bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
 
 all: build test
 
@@ -28,6 +28,7 @@ help:
 	@echo "  bench-compare-wal  WAL append/recovery run gated against the archived WAL baseline (CI)"
 	@echo "  bench-compare-routing  shortest-path-tree kernel gated against the archived routing baseline (CI)"
 	@echo "  bench-compare-partition  placement evaluation kernel gated against the archived partition baseline (CI)"
+	@echo "  bench-compare-k2  k = 2 lazy GD placement on the paper workloads gated against the archived k = 2 baseline (CI)"
 	@echo "  bench-compare-replace  one PUT …/network on a ~5 000-node scenario gated against the archived replace baseline (CI)"
 	@echo "  bench-stochastic  stochastic-frontier smoke gated against the archived frontier snapshot (CI)"
 	@echo "  docs-check   documentation lint: godoc coverage, markdown links, flag-name drift (CI)"
@@ -191,6 +192,17 @@ bench-compare-routing:
 bench-compare-partition:
 	$(GO) test -run NONE -bench=PartitionPlacement -benchmem -benchtime=200x -cpu 1 ./internal/placement/ | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-19_partition.json -fail-over 100 -fail-allocs-over 10 -fail-bytes-over 10
 
+# k = 2 placement: one lazy GD placement at k = 2 on each paper workload
+# (α = 0.6, the paper's service counts), the objective counting over
+# failure classes, gated against the snapshot archived when k ≥ 2 began
+# counting class sets instead of failure sets. evaluations/op (108, 280,
+# 1 378), allocs/op (6 099, 16 037, 94 987) and B/op are deterministic,
+# so their gates are tight: counting over failure sets again (25 million
+# allocs/op and 492 MB/op on AT&T) fails them. ns/op gets a 100% margin
+# for shared runners.
+bench-compare-k2:
+	$(GO) test -run NONE -bench='LazyPlacementK2$$' -benchmem -benchtime=20x -cpu 1 . | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-19_k2.json -fail-over 100 -fail-allocs-over 10 -fail-bytes-over 10
+
 # One network revision: ReplaceScenarioNetwork on a ~5 000-node
 # hierarchy (8 services × 10 clients, α = 0.3), alternating between two
 # one-link deltas between routers so every iteration removes one link,
@@ -242,6 +254,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzGreedyLazyEquivalence -fuzztime $(FUZZTIME) ./internal/placement/
 	$(GO) test -run NONE -fuzz FuzzEvaluatorTry -fuzztime $(FUZZTIME) ./internal/placement/
 	$(GO) test -run NONE -fuzz FuzzPartitionRefine -fuzztime $(FUZZTIME) ./internal/monitor/
+	$(GO) test -run NONE -fuzz FuzzClassify -fuzztime $(FUZZTIME) ./internal/monitor/
 	$(GO) test -run NONE -fuzz FuzzLoadPlacement -fuzztime $(FUZZTIME) .
 
 # Regenerate every evaluation artifact (text + CSV) into results/.

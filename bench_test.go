@@ -9,7 +9,6 @@ package placemon
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/bitset"
@@ -85,7 +84,6 @@ func BenchmarkLazyPlacement(b *testing.B) {
 	}{
 		{"greedy", placement.Options{Engine: placement.Eager}},
 		{"lazy", placement.Options{}},
-		{"lazy-parallel", placement.Options{Workers: runtime.GOMAXPROCS(0)}},
 	}
 	obj, err := placement.NewDistinguishability(1)
 	if err != nil {
@@ -119,6 +117,40 @@ func BenchmarkLazyPlacement(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkLazyPlacementK2: one lazy GD placement at k = 2 on each paper
+// workload (α = 0.6, the paper's service counts), the k ≥ 2 objective
+// counting over failure classes. evaluations/op pins the CELF run;
+// allocs/op and B/op are what the class counts allocate, per evaluation.
+func BenchmarkLazyPlacementK2(b *testing.B) {
+	obj, err := placement.NewDistinguishability(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range experiments.PaperWorkloads() {
+		p, err := experiments.Prepare(w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inst, err := p.Instance(0.6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%s/svc=%d", w.Topo.Name, w.NumServices), func(b *testing.B) {
+			evals := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := placement.Run(context.Background(), inst, obj, placement.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				evals += res.Evaluations
+			}
+			b.ReportMetric(float64(evals)/float64(b.N), "evaluations/op")
+		})
 	}
 }
 
@@ -461,38 +493,6 @@ func BenchmarkExactSolvers(b *testing.B) {
 	b.Run("BranchAndBound", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := placement.BranchAndBound(inst, obj, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkGreedyParallel (A7): sequential Algorithm 2 versus the
-// goroutine-fanned variant on the AT&T workload, both eager, under the
-// k = 1 distinguishability objective. A k = 1 evaluation is too cheap
-// for the fan-out to pay: at two CPUs the parallel row reads slower than
-// the sequential one. The k ≥ 2 objectives are where it pays (README's
-// engine table).
-func BenchmarkGreedyParallel(b *testing.B) {
-	p := benchPrepared(b, "AT&T")
-	inst, err := p.Instance(0.6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	obj, err := placement.NewDistinguishability(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := placement.Run(context.Background(), inst, obj, placement.Options{Engine: placement.Eager}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := placement.Run(context.Background(), inst, obj, placement.Options{Engine: placement.Eager, Workers: runtime.GOMAXPROCS(0)}); err != nil {
 				b.Fatal(err)
 			}
 		}

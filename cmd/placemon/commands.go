@@ -65,7 +65,7 @@ func cmdPlace(args []string) error {
 	cf, addCommon := commonFlagSet(fs)
 	objective := fs.String("objective", "distinguishability", "coverage | identifiability | distinguishability")
 	algorithm := fs.String("algorithm", "",
-		"lazy | lazy-parallel | greedy | greedy+ls | qos | random | bruteforce | branchbound"+
+		"lazy | greedy | greedy+ls | qos | random | bruteforce | branchbound"+
 			" (default: lazy for submodular objectives, greedy otherwise; identical placements)")
 	seed := fs.Int64("seed", 1, "seed for the random algorithm")
 	out := fs.String("o", "", "save the placement as JSON to this file")

@@ -20,7 +20,7 @@
 // read-only (503 + Placemond-Read-Only) instead of crashing it. A log
 // that already holds "default" must hold the -placement document, or the
 // daemon refuses to boot; start without -placement to serve the logged
-// one. Tune durability with -wal-sync (always | group | none) and
+// one. Tune durability with -wal-sync (always, or its alias group | none) and
 // rotation with -wal-segment-bytes; inspect a log offline with
 // `placemon fsck`.
 //
@@ -116,7 +116,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.maxScenarios, "max-scenarios", 0, "concurrently hosted scenario cap (0 = default 64)")
 	fs.IntVar(&o.maxScenarioJobs, "max-jobs-per-scenario", 0, "one scenario's queued+running placement job cap (0 = the whole pool, -1 disables)")
 	fs.StringVar(&o.walDir, "wal-dir", "", "directory for the write-ahead log persisting all daemon state; mutations are durable before they are acknowledged (empty: scenarios are in-memory only)")
-	fs.StringVar(&o.walSync, "wal-sync", "always", "WAL append durability: always (fsync per mutation), group (group commit), or none (fsync on rotation/shutdown only)")
+	fs.StringVar(&o.walSync, "wal-sync", "always", "WAL append durability: always or group, two names for one mode (a mutation is acknowledged once an fsync covers it; concurrent writers share the fsync), or none (fsync on rotation/shutdown only)")
 	fs.Int64Var(&o.walSegmentBytes, "wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = default 4 MiB)")
 	fs.StringVar(&o.nodeID, "node-id", "", "this node's ID in a cluster deployment (requires -peers)")
 	fs.StringVar(&o.peers, "peers", "", "static cluster membership as comma-separated id=url entries, identical on every node and including -node-id (requires -node-id)")

@@ -27,8 +27,9 @@ func placeLS(inst *placement.Instance, obj placement.Objective) (*placement.Resu
 // MaxIdentifiability returns the largest failure budget k for which node
 // v's state is always uniquely determined under the measurement paths of
 // the given placement (0 when v is not even 1-identifiable; the node
-// count when no set of other nodes can mask v). Exponential in the
-// answer; intended for small-to-medium networks.
+// count when no set of other nodes can mask v). Each budget k it tries
+// costs C(m, ≤k) class sets for the m failure classes of the paths, so
+// the cost grows exponentially with the answer.
 func (nw *Network) MaxIdentifiability(services []Service, hosts []int, alpha float64, v int) (int, error) {
 	ps, err := nw.pathsOf(services, hosts, alpha)
 	if err != nil {

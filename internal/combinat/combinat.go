@@ -12,8 +12,16 @@ import (
 // overflow of int64 arithmetic (which cannot occur for the network sizes
 // this repository handles, but guards against misuse).
 func Binomial(n, k int) int64 {
+	c, ok := binomial(n, k)
+	if !ok {
+		panic(fmt.Sprintf("combinat: C(%d,%d) overflows int64", n, k))
+	}
+	return c
+}
+
+func binomial(n, k int) (int64, bool) {
 	if k < 0 || k > n {
-		return 0
+		return 0, true
 	}
 	if k > n-k {
 		k = n - k
@@ -22,30 +30,72 @@ func Binomial(n, k int) int64 {
 	for i := 0; i < k; i++ {
 		num := int64(n - i)
 		if res > math.MaxInt64/num {
-			panic(fmt.Sprintf("combinat: C(%d,%d) overflows int64", n, k))
+			return 0, false
 		}
 		res = res * num / int64(i+1)
 	}
-	return res
+	return res, true
 }
 
 // Pairs returns C(n, 2) as an int64, the number of unordered pairs from n
-// items.
+// items, and 0 for n < 2. It panics when the count overflows int64, as
+// Binomial does: C(n, 2) fits exactly when n ≤ 2^32.
 func Pairs(n int64) int64 {
-	if n < 2 {
+	if uint64(n) > maxPairs {
+		return pairsOutOfRange(n)
+	}
+	// n(n−1) < 2^64 for 0 ≤ n ≤ 2^32, so the unsigned product is exact.
+	return int64(uint64(n) * uint64(n-1) / 2)
+}
+
+// maxPairs is the largest n whose C(n, 2) fits in int64.
+const maxPairs = 1 << 32
+
+// pairsOutOfRange is Pairs for a negative n or one past maxPairs, kept
+// out of Pairs so that Pairs, on the partition refinement's hot path,
+// stays small enough to inline.
+//
+//go:noinline
+func pairsOutOfRange(n int64) int64 {
+	if n < 0 {
 		return 0
 	}
-	return n * (n - 1) / 2
+	panic(fmt.Sprintf("combinat: C(%d,2) overflows int64", n))
 }
 
 // NumFailureSets returns |F_k| = Σ_{i=0..k} C(n, i): the number of failure
-// sets with at most k failed nodes out of n, including the empty set.
+// sets with at most k failed nodes out of n, including the empty set. It
+// panics when the count overflows int64, as Binomial does.
 func NumFailureSets(n, k int) int64 {
-	var total int64
-	for i := 0; i <= k && i <= n; i++ {
-		total += Binomial(n, i)
+	total, ok := numFailureSets(n, k)
+	if !ok {
+		panic(fmt.Sprintf("combinat: |F_%d| over %d nodes overflows int64", k, n))
 	}
 	return total
+}
+
+func numFailureSets(n, k int) (int64, bool) {
+	var total int64
+	for i := 0; i <= k && i <= n; i++ {
+		c, ok := binomial(n, i)
+		if !ok || total > math.MaxInt64-c {
+			return 0, false
+		}
+		total += c
+	}
+	return total, true
+}
+
+// CheckFailureSetPairs returns an error unless |F_k| over n nodes and the
+// number of unordered pairs of those failure sets, C(|F_k|, 2), both fit
+// in int64: the range every general-k count lies in.
+func CheckFailureSetPairs(n, k int) error {
+	if total, ok := numFailureSets(n, k); !ok {
+		return fmt.Errorf("combinat: |F_%d| over %d nodes overflows int64", k, n)
+	} else if total > maxPairs {
+		return fmt.Errorf("combinat: the pairs of the %d failure sets of F_%d over %d nodes overflow int64", total, k, n)
+	}
+	return nil
 }
 
 // Combinations calls fn once for every k-subset of [0, n), with the subset

@@ -1,6 +1,7 @@
 package combinat
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -175,6 +176,70 @@ func TestSubsetsUpToCount(t *testing.T) {
 			if count != CombinationCount(n, k) {
 				t.Fatalf("SubsetsUpTo(%d,%d) = %d, want %d", n, k, count, CombinationCount(n, k))
 			}
+		}
+	}
+}
+
+// mustPanic fails unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: no panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestCountsPanicOnOverflow: Pairs and NumFailureSets fail the way
+// Binomial does instead of wrapping. C(|F_3|, 2) over 4 904 nodes is
+// about 1.9·10^20, and C(|F_2|, 2) first overflows at 92 682 nodes.
+func TestCountsPanicOnOverflow(t *testing.T) {
+	if got, want := Pairs(math.MaxInt32+1), int64(math.MaxInt32+1)*math.MaxInt32/2; got != want {
+		t.Fatalf("Pairs(2^31) = %d, want %d", got, want)
+	}
+	if got := Pairs(3037000500); got != 4611686016981624750 {
+		t.Fatalf("Pairs(3037000500) = %d", got)
+	}
+	if got, want := Pairs(1<<32), int64(math.MaxInt64-(1<<31-1)); got != want {
+		t.Fatalf("Pairs(2^32) = %d, want %d", got, want)
+	}
+	if got := Pairs(-5); got != 0 {
+		t.Fatalf("Pairs(-5) = %d, want 0", got)
+	}
+	mustPanic(t, "Pairs(2^32+1)", func() { Pairs(1<<32 + 1) })
+	mustPanic(t, "Pairs(MaxInt64)", func() { Pairs(math.MaxInt64) })
+	mustPanic(t, "Binomial(100, 50)", func() { Binomial(100, 50) })
+	mustPanic(t, "NumFailureSets(100, 50)", func() { NumFailureSets(100, 50) })
+	mustPanic(t, "NumFailureSets(63, 63)", func() { NumFailureSets(63, 63) })
+	if got, want := NumFailureSets(40, 40), int64(1)<<40; got != want {
+		t.Fatalf("NumFailureSets(40, 40) = %d, want %d", got, want)
+	}
+	if got := NumFailureSets(4904, 3); got != 19656229965 {
+		t.Fatalf("|F_3| over 4 904 nodes = %d, want 19 656 229 965", got)
+	}
+	mustPanic(t, "Pairs(|F_3|) over 4 904 nodes", func() { Pairs(NumFailureSets(4904, 3)) })
+	Pairs(NumFailureSets(92681, 2))
+	mustPanic(t, "Pairs(|F_2|) over 92 682 nodes", func() { Pairs(NumFailureSets(92682, 2)) })
+}
+
+func TestCheckFailureSetPairs(t *testing.T) {
+	for _, c := range []struct {
+		n, k int
+		ok   bool
+	}{
+		{4904, 1, true},
+		{4904, 2, true},
+		{4904, 3, false},
+		{2953, 3, true},
+		{2954, 3, false},
+		{92681, 2, true},
+		{92682, 2, false},
+		{100, 50, false},
+		{10, -1, true},
+	} {
+		if err := CheckFailureSetPairs(c.n, c.k); (err == nil) != c.ok {
+			t.Errorf("CheckFailureSetPairs(%d, %d) = %v, want ok %v", c.n, c.k, err, c.ok)
 		}
 	}
 }

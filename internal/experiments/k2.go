@@ -12,8 +12,8 @@ import (
 // This file is the k = 2 extension experiment (DESIGN.md's general-k
 // coverage): the paper evaluates at k = 1 but defines every measure for
 // arbitrary k; here we rerun the α sweep on the smallest topology with
-// exact |D_2| / |S_2| enumeration, plus the generalized failure-set
-// identifiability of the remark after Theorem 19.
+// exact |D_2| / |S_2|, plus the generalized failure-set identifiability
+// of the remark after Theorem 19.
 
 // K2Point is one (α, algorithm) cell of the k = 2 sweep.
 type K2Point struct {

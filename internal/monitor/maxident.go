@@ -12,8 +12,9 @@ import "math"
 // failures touching v").
 
 // MaxIdentifiability returns, for node v, the largest k ≥ 0 such that v
-// is k-identifiable wrt the path set, computed by exact enumeration (cost
-// grows with |F_k|; small networks only). Every node is 0-identifiable.
+// is k-identifiable wrt the path set, computed exactly by IdentifiableNodesK
+// at k = 1, 2, … (each costs C(m, ≤k) class sets for m failure classes).
+// Every node is 0-identifiable.
 // If v is k-identifiable for every k up to the node count, the node count
 // is returned (the maximum meaningful budget).
 func MaxIdentifiability(ps *PathSet, v int) int {
@@ -57,7 +58,7 @@ func NetworkMaxIdentifiability(ps *PathSet) int {
 // but MSC ∈ [GSC/(ln|P_v|+1), GSC] and v is k-identifiable for all
 // k ≤ MSC−1 and for no k > MSC. The returned bounds satisfy
 // Lower ≤ MaxIdentifiability(v) ≤ Upper and cost one greedy cover instead
-// of an exponential enumeration.
+// of a class count per budget.
 func MaxIdentifiabilityBounds(ps *PathSet, v int) (lower, upper int) {
 	sigs := ps.Signatures()
 	if v < 0 || v >= len(sigs) || sigs[v].Empty() {

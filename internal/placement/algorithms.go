@@ -22,63 +22,33 @@ type Result struct {
 // eager is Algorithm 2 as written: every round evaluates every remaining
 // (service, host) candidate against the current placement and adds the
 // first maximum in ground order — the smaller service index, then the
-// smaller host ID. With workers > 1 each round's candidates are split
-// into contiguous chunks evaluated concurrently; each chunk keeps its own
-// first maximum and the chunks are reduced in order, so the winner and
-// the evaluation count are the sequential loop's.
-func eager(ctx context.Context, inst *Instance, obj Objective, workers int, progress ProgressFunc) (*Result, error) {
+// smaller host ID.
+func eager(ctx context.Context, inst *Instance, obj Objective, progress ProgressFunc) (*Result, error) {
 	res := &Result{Placement: NewPlacement(inst.NumServices())}
-	mirrors := newMirrors(inst, obj, workers)
-	base := mirrors[0]
-	baseVal := base.Value()
+	eval := obj.newEvaluator(inst.NumNodes())
+	baseVal := eval.Value()
 	placed := make([]bool, inst.NumServices())
-
-	// pick is the best candidate seen so far: its ground element and
-	// value.
-	type pick struct {
-		elem int
-		val  float64
-	}
-	none := pick{elem: -1, val: -1}
-	picks := make([]pick, workers)
-	var cands []int
 	for iter := 0; iter < inst.NumServices(); iter++ {
 		if ctx.Err() != nil {
 			return nil, errCanceled(ctx, iter)
 		}
 		roundStart := time.Now()
-		cands = cands[:0]
+		best, bestVal, candidates := -1, -1.0, 0
 		for e := range inst.elements {
-			if !placed[inst.elements[e].service] {
-				cands = append(cands, e)
+			if placed[inst.elements[e].service] {
+				continue
+			}
+			candidates++
+			if v := eval.Try(inst.elements[e].paths); v > bestVal {
+				best, bestVal = e, v
 			}
 		}
-		for i := range picks {
-			picks[i] = none
-		}
-		fanOut(len(cands), workers, func(c, lo, hi int) {
-			best := none
-			for _, e := range cands[lo:hi] {
-				if v := mirrors[c].Try(inst.elements[e].paths); v > best.val {
-					best = pick{elem: e, val: v}
-				}
-			}
-			picks[c] = best
-		})
-		res.Evaluations += len(cands)
-		best := none
-		for _, p := range picks {
-			if p.val > best.val {
-				best = p
-			}
-		}
-		if best.elem < 0 {
+		res.Evaluations += candidates
+		if best < 0 {
 			return nil, fmt.Errorf("placement: no feasible placement at iteration %d", iter)
 		}
-		el := &inst.elements[best.elem]
-		for _, m := range mirrors {
-			m.Add(el.paths)
-		}
+		el := &inst.elements[best]
+		eval.Add(el.paths)
 		placed[el.service] = true
 		res.Placement.Hosts[el.service] = el.host
 		res.Order = append(res.Order, el.service)
@@ -86,14 +56,14 @@ func eager(ctx context.Context, inst *Instance, obj Objective, workers int, prog
 			Index:       iter,
 			Service:     el.service,
 			Host:        el.host,
-			Gain:        best.val - baseVal,
-			Candidates:  len(cands),
-			Evaluations: len(cands),
+			Gain:        bestVal - baseVal,
+			Candidates:  candidates,
+			Evaluations: candidates,
 			Duration:    time.Since(roundStart),
 		})
-		baseVal = best.val
+		baseVal = bestVal
 	}
-	res.Value = base.Value()
+	res.Value = eval.Value()
 	return res, nil
 }
 

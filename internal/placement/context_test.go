@@ -38,8 +38,8 @@ func ctxInstance(t *testing.T) (*Instance, Objective) {
 }
 
 // TestCtxEnginesMatchPlainEngines: a background context through every
-// engine and worker count must reproduce the sequential eager output
-// bit-for-bit — the cancellation check may not perturb anything.
+// engine must reproduce the eager output bit-for-bit — the cancellation
+// check may not perturb anything.
 func TestCtxEnginesMatchPlainEngines(t *testing.T) {
 	inst, obj := ctxInstance(t)
 	want, err := runWith(inst, obj, Options{Engine: Eager})
@@ -52,12 +52,6 @@ func TestCtxEnginesMatchPlainEngines(t *testing.T) {
 	}{
 		{"greedy", func(ctx context.Context) (*Result, error) { return Run(ctx, inst, obj, Options{Engine: Eager}) }},
 		{"lazy", func(ctx context.Context) (*Result, error) { return Run(ctx, inst, obj, Options{}) }},
-		{"lazy-parallel", func(ctx context.Context) (*Result, error) {
-			return Run(ctx, inst, obj, Options{Workers: 4})
-		}},
-		{"parallel", func(ctx context.Context) (*Result, error) {
-			return Run(ctx, inst, obj, Options{Engine: Eager, Workers: 4})
-		}},
 	} {
 		got, err := tc.run(context.Background())
 		if err != nil {
@@ -83,8 +77,6 @@ func TestCtxEnginesStopOnCancel(t *testing.T) {
 	}{
 		{"greedy", func() (*Result, error) { return Run(ctx, inst, obj, Options{Engine: Eager}) }},
 		{"lazy", func() (*Result, error) { return Run(ctx, inst, obj, Options{}) }},
-		{"lazy-parallel", func() (*Result, error) { return Run(ctx, inst, obj, Options{Workers: 4}) }},
-		{"parallel", func() (*Result, error) { return Run(ctx, inst, obj, Options{Engine: Eager, Workers: 4}) }},
 	} {
 		res, err := tc.run()
 		if res != nil || !errors.Is(err, context.Canceled) {

@@ -90,51 +90,24 @@ func (h lazyHeap) down(i int) {
 	}
 }
 
-// lazy is the CELF engine. workers > 1 fans the initial sweep out in
-// chunks and re-evaluates consecutive stale heap tops as one parallel
-// batch instead of one at a time; the placement is the same, only
-// Result.Evaluations may be slightly higher (a batch can refresh entries
-// the sequential engine would not have reached), never higher than the
-// eager engine's per-round sweeps.
-func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progress ProgressFunc) (*Result, error) {
+// lazy is the CELF engine: after the initial sweep it pops the heap
+// top, selects it if its gain was computed this round, and otherwise
+// re-evaluates it and pushes it back.
+func lazy(ctx context.Context, inst *Instance, obj Objective, progress ProgressFunc) (*Result, error) {
 	res := &Result{Placement: NewPlacement(inst.NumServices())}
-	mirrors := newMirrors(inst, obj, workers)
-	base := mirrors[0]
-	baseVal := base.Value()
+	eval := obj.newEvaluator(inst.NumNodes())
+	baseVal := eval.Value()
 	placed := make([]bool, inst.NumServices())
-
-	// refresh recomputes the current-round marginal gain of each entry,
-	// fanned out across workers. Each recomputation is one objective
-	// evaluation, counted exactly as in the eager engine. The fan-out body
-	// is built once and reads its entries and round from stale and
-	// round, so a refresh allocates no closure.
-	var (
-		stale []lazyEntry
-		round int
-	)
-	refreshChunk := func(c, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := &stale[i]
-			e.gain = mirrors[c].Try(inst.elements[e.elem].paths) - baseVal
-			e.round = round
-		}
-	}
-	refresh := func(ents []lazyEntry, r int) {
-		stale, round = ents, r
-		fanOut(len(ents), workers, refreshChunk)
-		res.Evaluations += len(ents)
-	}
 
 	// Initial sweep: every ground element evaluated once against the
 	// empty placement — exactly the eager engine's first round.
 	h := make(lazyHeap, len(inst.elements))
 	for e := range inst.elements {
-		h[e] = lazyEntry{elem: e}
+		h[e] = lazyEntry{elem: e, gain: eval.Try(inst.elements[e].paths) - baseVal}
 	}
-	refresh(h, 0)
+	res.Evaluations = len(h)
 	h.heapify()
 
-	var batch []lazyEntry
 	for iter := 0; iter < inst.NumServices(); iter++ {
 		if ctx.Err() != nil {
 			return nil, errCanceled(ctx, iter)
@@ -148,23 +121,13 @@ func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progr
 		}
 		pops := 0
 		chosen, found := lazyEntry{}, false
-		for len(h) > 0 || len(batch) > 0 {
-			if len(h) == 0 {
-				// The heap drained into the pending batch (the remaining
-				// entries were all retired): flush and keep going.
-				refresh(batch, iter)
-				for _, e := range batch {
-					h.push(e)
-				}
-				batch = batch[:0]
-				continue
-			}
+		for len(h) > 0 {
 			top := h.pop()
 			pops++
 			if placed[inst.elements[top.elem].service] {
 				continue // service already placed; retire the entry
 			}
-			if top.round == iter && len(batch) == 0 {
+			if top.round == iter {
 				// A fresh gain is exact, and every entry below carries a
 				// cached upper bound ≤ this gain, so no remaining element
 				// can beat it: select. Equal-gain elements with a smaller
@@ -173,33 +136,18 @@ func lazy(ctx context.Context, inst *Instance, obj Objective, workers int, progr
 				chosen, found = top, true
 				break
 			}
-			if top.round != iter {
-				batch = append(batch, top)
-				// Sequentially the batch flushes after every entry; in
-				// parallel mode consecutive stale tops share one fan-out.
-				if len(batch) < workers && len(h) > 0 {
-					continue
-				}
-			} else {
-				// Fresh, but entries batched before it had cached gains
-				// above its: refresh them before deciding the round.
-				h.push(top)
-			}
-			refresh(batch, iter)
-			for _, e := range batch {
-				h.push(e)
-			}
-			batch = batch[:0]
+			top.gain = eval.Try(inst.elements[top.elem].paths) - baseVal
+			top.round = iter
+			res.Evaluations++
+			h.push(top)
 		}
 		if !found {
 			return nil, fmt.Errorf("placement: no feasible placement at iteration %d", iter)
 		}
 		el := &inst.elements[chosen.elem]
-		for _, m := range mirrors {
-			m.Add(el.paths)
-		}
+		eval.Add(el.paths)
 		prevVal := baseVal
-		baseVal = base.Value()
+		baseVal = eval.Value()
 		placed[el.service] = true
 		res.Placement.Hosts[el.service] = el.host
 		res.Order = append(res.Order, el.service)

@@ -176,9 +176,9 @@ func (e *partitionEval) Clone() evaluator {
 func (e *partitionEval) Value() float64 { return e.value(e.pt, e.interest) }
 
 // NewIdentifiability returns the |S_k(P)| objective. k = 1 uses the
-// incremental equivalence-class structure (Section V-D1); k > 1 falls back
-// to exact enumeration and is exponential in k — suitable only for small
-// networks.
+// incremental equivalence-class structure (Section V-D1); k > 1 counts
+// exactly over the C(m, ≤k) class sets of the m failure classes
+// (monitor.IdentifiableNodesK).
 func NewIdentifiability(k int) (Objective, error) {
 	switch {
 	case k < 1:
@@ -198,7 +198,7 @@ func NewIdentifiability(k int) (Objective, error) {
 
 // NewDistinguishability returns the |D_k(P)| objective, the paper's
 // best-overall placement driver. k = 1 uses incremental refinement; k > 1
-// enumerates F_k exactly.
+// counts F_k exactly over failure classes (monitor.DistinguishabilityK).
 func NewDistinguishability(k int) (Objective, error) {
 	switch {
 	case k < 1:
@@ -287,7 +287,7 @@ func pairs(n int64) int64 {
 	return n * (n - 1) / 2
 }
 
-// ---- General k ≥ 2 by enumeration --------------------------------------
+// ---- General k ≥ 2 over failure classes --------------------------------
 
 type enumerationKind int
 
@@ -321,9 +321,8 @@ type enumerationEval struct {
 }
 
 func (e *enumerationEval) Add(paths []*bitset.Sparse) {
-	// Enumeration only ever runs at k ≥ 2 on small networks (it is
-	// exponential in k), so materializing dense sets here is cheap and
-	// keeps monitor.PathSet's dense signature machinery untouched.
+	// monitor.PathSet keeps dense paths, so each added path is
+	// materialized over every node.
 	dense := make([]*bitset.Set, len(paths))
 	for i, p := range paths {
 		dense[i] = p.Dense()
@@ -335,8 +334,9 @@ func (e *enumerationEval) Add(paths []*bitset.Sparse) {
 	}
 }
 
-// Try clones and adds: the exponential enumeration in Value dwarfs the
-// copy, so k ≥ 2 keeps no undo log.
+// Try clones and adds: the class count in Value, which re-derives the
+// failure classes from the path set, dwarfs the copy, so k ≥ 2 keeps no
+// undo log.
 func (e *enumerationEval) Try(paths []*bitset.Sparse) float64 {
 	trial := e.Clone()
 	trial.Add(paths)

@@ -1,7 +1,6 @@
 package placement
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -115,34 +114,19 @@ func TestGreedyLazyProgressHook(t *testing.T) {
 	}
 }
 
-func TestGreedyLazyParallelProgressHook(t *testing.T) {
-	inst := progressInstance(t)
-	obj := NewCoverage()
-
-	var rounds []Round
-	res, err := runWith(inst, obj, Options{Workers: 4, Progress: func(r Round) { rounds = append(rounds, r) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRounds(t, "lazy-parallel", rounds, res)
-}
-
 // TestLazyProgressNonSubmodularFallback: identifiability routes to the
-// eager engine, and the hook must still fire there, at every worker
-// count.
+// eager engine, and the hook must still fire there.
 func TestLazyProgressNonSubmodularFallback(t *testing.T) {
 	inst := progressInstance(t)
 	obj := mustObj(NewIdentifiability(1))
 
-	for _, workers := range []int{1, 4} {
-		var rounds []Round
-		res, err := runWith(inst, obj, Options{Workers: workers, Progress: func(r Round) { rounds = append(rounds, r) }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rounds) == 0 {
-			t.Fatalf("workers=%d: no progress from the non-submodular fallback", workers)
-		}
-		checkRounds(t, fmt.Sprintf("lazy-fallback workers=%d", workers), rounds, res)
+	var rounds []Round
+	res, err := runWith(inst, obj, Options{Progress: func(r Round) { rounds = append(rounds, r) }})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(rounds) == 0 {
+		t.Fatal("no progress from the non-submodular fallback")
+	}
+	checkRounds(t, "lazy-fallback", rounds, res)
 }

@@ -39,11 +39,11 @@ type PlacementRequest struct {
 	Services  []ServiceSpec `json:"services"`
 	Alpha     float64       `json:"alpha"`
 	Objective string        `json:"objective,omitempty"`
-	// Algorithm selects the placement strategy: "lazy", "lazy-parallel",
-	// "greedy", "greedy+ls", "qos", "random", "bruteforce", or
-	// "branchbound". Empty selects the facade default — lazy for
-	// submodular objectives, greedy otherwise; both produce the identical
-	// deterministic placement.
+	// Algorithm selects the placement strategy: "lazy", "greedy",
+	// "greedy+ls", "qos", "random", "bruteforce", or "branchbound"; any
+	// other name is an unknown algorithm, a 400. Empty selects the facade
+	// default — lazy for submodular objectives, greedy otherwise; both
+	// produce the identical deterministic placement.
 	Algorithm string `json:"algorithm,omitempty"`
 	K         int    `json:"k,omitempty"`
 	Seed      int64  `json:"seed,omitempty"`

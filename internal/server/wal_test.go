@@ -234,8 +234,13 @@ func TestCrashServerMatrix(t *testing.T) {
 	for _, m := range modes {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
-			for _, syncMode := range []wal.SyncMode{wal.SyncAlways, wal.SyncGroup} {
-				t.Run(syncMode.String(), func(t *testing.T) {
+			// Both -wal-sync names of the durable mode.
+			for _, name := range []string{"always", "group"} {
+				t.Run(name, func(t *testing.T) {
+					syncMode, err := wal.ParseSyncMode(name)
+					if err != nil {
+						t.Fatal(err)
+					}
 					rng := rand.New(rand.NewSource(int64(len(m.name)) * 7919))
 					for seed := 0; seed < seeds; seed++ {
 						budget := 1 + rng.Int63n(cost)

@@ -8,7 +8,7 @@ import (
 // BenchmarkWALAppend measures the append hot path per sync policy —
 // the cost every acknowledged mutation pays before its HTTP response.
 func BenchmarkWALAppend(b *testing.B) {
-	for _, mode := range []SyncMode{SyncNone, SyncGroup, SyncAlways} {
+	for _, mode := range []SyncMode{SyncNone, SyncAlways} {
 		b.Run(mode.String(), func(b *testing.B) {
 			dir := b.TempDir()
 			l, _, err := Open(dir, Options{Sync: mode, SegmentBytes: 64 << 20})

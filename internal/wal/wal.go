@@ -20,14 +20,12 @@ import (
 type SyncMode int
 
 const (
-	// SyncAlways fsyncs every append before it returns: an acknowledged
-	// write survives any crash. The safest and slowest mode.
+	// SyncAlways returns from an append only once an fsync covers its
+	// records, so an acknowledged write survives any crash. The fsync is
+	// a leader/follower group commit: an append that finds no fsync in
+	// flight fsyncs at once, and appends that land while one is in
+	// flight share the next.
 	SyncAlways SyncMode = iota
-	// SyncGroup is leader/follower group commit: each append still
-	// returns only after its record is durable, but appends that land
-	// while an fsync is in flight share the next one. A lone append pays
-	// one fsync, as under SyncAlways.
-	SyncGroup
 	// SyncNone never fsyncs on append (only on rotation, compaction, and
 	// close): fastest, but a crash can lose acknowledged writes.
 	SyncNone
@@ -38,8 +36,6 @@ func (m SyncMode) String() string {
 	switch m {
 	case SyncAlways:
 		return "always"
-	case SyncGroup:
-		return "group"
 	case SyncNone:
 		return "none"
 	default:
@@ -47,13 +43,12 @@ func (m SyncMode) String() string {
 	}
 }
 
-// ParseSyncMode parses a -wal-sync flag value.
+// ParseSyncMode parses a -wal-sync flag value. "always" and "group" are
+// two names for SyncAlways, whose fsyncs are group commits.
 func ParseSyncMode(s string) (SyncMode, error) {
 	switch s {
-	case "always", "":
+	case "always", "group", "":
 		return SyncAlways, nil
-	case "group":
-		return SyncGroup, nil
 	case "none":
 		return SyncNone, nil
 	default:
@@ -62,8 +57,9 @@ func ParseSyncMode(s string) (SyncMode, error) {
 }
 
 // Options parameterizes Open. The zero value is a production default:
-// 4 MiB segments, fsync on every append, OS filesystem. Group commit
-// has nothing to tune: its batches grow with the fsync's own duration.
+// 4 MiB segments, every append durable before it returns, OS filesystem.
+// Group commit has nothing to tune: its batches grow with the fsync's
+// own duration.
 type Options struct {
 	// SegmentBytes is the rotation threshold: an append that finds the
 	// active segment at or past it seals the segment and starts a new one
@@ -452,8 +448,8 @@ func (l *Log) Append(typ byte, payload []byte) (AppendResult, error) {
 }
 
 // AppendBatch appends ops back to back with one write (and, under
-// SyncAlways/SyncGroup, one fsync covering them all). The records are
-// contiguous in the log; no other append interleaves.
+// SyncAlways, one fsync covering them all). The records are contiguous
+// in the log; no other append interleaves.
 func (l *Log) AppendBatch(ops []Op) ([]AppendResult, error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -494,17 +490,8 @@ func (l *Log) AppendBatch(ops []Op) ([]AppendResult, error) {
 		return nil, err
 	}
 	l.seq, l.chain = seq, chain
-	mode := l.opts.Sync
-	if mode == SyncAlways {
-		err := l.syncLocked()
-		l.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return results, nil
-	}
 	l.mu.Unlock()
-	if mode == SyncGroup {
+	if l.opts.Sync == SyncAlways {
 		if err := l.waitSynced(seq); err != nil {
 			return nil, err
 		}

@@ -326,7 +326,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	var fsyncs atomic.Int64
 	l, _ := openTest(t, dir, Options{
-		Sync:    SyncGroup,
+		Sync:    SyncAlways,
 		FS:      slowSyncFS{FS: OSFS{}, d: time.Millisecond},
 		OnFsync: func(time.Duration) { fsyncs.Add(1) },
 	})
@@ -373,7 +373,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 // not report it failed; a record the watermark does not cover gets the
 // error.
 func TestWaitSyncedWatermarkBeforeError(t *testing.T) {
-	l, _ := openTest(t, t.TempDir(), Options{Sync: SyncGroup})
+	l, _ := openTest(t, t.TempDir(), Options{Sync: SyncAlways})
 	defer l.Close()
 	res, err := l.Append(TypeObservations, []byte("durable"))
 	if err != nil {
@@ -465,7 +465,7 @@ func TestCheckRepairTruncatesTorn(t *testing.T) {
 }
 
 func TestParseSyncMode(t *testing.T) {
-	for in, want := range map[string]SyncMode{"always": SyncAlways, "": SyncAlways, "group": SyncGroup, "none": SyncNone} {
+	for in, want := range map[string]SyncMode{"always": SyncAlways, "": SyncAlways, "group": SyncAlways, "none": SyncNone} {
 		got, err := ParseSyncMode(in)
 		if err != nil || got != want {
 			t.Fatalf("ParseSyncMode(%q) = %v, %v", in, got, err)
@@ -477,8 +477,12 @@ func TestParseSyncMode(t *testing.T) {
 }
 
 func TestReadOnlyAfterFailureSticky(t *testing.T) {
-	for _, mode := range []SyncMode{SyncAlways, SyncGroup} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, name := range durableNames {
+		t.Run(name, func(t *testing.T) {
+			mode, err := ParseSyncMode(name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			dir := t.TempDir()
 			fs := NewCrashFSBudget(OSFS{}, 200) // enough for open + a couple of appends
 			l, _, err := Open(dir, Options{Sync: mode, FS: fs})

@@ -24,9 +24,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"time"
 
+	"repro/internal/combinat"
 	"repro/internal/graph"
 	"repro/internal/placement"
 	"repro/internal/routing"
@@ -188,13 +188,6 @@ const (
 	// non-submodular identifiability objective transparently runs the
 	// exact greedy instead.
 	AlgorithmLazy Algorithm = "lazy"
-	// AlgorithmLazyParallel is AlgorithmLazy with the evaluations fanned
-	// out across GOMAXPROCS goroutines; same placement. Measured on two
-	// CPUs it pays only for k ≥ 2 objectives (1.3–1.6× faster than
-	// AlgorithmLazy on Tiscali and AT&T); at k = 1 it is slower than
-	// AlgorithmLazy on the paper's topologies and on a 10 000-node
-	// hierarchy alike.
-	AlgorithmLazyParallel Algorithm = "lazy-parallel"
 	// AlgorithmQoS places each service at its minimum-worst-distance host.
 	AlgorithmQoS Algorithm = "qos"
 	// AlgorithmRandom places each service uniformly within its candidates.
@@ -230,7 +223,10 @@ type PlaceConfig struct {
 	// Objective is the measure to maximize; default distinguishability.
 	Objective ObjectiveKind
 	// K is the failure budget for identifiability/distinguishability;
-	// default 1 (values above 1 are exponential — small networks only).
+	// default 1. A K ≥ 2 objective counts over the m failure classes of
+	// the placement's paths (nodes on exactly the same paths), C(m, ≤K)
+	// class sets per evaluation; Place refuses a K whose failure sets, or
+	// their pairs, overflow int64 at the network's node count.
 	K int
 	// Algorithm is the strategy. The default is lazy without capacity
 	// constraints — identical results to greedy, fewer evaluations — and
@@ -247,14 +243,14 @@ type PlaceConfig struct {
 	// VII-A) and routes greedy placement through the capacitated variant.
 	Capacity *Capacity
 	// Progress, when non-nil, receives one callback per completed
-	// greedy/lazy round (see RoundProgress). Honored by the greedy, lazy,
-	// and lazy-parallel algorithms — including the lazy engines' eager
-	// fallback for non-submodular objectives — and ignored by the rest.
+	// greedy/lazy round (see RoundProgress). Honored by the greedy and
+	// lazy algorithms — including the lazy engine's eager fallback for
+	// non-submodular objectives — and ignored by the rest.
 	// The callback runs on the engine goroutine between rounds; it only
 	// observes the computation and never changes its result.
 	Progress func(RoundProgress)
-	// Context, when non-nil, bounds the placement run: the greedy, lazy,
-	// and lazy-parallel engines observe cancellation once per round (the
+	// Context, when non-nil, bounds the placement run: the greedy and
+	// lazy engines observe cancellation once per round (the
 	// same cadence as Progress) and return an error wrapping ctx.Err(),
 	// so an abandoned or drained job stops within one round instead of
 	// running to completion. Nil means no cancellation. A canceled run
@@ -357,8 +353,6 @@ func (nw *Network) Place(services []Service, cfg PlaceConfig) (*Result, error) {
 		res, err = placeLS(inst, obj)
 	case AlgorithmLazy:
 		res, err = placement.Run(ctx, inst, obj, placement.Options{Progress: progress})
-	case AlgorithmLazyParallel:
-		res, err = placement.Run(ctx, inst, obj, placement.Options{Workers: runtime.GOMAXPROCS(0), Progress: progress})
 	case AlgorithmGreedy:
 		if cfg.Capacity != nil {
 			res, err = placement.GreedyCapacitated(inst, obj, placement.CapacityConstraints{
@@ -457,6 +451,11 @@ func (nw *Network) objective(cfg PlaceConfig) (placement.Objective, error) {
 	kind := cfg.Objective
 	if kind == "" {
 		kind = ObjectiveDistinguishability
+	}
+	if kind == ObjectiveIdentifiability || kind == ObjectiveDistinguishability {
+		if err := combinat.CheckFailureSetPairs(nw.NumNodes(), k); err != nil {
+			return nil, fmt.Errorf("placemon: K = %d: %w", k, err)
+		}
 	}
 	interest := cfg.InterestNodes
 	switch kind {

@@ -65,10 +65,10 @@ type ServerConfig struct {
 	// daemon read-only (503 + Placemond-Read-Only) instead of crashing
 	// it. Empty keeps scenarios in memory for the process lifetime only.
 	WALDir string
-	// WALSync is the append durability policy: "always" (default; fsync
-	// per acknowledged mutation), "group" (group commit: concurrent
-	// writers share one fsync), or "none" (fsync only on rotation and
-	// shutdown).
+	// WALSync is the append durability policy: "always" (default) or
+	// "group", two names for one mode in which a mutation is acknowledged
+	// only once an fsync covers it and concurrent writers share the
+	// fsync, or "none" (fsync only on rotation and shutdown).
 	WALSync string
 	// WALSegmentBytes overrides the log's segment rotation threshold
 	// (default 4 MiB, minimum 4 KiB).

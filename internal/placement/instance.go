@@ -6,8 +6,7 @@
 //
 //   - Run — Algorithm 2, the 1/2-approximate greedy over the partition
 //     matroid (GC, GI, GD depending on the objective), on the eager,
-//     CELF lazy, or sampled engine, the first two optionally fanned out
-//     across goroutines (Options);
+//     CELF lazy, or sampled engine (Options);
 //   - LocalSearch / GreedyWithLocalSearch — swap-based refinement;
 //   - QoS — the best-QoS baseline (minimize worst client distance);
 //   - Random — the random-within-candidates baseline (RD);

@@ -45,35 +45,40 @@ type benchBody struct{ strings.Reader }
 func (b *benchBody) Close() error { return nil }
 
 // BenchmarkRegistryOverhead measures single-tenant request latency on the
-// serving hot paths — observation ingest and the no-outage diagnosis read
-// — straight through the HTTP handler, with no real socket. The sub-
-// benchmark names are stable across the registry refactor and the
-// streaming-ingest rework so archived snapshots diff releases with
-// `benchjson -compare`. The request and recorder are built once and
-// rewound per iteration (one-time construction is not the code under
-// measurement); the handler still runs the full middleware chain.
+// serving hot paths — observation ingest, the diagnosis read without
+// and during an outage, and healthz — straight through the HTTP handler,
+// with no real socket. The sub-benchmark names are stable across
+// releases so archived snapshots diff with `benchjson -compare`. The
+// request and recorder are built once and rewound per iteration
+// (one-time construction is not the code under measurement); the
+// handler still runs the full middleware chain. diagnosis-outage runs
+// last, after the golden sequence's one-failure batch, so the other rows
+// read the scenario without an outage.
 func BenchmarkRegistryOverhead(b *testing.B) {
-	srv, _, _, _ := legacyGoldenServer(b)
+	srv, nw, services, res := legacyGoldenServer(b)
 	defer srv.Close()
 	handler := srv.Handler()
 
 	nConns := len(srv.Connections())
 	var up []string
-	var upLines []string
 	for i := 0; i < nConns; i++ {
 		up = append(up, fmt.Sprintf(`{"connection": %d, "up": true}`, i))
-		upLines = append(upLines, fmt.Sprintf(`{"connection": %d, "up": true}`, i))
 	}
 	ingestBody := fmt.Sprintf(`{"time": 1, "reports": [%s]}`, strings.Join(up, ","))
-	ndjsonBody := "{\"time\": 1}\n" + strings.Join(upLines, "\n") + "\n"
+	var failureBody string
+	for _, rq := range legacyRequests(b, nw, services, res) {
+		if rq.name == "ingest_failure" {
+			failureBody = rq.body
+		}
+	}
 
-	run := func(b *testing.B, method, path, body, contentType string) {
+	run := func(b *testing.B, method, path, body string) {
 		b.Helper()
 		b.ReportAllocs()
 		req := httptest.NewRequest(method, path, nil)
 		var rb benchBody
 		if body != "" {
-			req.Header.Set("Content-Type", contentType)
+			req.Header.Set("Content-Type", "application/json")
 			req.Body = &rb
 		}
 		rec := &benchRecorder{header: make(http.Header, 8)}
@@ -88,15 +93,20 @@ func BenchmarkRegistryOverhead(b *testing.B) {
 	}
 
 	b.Run("ingest", func(b *testing.B) {
-		run(b, http.MethodPost, "/v1/observations", ingestBody, "application/json")
-	})
-	b.Run("ingest-stream", func(b *testing.B) {
-		run(b, http.MethodPost, "/v1/observations", ndjsonBody, "application/x-ndjson")
+		run(b, http.MethodPost, "/v1/observations", ingestBody)
 	})
 	b.Run("diagnosis", func(b *testing.B) {
-		run(b, http.MethodGet, "/v1/diagnosis", "", "")
+		run(b, http.MethodGet, "/v1/diagnosis", "")
 	})
 	b.Run("healthz", func(b *testing.B) {
-		run(b, http.MethodGet, "/healthz", "", "")
+		run(b, http.MethodGet, "/healthz", "")
+	})
+	b.Run("diagnosis-outage", func(b *testing.B) {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/observations", strings.NewReader(failureBody)))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "outage-started") {
+			b.Fatalf("failure batch: status %d: %s", rec.Code, rec.Body)
+		}
+		run(b, http.MethodGet, "/v1/diagnosis", "")
 	})
 }

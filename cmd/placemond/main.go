@@ -68,30 +68,29 @@ func main() {
 
 // options are the parsed command-line flags.
 type options struct {
-	addr             string
-	topology         string
-	graphFile        string
-	placementFile    string
-	k                int
-	workers          int
-	queue            int
-	requestTimeout   time.Duration
-	drainTimeout     time.Duration
-	dedupWindow      int
-	diagnosisTimeout time.Duration
-	logLevel         string
-	slowRequest      time.Duration
-	traceBuffer      int
-	pprof            bool
-	maxScenarios     int
-	maxScenarioJobs  int
-	walDir           string
-	walSync          string
-	walSegmentBytes  int64
-	nodeID           string
-	peers            string
-	clusterProxy     bool
-	forceAdopt       bool
+	addr            string
+	topology        string
+	graphFile       string
+	placementFile   string
+	k               int
+	workers         int
+	queue           int
+	requestTimeout  time.Duration
+	drainTimeout    time.Duration
+	dedupWindow     int
+	logLevel        string
+	slowRequest     time.Duration
+	traceBuffer     int
+	pprof           bool
+	maxScenarios    int
+	maxScenarioJobs int
+	walDir          string
+	walSync         string
+	walSegmentBytes int64
+	nodeID          string
+	peers           string
+	clusterProxy    bool
+	forceAdopt      bool
 }
 
 func parseFlags(args []string) (*options, error) {
@@ -108,7 +107,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.DurationVar(&o.requestTimeout, "request-timeout", 15*time.Second, "per-request timeout")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "graceful shutdown budget")
 	fs.IntVar(&o.dedupWindow, "dedup-window", 1024, "batch IDs remembered for idempotent ingest; retried batches replay their original response (-1 disables)")
-	fs.DurationVar(&o.diagnosisTimeout, "diagnosis-timeout", 2*time.Second, "diagnosis recompute deadline; past it the last good diagnosis is served marked stale (-1s disables)")
 	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn, or error")
 	fs.DurationVar(&o.slowRequest, "slow-request", time.Second, "latency at which a request logs a warning (-1s disables)")
 	fs.IntVar(&o.traceBuffer, "trace-buffer", 64, "request traces retained for GET /debug/traces (-1 disables)")
@@ -156,7 +154,6 @@ func (o *options) serverConfig(logger *slog.Logger) placemon.ServerConfig {
 		RequestTimeout:     o.requestTimeout,
 		DrainTimeout:       o.drainTimeout,
 		DedupWindow:        o.dedupWindow,
-		DiagnosisTimeout:   o.diagnosisTimeout,
 		EnablePprof:        o.pprof,
 		Logger:             logger,
 		SlowRequest:        o.slowRequest,

@@ -184,20 +184,13 @@ func TestResilienceFlags(t *testing.T) {
 	if o.dedupWindow != 1024 {
 		t.Errorf("default -dedup-window = %d, want 1024", o.dedupWindow)
 	}
-	if o.diagnosisTimeout != 2*time.Second {
-		t.Errorf("default -diagnosis-timeout = %v, want 2s", o.diagnosisTimeout)
-	}
 
-	o, err = parseFlags([]string{"-placement", "x.json",
-		"-dedup-window", "-1", "-diagnosis-timeout", "500ms"})
+	o, err = parseFlags([]string{"-placement", "x.json", "-dedup-window", "-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.dedupWindow != -1 {
 		t.Errorf("-dedup-window -1 parsed as %d", o.dedupWindow)
-	}
-	if o.diagnosisTimeout != 500*time.Millisecond {
-		t.Errorf("-diagnosis-timeout 500ms parsed as %v", o.diagnosisTimeout)
 	}
 	if _, err := parseFlags([]string{"-placement", "x.json", "-dedup-window", "many"}); err == nil {
 		t.Errorf("non-numeric -dedup-window accepted")

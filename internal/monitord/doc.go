@@ -19,9 +19,13 @@
 // Diagnosis refinement is incremental: Monitor carries per-node
 // up-path/down-path counters maintained in O(|path|) per state change,
 // so the common k=1 diagnosis is a closed-form read instead of a
-// from-scratch recompute over every path. VerifyIncremental cross-checks
-// the incremental state against that recompute; the soak and crash
-// harnesses call it to prove exactness under hostile schedules.
+// from-scratch recompute over every path. The diagnosis can change only
+// when a connection's state does, so Report diagnoses at each state
+// transition during an outage and keeps the result, diagnosis or error;
+// Diagnosis and Guarded.Snapshot return that kept result and never
+// localize. VerifyIncremental cross-checks the kept diagnosis against a
+// from-scratch recompute; the soak and crash harnesses call it to prove
+// exactness under hostile schedules.
 //
 // The core is deliberately synchronous and deterministic: callers feed
 // it state transitions (from netsim, from production probes, or from

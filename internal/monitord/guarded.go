@@ -34,6 +34,11 @@ func NewGuarded(m *Monitor) *Guarded { return &Guarded{m: m} }
 type Snapshot struct {
 	InOutage bool
 	States   []ConnState
+	// Diagnosis and DiagnosisErr are what Monitor.Diagnosis answers for
+	// the same state while InOutage; both are nil outside an outage. The
+	// diagnosis is shared and must not be modified.
+	Diagnosis    *tomography.Diagnosis
+	DiagnosisErr error
 }
 
 // ReportBatch applies a batch; see Monitor.ReportBatch. The conns and
@@ -48,29 +53,25 @@ func (g *Guarded) ReportBatch(t float64, conns []int, ups []bool) ([]Event, erro
 	return g.m.ReportBatch(t, conns, ups)
 }
 
-// Diagnosis returns the rolling diagnosis; see Monitor.Diagnosis.
-func (g *Guarded) Diagnosis() (*tomography.Diagnosis, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return nil, ErrClosed
-	}
-	return g.m.Diagnosis()
-}
-
 // NumConnections returns the number of monitored connections. The count
 // is fixed at construction, so this takes no lock and survives Close.
 func (g *Guarded) NumConnections() int { return g.m.NumConnections() }
 
-// Snapshot returns the outage flag and every connection state as one
-// read; after Close it returns the zero Snapshot.
+// Snapshot returns the outage flag, every connection state and the
+// diagnosis of that state as one read; after Close it returns the zero
+// Snapshot.
 func (g *Guarded) Snapshot() Snapshot {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
 		return Snapshot{}
 	}
-	return Snapshot{InOutage: g.m.InOutage(), States: append([]ConnState(nil), g.m.states...)}
+	return Snapshot{
+		InOutage:     g.m.inOutage,
+		States:       append([]ConnState(nil), g.m.states...),
+		Diagnosis:    g.m.diag,
+		DiagnosisErr: g.m.diagErr,
+	}
 }
 
 // InOutage reports whether any monitored connection is currently down —
@@ -103,7 +104,7 @@ func (g *Guarded) RestoreState(st State) error {
 	return g.m.RestoreState(st)
 }
 
-// VerifyIncremental cross-checks the incremental diagnosis against a
+// VerifyIncremental cross-checks the kept diagnosis against a
 // from-scratch recompute; see Monitor.VerifyIncremental. Test seam for
 // the chaos soak and crash matrix.
 func (g *Guarded) VerifyIncremental() error {

@@ -51,12 +51,11 @@ func TestLoopSequentialSemantics(t *testing.T) {
 	if snap.States[0] != StateDown || snap.States[1] != StateUp {
 		t.Fatalf("states = %v", snap.States)
 	}
-	diag, err := l.Diagnosis()
-	if err != nil {
-		t.Fatal(err)
+	if snap.DiagnosisErr != nil {
+		t.Fatal(snap.DiagnosisErr)
 	}
-	if got := len(diag.Consistent); got != 2 {
-		t.Fatalf("candidates = %v, want {0},{1}", diag.Consistent)
+	if got := len(snap.Diagnosis.Consistent); got != 2 {
+		t.Fatalf("candidates = %v, want {0},{1}", snap.Diagnosis.Consistent)
 	}
 	if n := l.NumConnections(); n != 2 {
 		t.Fatalf("NumConnections = %d, want 2", n)
@@ -71,6 +70,9 @@ func TestLoopSequentialSemantics(t *testing.T) {
 	}
 	if l.InOutage() {
 		t.Fatalf("still in outage after all-clear")
+	}
+	if snap := l.Snapshot(); snap.Diagnosis != nil || snap.DiagnosisErr != nil {
+		t.Fatalf("diagnosis %+v, error %v kept after all-clear", snap.Diagnosis, snap.DiagnosisErr)
 	}
 }
 
@@ -147,13 +149,10 @@ func TestLoopClosed(t *testing.T) {
 	if _, err := l.ReportBatch(2, []int{0}, []bool{true}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ReportBatch after Close: err = %v, want ErrClosed", err)
 	}
-	if _, err := l.Diagnosis(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Diagnosis after Close: err = %v, want ErrClosed", err)
-	}
 	if err := l.RestoreState(State{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("RestoreState after Close: err = %v, want ErrClosed", err)
 	}
-	if snap := l.Snapshot(); snap.InOutage || snap.States != nil {
+	if snap := l.Snapshot(); snap.InOutage || snap.States != nil || snap.Diagnosis != nil || snap.DiagnosisErr != nil {
 		t.Fatalf("Snapshot after Close = %+v, want zero", snap)
 	}
 	if l.InOutage() {
@@ -193,12 +192,11 @@ func TestLoopConcurrent(t *testing.T) {
 					t.Errorf("snapshot states = %v", snap.States)
 					return
 				}
-				if snap.InOutage {
-					if _, err := l.Diagnosis(); err != nil && !errors.Is(err, ErrClosed) {
-						// "no outage" races with clearing reports and is
-						// expected; other errors surface via -race.
-						continue
-					}
+				// Node 2 lies on both paths, so every outage of this
+				// line has a one-node explanation, in the same snapshot.
+				if snap.InOutage && (snap.Diagnosis == nil || snap.DiagnosisErr != nil) {
+					t.Errorf("snapshot in outage with diagnosis %+v, error %v", snap.Diagnosis, snap.DiagnosisErr)
+					return
 				}
 			}
 		}(w)

@@ -100,6 +100,12 @@ type Monitor struct {
 	states   []ConnState
 	inOutage bool
 	lastKey  string
+	// diag and diagErr are the diagnosis of the current state while
+	// inOutage, both nil outside an outage: Report computes them at each
+	// state transition it sees during an outage, RestoreState once, and
+	// Diagnosis serves them without recomputing.
+	diag    *tomography.Diagnosis
+	diagErr error
 
 	// Incremental observation state. ps collects the paths of reporting
 	// connections in first-report order (a connection never returns to
@@ -177,33 +183,35 @@ func (m *Monitor) Report(t float64, conn int, up bool) ([]Event, error) {
 	m.states[conn] = newState
 
 	anyDown := m.downTotal > 0
+	m.diag, m.diagErr = nil, nil
+	if anyDown {
+		m.diag, m.diagErr = m.diagnose()
+	}
 
 	var events []Event
 	switch {
 	case anyDown && !m.inOutage:
 		m.inOutage = true
-		diag, err := m.diagnose()
-		if err != nil {
+		if m.diagErr != nil {
 			events = append(events,
 				Event{Time: t, Kind: EventOutageStarted},
 				Event{Time: t, Kind: EventInconsistent})
 			m.lastKey = "!"
 			return events, nil
 		}
-		m.lastKey = diagnosisKey(diag)
-		events = append(events, Event{Time: t, Kind: EventOutageStarted, Diagnosis: diag})
+		m.lastKey = diagnosisKey(m.diag)
+		events = append(events, Event{Time: t, Kind: EventOutageStarted, Diagnosis: m.diag})
 	case anyDown && m.inOutage:
-		diag, err := m.diagnose()
-		if err != nil {
+		if m.diagErr != nil {
 			if m.lastKey != "!" {
 				m.lastKey = "!"
 				events = append(events, Event{Time: t, Kind: EventInconsistent})
 			}
 			return events, nil
 		}
-		if key := diagnosisKey(diag); key != m.lastKey {
+		if key := diagnosisKey(m.diag); key != m.lastKey {
 			m.lastKey = key
-			events = append(events, Event{Time: t, Kind: EventDiagnosisChanged, Diagnosis: diag})
+			events = append(events, Event{Time: t, Kind: EventDiagnosisChanged, Diagnosis: m.diag})
 		}
 	case !anyDown && m.inOutage:
 		m.inOutage = false
@@ -233,15 +241,18 @@ func (m *Monitor) ReportBatch(t float64, conns []int, ups []bool) ([]Event, erro
 	return events, nil
 }
 
-// Diagnosis returns the current diagnosis, computed incrementally from
-// the maintained observation structures. It returns an error outside
-// outages (nothing to diagnose) or when the reports are inconsistent
-// with the failure budget.
+// Diagnosis returns the diagnosis of the current state: the one Report
+// computed at the last state transition (or RestoreState at the
+// restore), so a call does no localization work. It returns an error
+// outside outages (nothing to diagnose) or when the reports are
+// inconsistent with the failure budget. The diagnosis is shared with
+// the Event that carried it and with later calls; callers must not
+// modify it.
 func (m *Monitor) Diagnosis() (*tomography.Diagnosis, error) {
 	if !m.inOutage {
 		return nil, fmt.Errorf("monitord: no outage in progress")
 	}
-	return m.diagnose()
+	return m.diag, m.diagErr
 }
 
 // DiagnosisFromScratch recomputes the diagnosis the pre-incremental way:
@@ -256,27 +267,30 @@ func (m *Monitor) DiagnosisFromScratch() (*tomography.Diagnosis, error) {
 	return m.diagnoseFromScratch()
 }
 
-// VerifyIncremental cross-checks the incremental diagnosis against a
+// VerifyIncremental checks the bookkeeping invariants (counters and
+// path set versus states), then cross-checks the diagnosis Diagnosis
+// serves, the one kept since the last state transition, against a
 // from-scratch recompute and returns an error describing the first
-// divergence. Outside outages it verifies the bookkeeping invariants
-// (counters and path set versus states) instead.
+// divergence. Outside outages no diagnosis may be kept.
 func (m *Monitor) VerifyIncremental() error {
 	if err := m.verifyCounters(); err != nil {
 		return err
 	}
 	if !m.inOutage {
+		if m.diag != nil || m.diagErr != nil {
+			return fmt.Errorf("monitord: a diagnosis is kept outside an outage")
+		}
 		return nil
 	}
-	inc, incErr := m.diagnose()
 	ref, refErr := m.diagnoseFromScratch()
-	if (incErr != nil) != (refErr != nil) {
-		return fmt.Errorf("monitord: incremental diagnosis error %v, from-scratch %v", incErr, refErr)
+	if (m.diagErr != nil) != (refErr != nil) {
+		return fmt.Errorf("monitord: kept diagnosis error %v, from-scratch %v", m.diagErr, refErr)
 	}
-	if incErr != nil {
+	if m.diagErr != nil {
 		return nil // both inconsistent: agreement
 	}
-	if !reflect.DeepEqual(inc, ref) {
-		return fmt.Errorf("monitord: incremental diagnosis diverged from from-scratch recompute:\nincremental: %+v\nfrom-scratch: %+v", inc, ref)
+	if !reflect.DeepEqual(m.diag, ref) {
+		return fmt.Errorf("monitord: kept diagnosis diverged from from-scratch recompute:\nkept: %+v\nfrom-scratch: %+v", m.diag, ref)
 	}
 	return nil
 }

@@ -34,8 +34,9 @@ func (m *Monitor) ExportState() State {
 }
 
 // RestoreState overwrites the monitor's state with a previously exported
-// one. The connection count must match the monitor's paths — state from a
-// differently shaped scenario is refused.
+// one, and diagnoses it when it is in outage. The connection count must
+// match the monitor's paths — state from a differently shaped scenario
+// is refused.
 func (m *Monitor) RestoreState(st State) error {
 	if len(st.States) != len(m.paths) {
 		return fmt.Errorf("monitord: state has %d connections, monitor has %d", len(st.States), len(m.paths))
@@ -49,6 +50,10 @@ func (m *Monitor) RestoreState(st State) error {
 	m.inOutage = st.InOutage
 	m.lastKey = st.LastKey
 	m.rebuildIncremental()
+	m.diag, m.diagErr = nil, nil
+	if m.inOutage {
+		m.diag, m.diagErr = m.diagnose()
+	}
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -14,32 +13,14 @@ import (
 	"repro/internal/trace"
 )
 
-// The observation ingest wire path. Two request content types are
-// served:
-//
-//   - application/json (the original): one observationsRequest document.
-//   - application/x-ndjson (streaming): a header line carrying batch_id
-//     and time, then one report object per line — decodable a line at a
-//     time without materializing a nested document.
-//
-// Both are decoded by a hand-rolled scanner into pooled scratch buffers,
-// so a steady-state ingest request allocates nothing for parsing. The
-// scanner accepts exactly the documents the strict encoding/json path
-// accepts; any deviation (unknown field, escape sequence, number
-// overflow, trailing data) falls back to the stdlib decoder over the
-// same buffered bytes, which keeps every error response byte-identical
-// to the pre-streaming implementation. Responses are JSON for both
-// request content types, so dedup-window replay and WAL boot recovery
-// are unchanged.
-
-// ndjsonContentType is the streaming request content type; the server
-// advertises support via the ndjsonHeader response header, which the
-// client uses to upgrade (JSON remains the fallback).
-const ndjsonContentType = "application/x-ndjson"
-
-// ndjsonHeader is set to "1" on every observations response, telling
-// clients the scenario endpoint accepts application/x-ndjson bodies.
-const ndjsonHeader = "Placemond-Ndjson"
+// The observation ingest wire path. A request body is one JSON
+// observationsRequest document, decoded by a hand-rolled scanner into
+// pooled scratch buffers, so a steady-state ingest request allocates
+// nothing for parsing. The scanner accepts exactly the documents the
+// strict encoding/json path accepts; any deviation (unknown field,
+// escape sequence, number overflow, trailing data) falls back to the
+// stdlib decoder over the same buffered bytes, which keeps every error
+// response byte-identical to the stdlib decoder's.
 
 // maxObsBody bounds the observation request body (same limit as the
 // generic decodeJSON path).
@@ -322,10 +303,9 @@ func (p *obsParser) report(sc *obsScratch) bool {
 	}
 }
 
-// header scans the top-level batch_id/time keys shared by the JSON
-// document ("reports" allowed when withReports) and the NDJSON header
-// line (withReports false).
-func (p *obsParser) header(sc *obsScratch, withReports bool) bool {
+// document scans the top-level observationsRequest object: its
+// batch_id, time and reports keys.
+func (p *obsParser) document(sc *obsScratch) bool {
 	if !p.eat('{') {
 		return false
 	}
@@ -361,7 +341,7 @@ func (p *obsParser) header(sc *obsScratch, withReports bool) bool {
 			// json.Unmarshal's overwrite semantics.
 			sc.conns = sc.conns[:0]
 			sc.ups = sc.ups[:0]
-			if !withReports || !p.reports(sc) {
+			if !p.reports(sc) {
 				return false
 			}
 		default:
@@ -413,65 +393,15 @@ func (p *obsParser) reports(sc *obsScratch) bool {
 // malformed.
 func parseObsJSON(sc *obsScratch) bool {
 	p := obsParser{b: sc.buf}
-	if !p.header(sc, true) {
+	if !p.document(sc) {
 		return false
 	}
 	p.skipWS()
 	return p.i == len(p.b) // trailing data falls back too
 }
 
-// parseObsNDJSON scans an application/x-ndjson body: a header line, then
-// one report per line. Blank lines are permitted (a trailing newline is
-// the common case). Unlike the JSON path there is no fallback decoder —
-// the format is new, so the scanner's verdict is final and err carries
-// the 400 message.
-func parseObsNDJSON(sc *obsScratch) error {
-	rest := sc.buf
-	line, rest, ok := nextLine(rest)
-	if !ok {
-		return fmt.Errorf("empty NDJSON body")
-	}
-	p := obsParser{b: line}
-	if !p.header(sc, false) {
-		return fmt.Errorf("line 1: malformed NDJSON header object")
-	}
-	p.skipWS()
-	if p.i != len(p.b) {
-		return fmt.Errorf("line 1: trailing data after NDJSON header object")
-	}
-	for n := 2; ; n++ {
-		line, rest, ok = nextLine(rest)
-		if !ok {
-			return nil
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		p := obsParser{b: line}
-		if !p.report(sc) {
-			return fmt.Errorf("line %d: malformed NDJSON report object", n)
-		}
-		p.skipWS()
-		if p.i != len(p.b) {
-			return fmt.Errorf("line %d: trailing data after NDJSON report object", n)
-		}
-	}
-}
-
-// nextLine splits off the next newline-terminated line; ok is false when
-// the input is exhausted.
-func nextLine(b []byte) (line, rest []byte, ok bool) {
-	if len(b) == 0 {
-		return nil, nil, false
-	}
-	if i := bytes.IndexByte(b, '\n'); i >= 0 {
-		return b[:i], b[i+1:], true
-	}
-	return b, nil, true
-}
-
 // decodeObsFallback re-decodes the buffered body with the strict stdlib
-// decoder, reproducing the pre-streaming error responses byte for byte.
+// decoder, reproducing its error responses byte for byte.
 // It returns false when it wrote the error response itself.
 func decodeObsFallback(w http.ResponseWriter, body []byte, v *observationsRequest) bool {
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -493,13 +423,6 @@ func decodeObsFallback(w http.ResponseWriter, body []byte, v *observationsReques
 func decodeObservations(sc *obsScratch, w http.ResponseWriter, r *http.Request) bool {
 	if !readBody(sc, w, r) {
 		return false
-	}
-	if r.Header.Get("Content-Type") == ndjsonContentType {
-		if err := parseObsNDJSON(sc); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid NDJSON body: %v", err)
-			return false
-		}
-		return true
 	}
 	if parseObsJSON(sc) {
 		return true
@@ -534,9 +457,6 @@ func (s *Server) serveObservations(t *tenant, w http.ResponseWriter, r *http.Req
 	if !ok {
 		return
 	}
-	// Advertise the streaming content type so clients can upgrade their
-	// next batch; set before any write, replays included.
-	w.Header().Set(ndjsonHeader, "1")
 	if len(sc.conns) == 0 {
 		writeError(w, http.StatusBadRequest, "no reports in batch")
 		return

@@ -7,84 +7,24 @@ import (
 	"testing"
 )
 
-// This file pins the streaming-ingest edge cases: the final NDJSON line
-// arriving without a trailing newline, blank interior lines in all their
-// encodings, bodies landing exactly on the pooled-buffer boundary, and a
-// differential corpus holding the hand-rolled scanner byte-identical to
-// the stdlib reference on the same edges.
+// This file pins the ingest decoder's edge cases: bodies landing exactly
+// on the pooled-buffer boundary, and a differential corpus holding the
+// hand-rolled scanner byte-identical to the stdlib reference on the same
+// edges.
 
 // postObs posts one body to a fresh server and returns the status and
 // raw response. Every call gets its own server so monitor state never
 // bleeds between compared bodies.
-func postObs(t *testing.T, contentType, body string) (int, string) {
+func postObs(t *testing.T, body string) (int, string) {
 	t.Helper()
 	_, ts := newTestServer(t, testConfig())
-	resp, raw := postCT(t, ts.URL+"/v1/observations", contentType, body)
+	resp, raw := postCT(t, ts.URL+"/v1/observations", "application/json", body)
 	return resp.StatusCode, raw
 }
 
-// TestNDJSONFinalLineNoNewline pins that a batch whose last report line
-// is not newline-terminated (a client that doesn't end its stream with
-// '\n') behaves byte-for-byte like its terminated twin.
-func TestNDJSONFinalLineNoNewline(t *testing.T) {
-	terminated := "{\"time\": 1}\n{\"connection\": 0, \"up\": false}\n{\"connection\": 1, \"up\": true}\n"
-	bare := strings.TrimSuffix(terminated, "\n")
-
-	codeT, rawT := postObs(t, ndjsonContentType, terminated)
-	codeB, rawB := postObs(t, ndjsonContentType, bare)
-	if codeT != http.StatusOK || codeB != http.StatusOK {
-		t.Fatalf("status terminated=%d bare=%d (%s | %s)", codeT, codeB, rawT, rawB)
-	}
-	if rawT != rawB {
-		t.Fatalf("unterminated final line diverged:\n%s\nvs\n%s", rawB, rawT)
-	}
-
-	// A header-only body without a newline still parses as a header and
-	// fails for the right reason: no reports, not a malformed header.
-	code, raw := postObs(t, ndjsonContentType, `{"time": 1}`)
-	if code != http.StatusBadRequest || !strings.Contains(raw, "no reports in batch") {
-		t.Fatalf("bare header: %d %q, want 400 mentioning no reports", code, raw)
-	}
-
-	// An unterminated final line that is malformed is still addressed by
-	// its line number.
-	code, raw = postObs(t, ndjsonContentType, "{\"time\": 1}\n{\"connection\": 0, \"up\": false}\nnonsense")
-	if code != http.StatusBadRequest || !strings.Contains(raw, "line 3: malformed NDJSON report object") {
-		t.Fatalf("unterminated malformed line: %d %q", code, raw)
-	}
-}
-
-// TestNDJSONBlankLineVariants pins blank-interior-line tolerance across
-// encodings: empty lines, whitespace-only lines, tab lines, CRLF blank
-// lines, and CRLF-terminated report lines must all decode identically to
-// the canonical LF-separated batch.
-func TestNDJSONBlankLineVariants(t *testing.T) {
-	canonical := "{\"time\": 1}\n{\"connection\": 0, \"up\": false}\n{\"connection\": 1, \"up\": true}\n"
-	wantCode, wantRaw := postObs(t, ndjsonContentType, canonical)
-	if wantCode != http.StatusOK {
-		t.Fatalf("canonical batch rejected: %d %s", wantCode, wantRaw)
-	}
-
-	variants := map[string]string{
-		"empty interior line":   "{\"time\": 1}\n\n{\"connection\": 0, \"up\": false}\n\n{\"connection\": 1, \"up\": true}\n",
-		"space-only line":       "{\"time\": 1}\n   \n{\"connection\": 0, \"up\": false}\n \n{\"connection\": 1, \"up\": true}\n",
-		"tab-only line":         "{\"time\": 1}\n\t\n{\"connection\": 0, \"up\": false}\n\t \n{\"connection\": 1, \"up\": true}\n",
-		"CRLF blank line":       "{\"time\": 1}\n\r\n{\"connection\": 0, \"up\": false}\n\r\n{\"connection\": 1, \"up\": true}\n",
-		"CRLF-terminated lines": "{\"time\": 1}\r\n{\"connection\": 0, \"up\": false}\r\n{\"connection\": 1, \"up\": true}\r\n",
-		"trailing blank run":    "{\"time\": 1}\n{\"connection\": 0, \"up\": false}\n{\"connection\": 1, \"up\": true}\n\n\n  \n",
-	}
-	for name, body := range variants {
-		code, raw := postObs(t, ndjsonContentType, body)
-		if code != wantCode || raw != wantRaw {
-			t.Errorf("%s: %d %q, want %d %q", name, code, raw, wantCode, wantRaw)
-		}
-	}
-}
-
 // padTo pads a document with trailing newlines until it is exactly size
-// bytes — whitespace after the document is valid in both encodings, so
-// padding changes only where the body lands relative to the pooled read
-// buffer.
+// bytes — whitespace after the document is valid JSON, so padding
+// changes only where the body lands relative to the pooled read buffer.
 func padTo(t *testing.T, doc string, size int) string {
 	t.Helper()
 	if len(doc) > size {
@@ -103,36 +43,14 @@ func padTo(t *testing.T, doc string, size int) string {
 // way. All must decode exactly like their unpadded form.
 func TestIngestBodyAtBufferBoundary(t *testing.T) {
 	jsonDoc := `{"time": 1, "reports": [{"connection": 0, "up": false}]}`
-	wantCode, wantRaw := postObs(t, "application/json", jsonDoc)
+	wantCode, wantRaw := postObs(t, jsonDoc)
 	if wantCode != http.StatusOK {
 		t.Fatalf("unpadded document rejected: %d %s", wantCode, wantRaw)
 	}
 	for _, size := range []int{4095, 4096, 4097, 8192} {
-		code, raw := postObs(t, "application/json", padTo(t, jsonDoc, size))
+		code, raw := postObs(t, padTo(t, jsonDoc, size))
 		if code != wantCode || raw != wantRaw {
 			t.Errorf("JSON body of %d bytes: %d %q, want %d %q", size, code, raw, wantCode, wantRaw)
-		}
-	}
-
-	// NDJSON at the boundary with an unterminated final line: the last
-	// byte of the buffer is the last byte of the last report.
-	ndDoc := "{\"time\": 1}\n{\"connection\": 0, \"up\": false}\n{\"connection\": 1, \"up\": true}"
-	ndWantCode, ndWantRaw := postObs(t, ndjsonContentType, ndDoc)
-	if ndWantCode != http.StatusOK {
-		t.Fatalf("unpadded NDJSON rejected: %d %s", ndWantCode, ndWantRaw)
-	}
-	for _, size := range []int{4095, 4096, 4097} {
-		// Pad with interior blank lines after the header so the final
-		// report line still ends the body without a newline.
-		head := "{\"time\": 1}\n"
-		tail := "{\"connection\": 0, \"up\": false}\n{\"connection\": 1, \"up\": true}"
-		body := head + strings.Repeat("\n", size-len(head)-len(tail)) + tail
-		if len(body) != size {
-			t.Fatalf("built %d bytes, want %d", len(body), size)
-		}
-		code, raw := postObs(t, ndjsonContentType, body)
-		if code != ndWantCode || raw != ndWantRaw {
-			t.Errorf("NDJSON body of %d bytes: %d %q, want %d %q", size, code, raw, ndWantCode, ndWantRaw)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -149,129 +147,28 @@ func sameBools(a, b []bool) bool {
 	return true
 }
 
-// ndjsonBatch renders the streaming form of a batch.
-func ndjsonBatch(batchID string, tm float64, reports ...string) string {
-	var sb strings.Builder
-	if batchID != "" {
-		fmt.Fprintf(&sb, "{\"batch_id\": %q, \"time\": %g}\n", batchID, tm)
-	} else {
-		fmt.Fprintf(&sb, "{\"time\": %g}\n", tm)
-	}
-	for _, r := range reports {
-		sb.WriteString(r)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// An NDJSON batch must behave exactly like its JSON equivalent: same
-// response bytes, same events, same rolling diagnosis — and every
-// observation response advertises the streaming content type.
-func TestNDJSONIngestMatchesJSON(t *testing.T) {
-	_, tsJSON := newTestServer(t, testConfig())
-	_, tsND := newTestServer(t, testConfig())
-
-	steps := []struct {
-		tm  float64
-		ups []bool
-	}{
-		{1, []bool{false, true}},
-		{2, []bool{false, false}},
-		{3, []bool{true, true}},
-	}
-	for i, step := range steps {
-		var reports, lines []string
-		for conn, up := range step.ups {
-			reports = append(reports, fmt.Sprintf(`{"connection": %d, "up": %t}`, conn, up))
-			lines = append(lines, fmt.Sprintf(`{"connection": %d, "up": %t}`, conn, up))
-		}
-		jsonBody := fmt.Sprintf(`{"time": %g, "reports": [%s]}`, step.tm, strings.Join(reports, ","))
-		respJ, rawJ := postCT(t, tsJSON.URL+"/v1/observations", "application/json", jsonBody)
-		respN, rawN := postCT(t, tsND.URL+"/v1/observations", ndjsonContentType,
-			ndjsonBatch("", step.tm, lines...))
-		if respJ.StatusCode != http.StatusOK || respN.StatusCode != http.StatusOK {
-			t.Fatalf("step %d: status json=%d ndjson=%d (%s | %s)",
-				i, respJ.StatusCode, respN.StatusCode, rawJ, rawN)
-		}
-		if rawJ != rawN {
-			t.Fatalf("step %d: response diverged:\njson:   %s\nndjson: %s", i, rawJ, rawN)
-		}
-		if respJ.Header.Get(ndjsonHeader) != "1" || respN.Header.Get(ndjsonHeader) != "1" {
-			t.Fatalf("step %d: missing %s advertisement", i, ndjsonHeader)
-		}
-	}
-	_, diagJ := getJSON(t, tsJSON.URL+"/v1/diagnosis")
-	_, diagN := getJSON(t, tsND.URL+"/v1/diagnosis")
-	if !reflect.DeepEqual(diagJ, diagN) {
-		t.Fatalf("diagnosis diverged: %v vs %v", diagJ, diagN)
-	}
-}
-
-// Malformed NDJSON is rejected with a line-addressed 400; blank lines are
-// tolerated.
+// TestNDJSONMalformed: NDJSON (a header line carrying batch_id and time,
+// then one report object per line) is not an ingest format, whatever
+// Content-Type the request names. Every NDJSON body, well-formed as
+// NDJSON or not, is refused with the 400 the stdlib JSON decoder answers
+// for it, byte for byte.
 func TestNDJSONMalformed(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
-	cases := []struct {
-		body string
-		want string
-	}{
-		{"", "empty NDJSON body"},
-		{"not json\n", "line 1: malformed NDJSON header object"},
-		{"{\"time\": 1} extra\n", "line 1: trailing data after NDJSON header object"},
-		{"{\"time\": 1, \"reports\": []}\n", "line 1: malformed NDJSON header object"},
-		{"{\"time\": 1}\nnonsense\n", "line 2: malformed NDJSON report object"},
-		{"{\"time\": 1}\n{\"connection\": 0, \"up\": true} x\n", "line 2: trailing data after NDJSON report object"},
-		{"{\"time\": 1}\n\n{\"connection\": 0, \"up\": true}\n\n{\"bogus\": 1}\n", "line 5: malformed NDJSON report object"},
+	bodies := []string{
+		"{\"batch_id\": \"b-42\", \"time\": 1}\n{\"connection\": 0, \"up\": false}\n{\"connection\": 1, \"up\": true}\n",
+		"{\"time\": 1}\n\n{\"connection\": 0, \"up\": true}\n\n",
+		"{\"time\": 1}\r\n{\"connection\": 0, \"up\": false}",
+		"not json\n",
+		"{\"time\": 1}\nnonsense\n",
 	}
-	for _, tc := range cases {
-		resp, raw := postCT(t, ts.URL+"/v1/observations", ndjsonContentType, tc.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %q: status %d, want 400", tc.body, resp.StatusCode)
-			continue
+	for _, body := range bodies {
+		resp, raw := postCT(t, ts.URL+"/v1/observations", "application/x-ndjson", body)
+		ref := httptest.NewRecorder()
+		if decodeObsFallback(ref, []byte(body), &observationsRequest{}) {
+			t.Fatalf("body %q: the stdlib decoder accepted it", body)
 		}
-		if !strings.Contains(raw, tc.want) {
-			t.Errorf("body %q: error %q does not mention %q", tc.body, raw, tc.want)
-		}
-		// Blank-line tolerance: the valid-with-blank-lines variant works.
-	}
-	resp, raw := postCT(t, ts.URL+"/v1/observations", ndjsonContentType,
-		"{\"time\": 1}\n\n{\"connection\": 0, \"up\": true}\n\n")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("blank-line batch rejected: %d %s", resp.StatusCode, raw)
-	}
-}
-
-// The dedup window must replay byte-identical answers regardless of which
-// encoding delivered the original batch or the retry.
-func TestNDJSONDedupReplay(t *testing.T) {
-	cfg := testConfig()
-	cfg.DedupWindow = 16
-	_, ts := newTestServer(t, cfg)
-
-	nd := ndjsonBatch("batch-x", 1, `{"connection": 0, "up": false}`, `{"connection": 1, "up": true}`)
-	resp1, raw1 := postCT(t, ts.URL+"/v1/observations", ndjsonContentType, nd)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("first delivery: %d %s", resp1.StatusCode, raw1)
-	}
-	if resp1.Header.Get("Placemond-Replayed") == "true" {
-		t.Fatal("first delivery marked replayed")
-	}
-
-	// Retry in both encodings: the cached (JSON) answer replays byte for byte.
-	jsonRetry := `{"batch_id": "batch-x", "time": 1, "reports": [{"connection": 0, "up": false}, {"connection": 1, "up": true}]}`
-	for _, retry := range []struct{ ct, body string }{
-		{ndjsonContentType, nd},
-		{"application/json", jsonRetry},
-	} {
-		resp, raw := postCT(t, ts.URL+"/v1/observations", retry.ct, retry.body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("retry (%s): %d %s", retry.ct, resp.StatusCode, raw)
-		}
-		if resp.Header.Get("Placemond-Replayed") != "true" {
-			t.Fatalf("retry (%s) not marked replayed", retry.ct)
-		}
-		if raw != raw1 {
-			t.Fatalf("retry (%s) body %q != original %q", retry.ct, raw, raw1)
+		if resp.StatusCode != http.StatusBadRequest || raw != ref.Body.String() {
+			t.Errorf("body %q: %d %q, want 400 %q", body, resp.StatusCode, raw, ref.Body.String())
 		}
 	}
 }

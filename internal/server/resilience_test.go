@@ -2,16 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/tomography"
 	"repro/internal/wal"
 )
 
@@ -22,37 +20,40 @@ func TestIngestIdempotency(t *testing.T) {
 	s, ts := newTestServer(t, testConfig())
 
 	body := `{"batch_id": "b-1", "time": 1, "reports": [{"connection": 0, "up": false}, {"connection": 1, "up": true}]}`
-	resp, first := postJSON(t, ts.URL+"/v1/observations", body)
+	resp, firstRaw := postCT(t, ts.URL+"/v1/observations", "application/json", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first delivery status = %d", resp.StatusCode)
+	}
+	var first map[string]any
+	if err := json.Unmarshal([]byte(firstRaw), &first); err != nil {
+		t.Fatal(err)
 	}
 	if kinds := eventKinds(t, first); len(kinds) == 0 || kinds[0] != "outage-started" {
 		t.Fatalf("first delivery kinds = %v", kinds)
 	}
 	ingested := s.obsIngested.Value()
 
-	// Second delivery of the same batch: replayed, byte-identical events,
-	// nothing re-ingested.
-	resp2, err := http.Post(ts.URL+"/v1/observations", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("replayed delivery status = %d", resp2.StatusCode)
-	}
-	if resp2.Header.Get("Placemond-Replayed") != "true" {
-		t.Fatalf("replay header missing; headers = %v", resp2.Header)
-	}
-	if !strings.Contains(string(raw), "outage-started") {
-		t.Fatalf("replayed body lost the original events: %s", raw)
+	// Later deliveries of the same batch, as sent and re-encoded without
+	// spaces: replayed, byte-identical to the first answer, nothing
+	// re-ingested.
+	reencoded := `{"batch_id":"b-1","time":1,"reports":[{"connection":0,"up":false},{"connection":1,"up":true}]}`
+	for _, retry := range []string{body, reencoded} {
+		resp, raw := postCT(t, ts.URL+"/v1/observations", "application/json", retry)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("replayed delivery %s: status = %d", retry, resp.StatusCode)
+		}
+		if resp.Header.Get("Placemond-Replayed") != "true" {
+			t.Fatalf("replay header missing on %s; headers = %v", retry, resp.Header)
+		}
+		if raw != firstRaw {
+			t.Fatalf("replayed body of %s = %q, want the first answer %q", retry, raw, firstRaw)
+		}
 	}
 	if got := s.obsIngested.Value(); got != ingested {
 		t.Fatalf("replay re-ingested: counter %v → %v", ingested, got)
 	}
-	if s.obsReplayed.Value() != 1 {
-		t.Fatalf("replay counter = %v, want 1", s.obsReplayed.Value())
+	if s.obsReplayed.Value() != 2 {
+		t.Fatalf("replay counter = %v, want 2", s.obsReplayed.Value())
 	}
 
 	// Control: the same reports under a FRESH batch_id are re-applied,
@@ -222,51 +223,31 @@ func ingestOutage(t *testing.T, url string) {
 	}
 }
 
-// TestStaleDiagnosisOnTimeout: when the recompute blows its deadline the
-// handler serves the last good diagnosis, marked stale.
-func TestStaleDiagnosisOnTimeout(t *testing.T) {
+// disjointConfig is testConfig with the default scenario's two
+// connections sharing no node (paths 0-1-2 and 3-4): with both down no
+// single node explains the outage, so at k = 1 the diagnosis is
+// inconsistent.
+func disjointConfig(t *testing.T) Config {
+	spec := lineSpec()
+	spec.Paths = [][]int{{0, 1, 2}, {3, 4}}
 	cfg := testConfig()
-	cfg.DiagnosisTimeout = 20 * time.Millisecond
-	s, ts := newTestServer(t, cfg)
-	ingestOutage(t, ts.URL)
-
-	def := s.defaultTenant()
-	real := def.diagnose
-	def.diagnose = func() (*tomography.Diagnosis, error) {
-		time.Sleep(200 * time.Millisecond)
-		return real()
-	}
-	resp, body := getJSON(t, ts.URL+"/v1/diagnosis")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if body["stale"] != true {
-		t.Fatalf("stale marker missing: %v", body)
-	}
-	if body["inconsistent"] == true {
-		t.Fatalf("timeout misreported as inconsistency: %v", body)
-	}
-	if body["diagnosis"] == nil {
-		t.Fatalf("no diagnosis served despite a cached one: %v", body)
-	}
-	if age, ok := body["stale_age_seconds"].(float64); !ok || age < 0 {
-		t.Fatalf("stale_age_seconds = %v", body["stale_age_seconds"])
-	}
-	if s.staleServed.Value() != 1 {
-		t.Fatalf("stale counter = %v, want 1", s.staleServed.Value())
-	}
+	cfg.DefaultSpec = mustJSON(t, spec)
+	return cfg
 }
 
-// TestStaleDiagnosisOnRecomputeError: an inconsistent recompute keeps the
+// TestStaleDiagnosisOnRecomputeError: an inconsistent diagnosis keeps the
 // inconsistency flag AND degrades to the last good diagnosis.
 func TestStaleDiagnosisOnRecomputeError(t *testing.T) {
-	s, ts := newTestServer(t, testConfig())
+	s, ts := newTestServer(t, disjointConfig(t))
 	ingestOutage(t, ts.URL)
 
-	s.defaultTenant().diagnose = func() (*tomography.Diagnosis, error) {
-		return nil, fmt.Errorf("tomography: no consistent failure set")
+	// The second connection goes down too: no single node lies on both.
+	resp, body := postJSON(t, ts.URL+"/v1/observations",
+		`{"time": 2, "reports": [{"connection": 1, "up": false}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status = %d, body %v", resp.StatusCode, body)
 	}
-	resp, body := getJSON(t, ts.URL+"/v1/diagnosis")
+	resp, body = getJSON(t, ts.URL+"/v1/diagnosis")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -276,23 +257,31 @@ func TestStaleDiagnosisOnRecomputeError(t *testing.T) {
 	if body["stale"] != true || body["diagnosis"] == nil {
 		t.Fatalf("stale fallback missing: %v", body)
 	}
+	if age, ok := body["stale_age_seconds"].(float64); !ok || age < 0 {
+		t.Fatalf("stale_age_seconds = %v", body["stale_age_seconds"])
+	}
+	if s.staleServed.Value() != 1 {
+		t.Fatalf("stale counter = %v, want 1", s.staleServed.Value())
+	}
 }
 
 // TestStaleWithoutCacheDegradesLikeBefore: with no last good diagnosis
 // the old behavior (inconsistent, no diagnosis) is preserved.
 func TestStaleWithoutCacheDegradesLikeBefore(t *testing.T) {
-	s, ts := newTestServer(t, testConfig())
-	// Reach the outage without ever producing a good diagnosis.
-	def := s.defaultTenant()
-	def.diagnose = func() (*tomography.Diagnosis, error) {
-		return nil, fmt.Errorf("tomography: no consistent failure set")
+	s, ts := newTestServer(t, disjointConfig(t))
+	// Both connections go down in one batch: no single node explains the
+	// outage it leaves.
+	resp, body := postJSON(t, ts.URL+"/v1/observations",
+		`{"time": 1, "reports": [{"connection": 0, "up": false}, {"connection": 1, "up": false}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status = %d, body %v", resp.StatusCode, body)
 	}
-	ingestOutage(t, ts.URL)
-	// Ingest events seed the cache through the daemon's internal
-	// recompute; empty it so the fallback genuinely has nothing.
-	def.lastGood.Store(nil)
+	// The batch's first report alone was explainable, and its
+	// outage-started event seeded the cache; empty it so the fallback
+	// genuinely has nothing.
+	s.defaultTenant().lastGood.Store(nil)
 
-	_, body := getJSON(t, ts.URL+"/v1/diagnosis")
+	_, body = getJSON(t, ts.URL+"/v1/diagnosis")
 	if body["inconsistent"] != true {
 		t.Fatalf("inconsistency flag missing: %v", body)
 	}
@@ -312,5 +301,88 @@ func TestFreshDiagnosisNotMarkedStale(t *testing.T) {
 	}
 	if body["diagnosis"] == nil {
 		t.Fatalf("no diagnosis on happy path: %v", body)
+	}
+}
+
+// TestDiagnosisReadNotTorn: a diagnosis read sees one state of the
+// scenario, never half of one batch. A writer alternates a batch that
+// takes connection 0 down, which node 0 or node 1 alone explains, with
+// a batch that clears it, while reads run through the same handler.
+// Every read must say "in outage" exactly when its connection table has
+// a connection down, carry a diagnosis exactly then, and never report
+// an inconsistent or stale one: every state the writer leaves has a
+// one-node explanation.
+func TestDiagnosisReadNotTorn(t *testing.T) {
+	const reads = 3000
+	s, _ := newTestServer(t, testConfig())
+	h := s.Handler()
+	batches := []string{
+		`{"time": 1, "reports": [{"connection": 0, "up": false}, {"connection": 1, "up": true}]}`,
+		`{"time": 2, "reports": [{"connection": 0, "up": true}]}`,
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/observations", strings.NewReader(batches[i%2])))
+			if rec.Code != http.StatusOK {
+				t.Errorf("batch %d: status %d: %s", i, rec.Code, rec.Body)
+				return
+			}
+		}
+	}()
+
+	bad, example := 0, ""
+	for i := 0; i < reads; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/diagnosis", nil))
+		var got struct {
+			InOutage     bool `json:"in_outage"`
+			Inconsistent bool `json:"inconsistent"`
+			Stale        bool `json:"stale"`
+			Connections  []struct {
+				State string `json:"state"`
+			} `json:"connections"`
+			Diagnosis *diagnosisJSON `json:"diagnosis"`
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("read %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		down := false
+		for _, c := range got.Connections {
+			down = down || c.State == "down"
+		}
+		var problems []string
+		if got.InOutage != down {
+			problems = append(problems, fmt.Sprintf("in_outage %t with a connection down %t", got.InOutage, down))
+		}
+		if (got.Diagnosis != nil) != got.InOutage {
+			problems = append(problems, fmt.Sprintf("diagnosis present %t, in_outage %t", got.Diagnosis != nil, got.InOutage))
+		}
+		if got.Inconsistent || got.Stale {
+			problems = append(problems, fmt.Sprintf("inconsistent %t, stale %t", got.Inconsistent, got.Stale))
+		}
+		if len(problems) > 0 {
+			bad++
+			if example == "" {
+				example = fmt.Sprintf("read %d: %s: %s", i, strings.Join(problems, "; "), rec.Body)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if bad > 0 {
+		t.Errorf("%d of %d reads were torn; first: %s", bad, reads, example)
 	}
 }

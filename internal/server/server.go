@@ -108,11 +108,6 @@ type Config struct {
 	// deliveries carrying a remembered batch_id replay the original
 	// response instead of re-applying (default 1024; ≤ -1 disables).
 	DedupWindow int
-	// DiagnosisTimeout bounds the diagnosis recompute in
-	// GET /v1/diagnosis; on timeout (or an inconsistent recompute) the
-	// handler serves the last good diagnosis marked stale (default 2s;
-	// ≤ -1 disables the deadline).
-	DiagnosisTimeout time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Logger receives structured request and error records
@@ -198,10 +193,9 @@ type Server struct {
 	walReplayed     *metrics.Counter
 
 	// Per-tenant knobs applied to every scenario as it is built.
-	defaultK    int
-	dedupSize   int           // ≤ 0 disables the idempotent-ingest window
-	traceBuf    int           // ≤ 0 disables per-tenant trace rings
-	diagTimeout time.Duration // ≤ 0 means no diagnosis recompute deadline
+	defaultK  int
+	dedupSize int // ≤ 0 disables the idempotent-ingest window
+	traceBuf  int // ≤ 0 disables per-tenant trace rings
 
 	obsIngested    *metrics.Counter
 	obsReplayed    *metrics.Counter
@@ -276,10 +270,6 @@ func New(cfg Config) (*Server, error) {
 	if dedupSize == 0 {
 		dedupSize = 1024
 	}
-	diagTimeout := cfg.DiagnosisTimeout
-	if diagTimeout == 0 {
-		diagTimeout = 2 * time.Second
-	}
 	maxScenarios := cfg.MaxScenarios
 	if maxScenarios == 0 {
 		maxScenarios = 64
@@ -303,7 +293,6 @@ func New(cfg Config) (*Server, error) {
 		defaultK:       k,
 		dedupSize:      dedupSize,
 		traceBuf:       traceBuf,
-		diagTimeout:    diagTimeout,
 		obsIngested: reg.Counter("placemond_observations_ingested_total",
 			"Connection state reports accepted by POST /v1/observations."),
 		obsReplayed: reg.Counter("placemond_ingest_replayed_total",
@@ -351,14 +340,15 @@ func New(cfg Config) (*Server, error) {
 
 	// One mux for every route. The request-timeout deadline is applied
 	// per-route, and only to handlers that actually observe it: the
-	// placement pool, the diagnosis recompute, and scenario create/delete
-	// (job drains). Ingest and the other quick handlers never read the
-	// deadline, so building a timer context for them was pure overhead —
-	// and pprof profile collection legitimately runs longer than an API
-	// request is allowed to.
+	// placement pool, network revision, migration, and scenario
+	// create/delete (job drains). Ingest, the diagnosis read and the
+	// other quick handlers never read the deadline, so building a timer
+	// context for them would be pure overhead — and pprof profile
+	// collection legitimately runs longer than an API request is allowed
+	// to.
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/observations", s.instrument("/v1/observations", s.forScenario(DefaultScenario, s.serveObservations)))
-	mux.Handle("GET /v1/diagnosis", s.withTimeout(s.instrument("/v1/diagnosis", s.forScenario(DefaultScenario, s.serveDiagnosis))))
+	mux.Handle("GET /v1/diagnosis", s.instrument("/v1/diagnosis", s.forScenario(DefaultScenario, s.serveDiagnosis)))
 	mux.Handle("POST /v1/placements", s.withTimeout(s.instrument("/v1/placements", s.forScenario(DefaultScenario, s.servePlacements))))
 	mux.Handle("GET /healthz", s.instrument("/healthz", http.HandlerFunc(s.handleHealthz)))
 	mux.Handle("GET /metrics", s.instrument("/metrics", http.HandlerFunc(s.handleMetrics)))
@@ -366,7 +356,7 @@ func New(cfg Config) (*Server, error) {
 	mux.Handle("POST /v1/scenarios/{id}/observations",
 		s.instrument("/v1/scenarios/{id}/observations", s.forScenario("", s.serveObservations)))
 	mux.Handle("GET /v1/scenarios/{id}/diagnosis",
-		s.withTimeout(s.instrument("/v1/scenarios/{id}/diagnosis", s.forScenario("", s.serveDiagnosis))))
+		s.instrument("/v1/scenarios/{id}/diagnosis", s.forScenario("", s.serveDiagnosis)))
 	mux.Handle("POST /v1/scenarios/{id}/placements",
 		s.withTimeout(s.instrument("/v1/scenarios/{id}/placements", s.forScenario("", s.servePlacements))))
 	mux.Handle("GET /v1/scenarios/{id}/traces",
@@ -475,9 +465,9 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-// VerifyIncremental cross-checks every tenant's incremental rolling
-// diagnosis against a from-scratch recompute, returning the first
-// divergence. It is a test seam: the chaos soak and crash matrix call it
+// VerifyIncremental cross-checks every tenant's kept rolling diagnosis,
+// the one serveDiagnosis serves, against a from-scratch recompute,
+// returning the first divergence. It is a test seam: the chaos soak and crash matrix call it
 // to pin the tentpole invariant — the event-driven O(changed paths)
 // update must stay bit-identical to a full rebuild. Tenants whose
 // monitor already closed (mid-removal) are skipped.
@@ -692,9 +682,10 @@ type connectionJSON struct {
 	State string `json:"state"`
 }
 
-// errDiagnosisTimeout marks a recompute that blew its deadline.
-var errDiagnosisTimeout = errors.New("server: diagnosis recompute timed out")
-
+// serveDiagnosis answers from one locked copy of the monitor: the outage
+// flag, the connection states and the diagnosis the last state change
+// computed. A read never localizes, so it holds the monitor's lock only
+// for the copy.
 func (s *Server) serveDiagnosis(t *tenant, w http.ResponseWriter, r *http.Request) {
 	snap := t.mon.Snapshot()
 	out := struct {
@@ -712,20 +703,14 @@ func (s *Server) serveDiagnosis(t *tenant, w http.ResponseWriter, r *http.Reques
 		})
 	}
 	if snap.InOutage {
-		sp := trace.FromContext(r.Context())
-		st := sp.StartStage("diagnose")
-		diag, err := s.diagnoseWithDeadline(r.Context(), t)
-		st.EndDetail("ok=%t", err == nil)
-		if err == nil {
-			out.Diagnosis = diagnosisToJSON(diag)
+		if snap.DiagnosisErr == nil {
+			out.Diagnosis = diagnosisToJSON(snap.Diagnosis)
 			t.recordGoodDiagnosis(out.Diagnosis)
 		} else {
-			if !errors.Is(err, errDiagnosisTimeout) && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-				// More simultaneous failures than the budget k explains,
-				// or conflicting reports: the outage is real but
-				// unlocalizable right now.
-				out.Inconsistent = true
-			}
+			// More simultaneous failures than the budget k explains, or
+			// conflicting reports: the outage is real but unlocalizable
+			// right now.
+			out.Inconsistent = true
 			// Degrade gracefully: a stale localization beats a blank
 			// page during an outage, as long as it is marked as such.
 			if cached, age, ok := t.lastGoodDiagnosis(); ok {
@@ -737,35 +722,6 @@ func (s *Server) serveDiagnosis(t *tenant, w http.ResponseWriter, r *http.Reques
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// diagnoseWithDeadline recomputes t's diagnosis, bounded by the
-// configured deadline and the request context. On timeout the recompute
-// goroutine finishes (and is discarded) in the background — the monitor
-// lock is held at most one recompute longer than the deadline.
-func (s *Server) diagnoseWithDeadline(ctx context.Context, t *tenant) (*tomography.Diagnosis, error) {
-	if s.diagTimeout <= 0 {
-		return t.diagnose()
-	}
-	type result struct {
-		diag *tomography.Diagnosis
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		diag, err := t.diagnose()
-		ch <- result{diag, err}
-	}()
-	timer := time.NewTimer(s.diagTimeout)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		return res.diag, res.err
-	case <-timer.C:
-		return nil, errDiagnosisTimeout
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 func (s *Server) servePlacements(t *tenant, w http.ResponseWriter, r *http.Request) {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/monitord"
 	"repro/internal/registry"
-	"repro/internal/tomography"
 	"repro/internal/trace"
 	"repro/internal/wal"
 )
@@ -71,10 +70,6 @@ type tenant struct {
 	ring   *trace.Ring  // nil when disabled
 	// spec is the scenario document the tenant was built from.
 	spec []byte
-
-	// diagnose recomputes the rolling diagnosis: mon.Diagnosis, or a slow
-	// or failing stand-in a test installs.
-	diagnose func() (*tomography.Diagnosis, error)
 
 	// lastGood is the latest successfully computed diagnosis, for the
 	// stale-serving fallback; nil until there is one.
@@ -230,7 +225,6 @@ func (s *Server) newTenant(id string, tc *TenantConfig, spec []byte) (*tenant, e
 			"Tenant-scoped API requests, by scenario (capped cardinality).",
 			"tenant", label),
 	}
-	t.diagnose = t.mon.Diagnosis
 	if s.dedupSize > 0 {
 		t.dedup = newDedupWindow(s.dedupSize)
 	}

@@ -33,22 +33,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
-)
-
-// Streaming-ingest negotiation: placemond advertises NDJSON batch support
-// by stamping ndjsonHeader on observation responses. Once the client has
-// seen the advertisement it encodes subsequent batches as newline-
-// delimited JSON (one report per line), which the server ingests through
-// its allocation-free scanner; until then — and against servers that
-// never advertise — it sends plain JSON. Responses are JSON either way.
-const (
-	ndjsonContentType = "application/x-ndjson"
-	ndjsonHeader      = "Placemond-Ndjson"
 )
 
 // ErrCircuitOpen means the breaker refused the call without touching the
@@ -131,10 +119,6 @@ type Client struct {
 
 	mu  sync.Mutex
 	rng *mathrand.Rand
-
-	// ndjson latches true after any response carries ndjsonHeader;
-	// subsequent observation batches upgrade to NDJSON encoding.
-	ndjson atomic.Bool
 
 	// owners caches cluster owner hints learned from 307 redirects:
 	// scenario key → *url.URL base of the node that actually owns it.
@@ -280,8 +264,9 @@ type ConnectionStatus struct {
 }
 
 // DiagnosisResponse is the body of GET /v1/diagnosis. Stale marks a
-// served-from-cache diagnosis: the server could not recompute in time and
-// fell back to the last good one, StaleAgeSeconds ago.
+// served-from-cache diagnosis: the reports are Inconsistent (no failure
+// set within the budget explains them), so the server fell back to the
+// last good diagnosis, served StaleAgeSeconds ago.
 type DiagnosisResponse struct {
 	InOutage        bool               `json:"in_outage"`
 	Inconsistent    bool               `json:"inconsistent,omitempty"`
@@ -346,14 +331,7 @@ func (c *Client) ReportObservations(ctx context.Context, batch ObservationBatch)
 	var out struct {
 		Events []Event `json:"events"`
 	}
-	var hdr http.Header
-	var err error
-	if c.ndjson.Load() {
-		hdr, err = c.doBody(ctx, http.MethodPost, "/v1/observations",
-			ndjsonContentType, encodeNDJSON(batch), &out)
-	} else {
-		hdr, err = c.do(ctx, http.MethodPost, "/v1/observations", batch, &out)
-	}
+	hdr, err := c.do(ctx, http.MethodPost, "/v1/observations", batch, &out)
 	if err != nil {
 		return nil, err
 	}
@@ -407,12 +385,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) (http
 			return nil, fmt.Errorf("placemonclient: encoding %s body: %w", path, err)
 		}
 	}
-	return c.doBody(ctx, method, path, "application/json", body, out)
-}
-
-// doBody is do with the body already encoded, for callers that speak a
-// non-JSON request encoding (the NDJSON ingest path).
-func (c *Client) doBody(ctx context.Context, method, path, contentType string, body []byte, out any) (http.Header, error) {
 	traceID := trace.IDFromContext(ctx)
 	if traceID == "" {
 		traceID = trace.NewID()
@@ -456,7 +428,7 @@ func (c *Client) doBody(ctx context.Context, method, path, contentType string, b
 		)
 		for hops := 0; ; hops++ {
 			var redirect *url.URL
-			hdr, redirect, retryable, ra, err = c.attempt(ctx, base, method, path, traceID, contentType, body, out)
+			hdr, redirect, retryable, ra, err = c.attempt(ctx, base, method, path, traceID, body, out)
 			if redirect == nil {
 				break
 			}
@@ -535,7 +507,7 @@ func (c *Client) dropStaleOwner(key string, err error) {
 // successes — the server is alive, it just rejected the request). A
 // 307 returns the redirect target (also a breaker success: a node that
 // knows who owns the scenario is a healthy node).
-func (c *Client) attempt(ctx context.Context, base *url.URL, method, path, traceID, contentType string, body []byte, out any) (http.Header, *url.URL, bool, time.Duration, error) {
+func (c *Client) attempt(ctx context.Context, base *url.URL, method, path, traceID string, body []byte, out any) (http.Header, *url.URL, bool, time.Duration, error) {
 	actx := ctx
 	if c.cfg.PerAttemptTimeout > 0 {
 		var cancel context.CancelFunc
@@ -554,7 +526,7 @@ func (c *Client) attempt(ctx context.Context, base *url.URL, method, path, trace
 		return nil, nil, false, 0, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", contentType)
+		req.Header.Set("Content-Type", "application/json")
 	}
 	req.Header.Set(trace.Header, traceID)
 
@@ -572,10 +544,6 @@ func (c *Client) attempt(ctx context.Context, base *url.URL, method, path, trace
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if resp.Header.Get(ndjsonHeader) == "1" {
-		// The daemon speaks streaming ingest; upgrade future batches.
-		c.ndjson.Store(true)
-	}
 
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode < 300:
@@ -701,24 +669,4 @@ func apiError(resp *http.Response) error {
 // construction as trace IDs, shared via internal/trace.
 func newBatchID() string {
 	return trace.NewID()
-}
-
-// encodeNDJSON renders a batch in placemond's streaming ingest framing:
-// a header line carrying the batch ID and virtual time, then one report
-// object per line.
-func encodeNDJSON(batch ObservationBatch) []byte {
-	var buf bytes.Buffer
-	buf.Grow(64 + 32*len(batch.Reports))
-	enc := json.NewEncoder(&buf)
-	header := struct {
-		BatchID string  `json:"batch_id,omitempty"`
-		Time    float64 `json:"time"`
-	}{BatchID: batch.BatchID, Time: batch.Time}
-	// Encoding fixed wire structs cannot fail; Encode appends the
-	// newline that frames each NDJSON line.
-	_ = enc.Encode(header)
-	for _, r := range batch.Reports {
-		_ = enc.Encode(r)
-	}
-	return buf.Bytes()
 }

@@ -4,10 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -277,11 +275,14 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 
 // TestBatchIDStableAcrossRetries: every delivery of one logical batch
 // must carry the same idempotency key, and a fresh key is minted per
-// batch.
+// batch. Every delivery is a JSON document.
 func TestBatchIDStableAcrossRetries(t *testing.T) {
 	var ids []string
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if ct := r.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("delivery Content-Type = %q, want application/json", ct)
+		}
 		var req struct {
 			BatchID string `json:"batch_id"`
 		}
@@ -399,94 +400,5 @@ func TestReadOnlyNotRetried(t *testing.T) {
 	}
 	if n := hits.Load(); n != 1 {
 		t.Fatalf("read-only 503 retried: %d attempts", n)
-	}
-}
-
-// TestNDJSONUpgrade: the client starts on JSON, latches onto the
-// streaming content type the first time the daemon advertises
-// Placemond-Ndjson: 1, and ships every later batch as NDJSON framing —
-// header line, then one report object per line.
-func TestNDJSONUpgrade(t *testing.T) {
-	type call struct {
-		contentType string
-		body        string
-	}
-	var mu sync.Mutex
-	var calls []call
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b, _ := io.ReadAll(r.Body)
-		mu.Lock()
-		calls = append(calls, call{contentType: r.Header.Get("Content-Type"), body: string(b)})
-		mu.Unlock()
-		w.Header().Set("Placemond-Ndjson", "1")
-		w.Write([]byte(`{"events":[]}`))
-	}))
-	defer ts.Close()
-
-	c := newTestClient(t, ts.URL, nil)
-	batch := ObservationBatch{BatchID: "b1", Time: 1, Reports: []Report{
-		{Connection: 0, Up: true},
-		{Connection: 1, Up: false},
-	}}
-	if _, err := c.ReportObservations(context.Background(), batch); err != nil {
-		t.Fatalf("first batch: %v", err)
-	}
-	batch.BatchID = "b2"
-	batch.Time = 2
-	if _, err := c.ReportObservations(context.Background(), batch); err != nil {
-		t.Fatalf("second batch: %v", err)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(calls) != 2 {
-		t.Fatalf("server saw %d calls, want 2", len(calls))
-	}
-	// The advertisement arrives with the first response, so the first
-	// request is still plain JSON.
-	if got := calls[0].contentType; got != "application/json" {
-		t.Fatalf("first batch Content-Type = %q, want application/json", got)
-	}
-	if got := calls[1].contentType; got != "application/x-ndjson" {
-		t.Fatalf("second batch Content-Type = %q, want application/x-ndjson", got)
-	}
-	want := `{"batch_id":"b2","time":2}
-{"connection":0,"up":true}
-{"connection":1,"up":false}
-`
-	if calls[1].body != want {
-		t.Fatalf("NDJSON framing mismatch:\n got %q\nwant %q", calls[1].body, want)
-	}
-}
-
-// TestNDJSONNotUpgradedWithoutAdvertisement: a daemon that never sends
-// Placemond-Ndjson keeps the client on JSON forever — old daemons see
-// only the wire format they understand.
-func TestNDJSONNotUpgradedWithoutAdvertisement(t *testing.T) {
-	var types []string
-	var mu sync.Mutex
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		types = append(types, r.Header.Get("Content-Type"))
-		mu.Unlock()
-		w.Write([]byte(`{"events":[]}`))
-	}))
-	defer ts.Close()
-
-	c := newTestClient(t, ts.URL, nil)
-	for i := 0; i < 3; i++ {
-		_, err := c.ReportObservations(context.Background(), ObservationBatch{
-			Reports: []Report{{Connection: 0, Up: true}},
-		})
-		if err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i, ct := range types {
-		if ct != "application/json" {
-			t.Fatalf("batch %d upgraded to %q without server advertisement", i, ct)
-		}
 	}
 }

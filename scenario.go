@@ -219,7 +219,6 @@ func (cfg ServerConfig) innerConfig() (server.Config, error) {
 		RequestTimeout:     cfg.RequestTimeout,
 		DrainTimeout:       cfg.DrainTimeout,
 		DedupWindow:        cfg.DedupWindow,
-		DiagnosisTimeout:   cfg.DiagnosisTimeout,
 		EnablePprof:        cfg.EnablePprof,
 		Logger:             cfg.Logger,
 		SlowRequest:        cfg.SlowRequest,

@@ -24,7 +24,10 @@ import (
 // ServerConfig parameterizes NewServer. The zero value is a sensible
 // production default.
 type ServerConfig struct {
-	// K is the failure budget of the rolling diagnosis (default 1).
+	// K is the failure budget of the rolling diagnosis (default 1). A
+	// scenario diagnoses at each connection state change during an
+	// outage, while ingesting the report; a diagnosis read only copies
+	// the result.
 	K int
 	// Workers sizes the placement worker pool (default: half the CPUs).
 	Workers int
@@ -40,10 +43,6 @@ type ServerConfig struct {
 	// their original response instead of re-applying (default 1024;
 	// ≤ -1 disables).
 	DedupWindow int
-	// DiagnosisTimeout bounds the diagnosis recompute in
-	// GET /v1/diagnosis; past it the last good diagnosis is served with
-	// a staleness marker (default 2s; ≤ -1 disables the deadline).
-	DiagnosisTimeout time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Logger receives structured request and error records; nil discards
@@ -266,9 +265,9 @@ func (s *Server) Abort() { s.inner.Abort() }
 // (mutating requests answer 503 with Placemond-Read-Only until restart).
 func (s *Server) ReadOnly() bool { return s.inner.ReadOnly() }
 
-// VerifyIncremental cross-checks every scenario's incremental rolling
-// diagnosis against a from-scratch recompute and reports the first
-// divergence. The daemon never needs this in normal operation — the
+// VerifyIncremental cross-checks every scenario's rolling diagnosis,
+// the one its monitor keeps and GET …/diagnosis serves, against a
+// from-scratch recompute and reports the first divergence. The daemon never needs this in normal operation — the
 // incremental path is exact by construction — but soak and crash
 // harnesses call it to prove that exactness under hostile schedules.
 func (s *Server) VerifyIncremental() error { return s.inner.VerifyIncremental() }

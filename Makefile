@@ -82,9 +82,11 @@ cluster-soak:
 # seeded byte offsets mid-append, mid-rotation, and mid-compaction (log
 # layer) and mid-serving (HTTP layer); every recovered state must be
 # byte-identical to a never-crashed reference, and a retried pre-crash
-# batch must replay its original ack.
+# batch must replay its original ack. TestScenarioPublication crashes a
+# server right after batches raced a scenario's create, network revision
+# or adoption, and requires the same byte-identical recovery.
 crash-smoke:
-	$(GO) test -race -run 'TestCrashMatrix|TestCrashServerMatrix|TestTorn' -v ./internal/wal/ ./internal/server/
+	$(GO) test -race -run 'TestCrashMatrix|TestCrashServerMatrix|TestTorn|TestScenarioPublication' -v ./internal/wal/ ./internal/server/
 
 # One benchmark run per table/figure plus the ablations.
 bench:

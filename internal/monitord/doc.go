@@ -22,16 +22,16 @@
 // from-scratch recompute over every path. The diagnosis can change only
 // when a connection's state does, so Report diagnoses at each state
 // transition during an outage and keeps the result, diagnosis or error;
-// Diagnosis and Guarded.Snapshot return that kept result and never
-// localize. VerifyIncremental cross-checks the kept diagnosis against a
+// Diagnosis returns that kept result and never localizes.
+// VerifyIncremental cross-checks the kept diagnosis against a
 // from-scratch recompute; the soak and crash harnesses call it to prove
 // exactness under hostile schedules.
 //
 // The core is deliberately synchronous and deterministic: callers feed
 // it state transitions (from netsim, from production probes, or from
-// tests) and receive the events the transition triggered. Guarded adds
-// concurrency safety by holding one mutex across each call, so a batch
-// applies as one unit and a scenario owns no goroutine. The HTTP serving
-// layer (internal/server) uses Guarded; everyone else gets
-// single-threaded determinism for free.
+// tests) and receive the events the transition triggered. A Monitor is
+// not safe for concurrent use and owns no goroutine; the HTTP serving
+// layer (internal/server) keeps each scenario's Monitor under that
+// scenario's state lock, beside the rest of the scenario's state, so a
+// batch applies as one unit.
 package monitord

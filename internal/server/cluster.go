@@ -493,7 +493,7 @@ func (s *Server) migrateScenario(ctx context.Context, t *tenant, target cluster.
 
 	s.removeTenantState(t)
 	s.cluster.setRelocation(t.id, target.ID)
-	t.mon.Close()
+	t.close()
 	moved := target
 	h.finish(&moved)
 	s.cluster.migrationsOut.Inc()
@@ -509,15 +509,10 @@ func (s *Server) migrateScenario(ctx context.Context, t *tenant, target cluster.
 // buildMigrateDoc snapshots t's full replayable state. Caller holds
 // t.ingestMu, so the snapshot is a consistent fence point.
 func (s *Server) buildMigrateDoc(t *tenant, target string) (*walMigrate, error) {
-	mst, ok := t.mon.ExportState()
+	ts, ok := t.exportState()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", errScenarioBusy, t.id)
 	}
-	ts := &walTenantState{Spec: t.spec, Monitor: mst}
-	if t.dedup != nil {
-		ts.Dedup = t.dedup.export()
-	}
-	ts.Audit, ts.AuditTotal = t.auditSnapshot(0)
 	return &walMigrate{ID: t.id, Source: s.cluster.self(), Target: target, State: ts}, nil
 }
 
@@ -609,10 +604,10 @@ func (s *Server) handleClusterAdopt(w http.ResponseWriter, r *http.Request) {
 
 // adoptScenario rebuilds a migrated scenario from its document: build
 // the tenant from the spec, restore monitor/dedup/audit state, record
-// the audit splice, register, and (when persist and a log is configured)
-// append the migrate-in record before reporting success. Boot replay
-// calls it with persist=false — the record being replayed is the
-// durability.
+// the audit splice, register with the tenant's ingestMu held (see
+// tenant), and (when persist and a log is configured) append the
+// migrate-in record before reporting success. Boot replay calls it with
+// persist=false — the record being replayed is the durability.
 func (s *Server) adoptScenario(doc *walMigrate, persist bool) error {
 	if doc.State == nil || len(doc.State.Spec) == 0 {
 		return fmt.Errorf("%w: migration document for %q carries no scenario spec", ErrBadSpec, doc.ID)
@@ -626,7 +621,6 @@ func (s *Server) adoptScenario(doc *walMigrate, persist bool) error {
 		return err
 	}
 	if err := s.restoreTenantState(t, doc.State); err != nil {
-		t.mon.Close()
 		return fmt.Errorf("%w: restore monitor state: %v", ErrBadSpec, err)
 	}
 	t.splice.Store(&auditSplice{
@@ -634,14 +628,15 @@ func (s *Server) adoptScenario(doc *walMigrate, persist bool) error {
 		SourceHeadSeq:  doc.SourceHeadSeq,
 		SourceHeadHash: doc.SourceHeadHash,
 	})
+	t.ingestMu.Lock()
+	defer t.ingestMu.Unlock()
 	if err := s.addTenant(t); err != nil {
-		t.mon.Close()
 		return err
 	}
 	if persist && s.wlog != nil {
 		if err := s.walAppendScenario(wal.TypeScenarioMigrateIn, doc); err != nil {
 			s.removeTenantState(t)
-			t.mon.Close()
+			t.close()
 			return err
 		}
 	}
@@ -715,7 +710,7 @@ func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
 func (s *Server) replayMigrateOut(seq uint64, p walMigrate) {
 	if t, ok := s.tenants.Get(p.ID); ok {
 		s.removeTenantState(t)
-		t.mon.Close()
+		t.close()
 	}
 	if s.cluster != nil {
 		s.cluster.setRelocation(p.ID, p.Target)

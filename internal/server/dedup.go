@@ -1,7 +1,5 @@
 package server
 
-import "sync"
-
 // dedupWindow makes observation ingest idempotent under at-least-once
 // delivery: it remembers the full responses of the last `capacity`
 // successfully ingested batches by their client-supplied batch ID, so a
@@ -14,8 +12,9 @@ import "sync"
 // a client that retries a batch after the window has turned over is
 // indistinguishable from a new batch, and the monitor's transition
 // semantics make the re-application a harmless no-op.
+//
+// The window has no lock of its own: its tenant's mu guards it.
 type dedupWindow struct {
-	mu       sync.Mutex
 	capacity int
 	order    []string // ring buffer of IDs in insertion order
 	next     int      // ring write cursor
@@ -41,8 +40,6 @@ func newDedupWindow(capacity int) *dedupWindow {
 // lookup returns the cached response for id, if it is still in the
 // window.
 func (d *dedupWindow) lookup(id string) (dedupEntry, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	e, ok := d.byID[id]
 	return e, ok
 }
@@ -53,8 +50,6 @@ func (d *dedupWindow) lookup(id string) (dedupEntry, bool) {
 // the caller can keep an aggregate gauge by delta (windows are per
 // tenant; summing sizes on every store would touch other tenants).
 func (d *dedupWindow) store(id string, e dedupEntry) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if _, ok := d.byID[id]; ok {
 		d.byID[id] = e
 		return false
@@ -74,8 +69,6 @@ func (d *dedupWindow) store(id string, e dedupEntry) bool {
 
 // size returns the number of cached batches (for the gauge).
 func (d *dedupWindow) size() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return len(d.byID)
 }
 
@@ -91,8 +84,6 @@ type dedupRecord struct {
 
 // export captures the window's entries oldest first.
 func (d *dedupWindow) export() []dedupRecord {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	out := make([]dedupRecord, 0, len(d.order))
 	emit := func(id string) {
 		e := d.byID[id]

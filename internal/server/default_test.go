@@ -198,7 +198,7 @@ func TestBootFromFlagBuiltDefaultLog(t *testing.T) {
 	if def == nil || !bytes.Equal(def.spec, cfg.DefaultSpec) {
 		t.Fatalf("default not seeded from the boot document: %+v", def)
 	}
-	if def.mon.InOutage() {
+	if def.inOutage() {
 		t.Fatal("old monitor state was grafted onto the fresh default")
 	}
 	if err := s.Close(); err != nil {

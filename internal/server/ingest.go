@@ -3,13 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
 
-	"repro/internal/monitord"
 	"repro/internal/trace"
 )
 
@@ -500,11 +498,22 @@ func (s *Server) serveObservations(t *tenant, w http.ResponseWriter, r *http.Req
 			return
 		}
 	}
+	// One step under the state lock: the closed check, the dedup lookup,
+	// validation and the apply.
+	t.mu.Lock()
+	if t.closed {
+		// The scenario was removed, migrated away or replaced between
+		// tenant resolution and apply.
+		t.mu.Unlock()
+		writeError(w, http.StatusConflict, "scenario %q was removed", t.id)
+		return
+	}
 	if t.dedup != nil && sc.batchID != "" {
 		st := sp.StartStage("dedup")
 		cached, hit := t.dedup.lookup(sc.batchID)
 		st.EndDetail("batch_id=%s hit=%t", sc.batchID, hit)
 		if hit {
+			t.mu.Unlock()
 			// Already applied: replay the original answer byte for byte
 			// so the retrying client observes the events it missed.
 			s.obsReplayed.Inc()
@@ -517,25 +526,21 @@ func (s *Server) serveObservations(t *tenant, w http.ResponseWriter, r *http.Req
 		}
 	}
 	ingest := sp.StartStage("ingest")
-	n := t.mon.NumConnections()
+	n := len(t.conns)
 	for i, conn := range sc.conns {
 		if conn < 0 || conn >= n {
 			// Validated up front so a bad entry rejects the whole batch
 			// without side effects.
+			t.mu.Unlock()
 			ingest.EndDetail("rejected report %d", i)
 			writeError(w, http.StatusBadRequest,
 				"report %d: connection %d out of range [0, %d)", i, conn, n)
 			return
 		}
 	}
-
 	events, err := t.mon.ReportBatch(sc.time, sc.conns, sc.ups)
-	if errors.Is(err, monitord.ErrClosed) {
-		// The scenario was deleted between tenant resolution and apply.
-		ingest.EndDetail("scenario removed")
-		writeError(w, http.StatusConflict, "scenario %q was removed", t.id)
-		return
-	}
+	t.keepGood()
+	t.mu.Unlock()
 	if err != nil {
 		// Unreachable after validation; kept as a hard failure signal.
 		ingest.EndDetail("error")
@@ -576,7 +581,6 @@ func (s *Server) serveObservations(t *tenant, w http.ResponseWriter, r *http.Req
 	// default scenario's outage state.
 	s.setOutageGauges(t)
 
-	t.recordEmitted(diags)
 	ingest.EndCount("events", len(events))
 	body := emptyObsBody
 	if len(events) > 0 {
@@ -588,7 +592,10 @@ func (s *Server) serveObservations(t *tenant, w http.ResponseWriter, r *http.Req
 		body = append(b, '\n')
 	}
 	if t.dedup != nil && sc.batchID != "" {
-		if t.dedup.store(sc.batchID, dedupEntry{status: http.StatusOK, body: body}) {
+		t.mu.Lock()
+		grew := t.dedup.store(sc.batchID, dedupEntry{status: http.StatusOK, body: body})
+		t.mu.Unlock()
+		if grew {
 			s.dedupGauge.Add(1)
 		}
 	}

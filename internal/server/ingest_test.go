@@ -182,8 +182,8 @@ func TestObservationAfterScenarioRemoved(t *testing.T) {
 		t.Fatal("no default tenant")
 	}
 	// Simulate the delete landing between tenant resolution and apply by
-	// closing the monitor directly.
-	tn.mon.Close()
+	// closing the tenant directly.
+	tn.close()
 	resp, raw := postCT(t, ts.URL+"/v1/observations", "application/json",
 		`{"time": 1, "reports": [{"connection": 0, "up": false}]}`)
 	if resp.StatusCode != http.StatusConflict {
@@ -199,7 +199,6 @@ func TestObservationAfterScenarioRemoved(t *testing.T) {
 // bit-identical to a from-scratch rebuild.
 func TestAllPathsFlipBatch(t *testing.T) {
 	s, ts := newTestServer(t, testConfig())
-	tn, _ := s.tenants.Get(DefaultScenario)
 
 	resp, raw := postCT(t, ts.URL+"/v1/observations", "application/json",
 		`{"time": 1, "reports": [{"connection": 0, "up": false}, {"connection": 1, "up": false}]}`)
@@ -209,7 +208,7 @@ func TestAllPathsFlipBatch(t *testing.T) {
 	if !strings.Contains(raw, "outage-started") {
 		t.Fatalf("all-down response %q missing outage-started", raw)
 	}
-	if err := tn.mon.VerifyIncremental(); err != nil {
+	if err := s.VerifyIncremental(); err != nil {
 		t.Fatalf("after all-down flip: %v", err)
 	}
 
@@ -221,7 +220,7 @@ func TestAllPathsFlipBatch(t *testing.T) {
 	if !strings.Contains(raw, "outage-cleared") {
 		t.Fatalf("all-up response %q missing outage-cleared", raw)
 	}
-	if err := tn.mon.VerifyIncremental(); err != nil {
+	if err := s.VerifyIncremental(); err != nil {
 		t.Fatalf("after all-up flip: %v", err)
 	}
 }
@@ -248,12 +247,12 @@ func TestIncrementalConsistentAfterDedupReplay(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch %d: %d %s", i, resp.StatusCode, raw)
 		}
-		if err := tn.mon.VerifyIncremental(); err != nil {
+		if err := s.VerifyIncremental(); err != nil {
 			t.Fatalf("after batch %d: %v", i, err)
 		}
 	}
 	// The late replay of r-1 must not have re-applied its down report.
-	if tn.mon.InOutage() {
+	if tn.inOutage() {
 		t.Fatal("replayed batch mutated monitor state")
 	}
 }

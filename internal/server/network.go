@@ -96,12 +96,15 @@ func (s *Server) ReplaceScenarioNetwork(id string, change []byte) error {
 //   - beginDrain on the old tenant is the concurrency guard: a racing
 //     replacement or removal loses and reports a conflict, and once the
 //     swap lands the orphaned old tenant stays draining forever.
-//   - The state adoption, the swap, the durability record, and
-//     old.mon.Close() all happen under old.ingestMu: an in-flight ingest
-//     that already resolved the old tenant pointer either fully commits
+//   - The new tenant is published with its ingestMu held until the
+//     update record is logged (see tenant), so no batch on the new
+//     network is applied or logged ahead of that record.
+//   - The state adoption, the swap, the update record, and closing the
+//     old tenant all happen under old.ingestMu: an in-flight ingest that
+//     already resolved the old tenant pointer either fully commits
 //     (apply, log append, audit entry) before the adoption copies the
-//     dedup window and audit ledger, or fails against the closed monitor
-//     after the swap — the WAL never records an observation for the old
+//     dedup window and audit ledger, or finds the old tenant closed after
+//     the swap — the WAL never records an observation for the old
 //     network after the update, and the new tenant carries every event
 //     logged before it, so boot replay rebuilds exactly the live state.
 //   - On a persistence failure the swap is rolled back and the old
@@ -122,15 +125,15 @@ func (s *Server) replaceNetwork(sp *trace.Span, old *tenant, change []byte) (*te
 		return nil, err
 	}
 	if !old.beginDrain() {
-		nt.mon.Close()
 		return nil, fmt.Errorf("%w: %q", errScenarioBusy, old.id)
 	}
 
+	nt.ingestMu.Lock()
+	defer nt.ingestMu.Unlock()
 	old.ingestMu.Lock()
+	defer old.ingestMu.Unlock()
 	adoptTenantState(old, nt)
 	if _, err := s.tenants.Swap(old.id, nt); err != nil {
-		old.ingestMu.Unlock()
-		nt.mon.Close()
 		return nil, err
 	}
 	if s.wlog != nil {
@@ -139,32 +142,34 @@ func (s *Server) replaceNetwork(sp *trace.Span, old *tenant, change []byte) (*te
 				// The slot vanished mid-rollback; nothing to restore.
 				s.logger.Error("network replacement rollback lost the scenario", "scenario", old.id, "error", err)
 			}
-			old.ingestMu.Unlock()
 			old.draining.Store(false)
-			nt.mon.Close()
+			nt.close()
 			return nil, perr
 		}
 	}
 	s.connsGauge.Add(float64(len(nt.conns) - len(old.conns)))
 	s.setOutageGauges(nt)
-	old.mon.Close()
-	old.ingestMu.Unlock()
+	old.close()
 	s.logger.Info("scenario network replaced", "scenario", old.id,
 		"connections", len(nt.conns), "was_connections", len(old.conns))
 	return nt, nil
 }
 
 // adoptTenantState moves the surviving per-scenario state from the
-// tenant being replaced onto its successor: the idempotent-ingest window
-// (so a retried batch from before the replacement still replays its
-// original response) and the diagnosis audit ledger (an append-only
-// history of the scenario, not of one network). Monitor state and the
-// stale-diagnosis cache deliberately restart: they describe paths that
-// no longer exist.
+// tenant being replaced onto its successor, which is not yet published:
+// the idempotent-ingest window (so a retried batch from before the
+// replacement still replays its original response) and the diagnosis
+// audit ledger (an append-only history of the scenario, not of one
+// network). Monitor state and the last good diagnosis deliberately
+// restart: they describe paths that no longer exist. The window moves
+// by pointer: it is written only under a tenant's ingestMu, which
+// replaceNetwork holds on both tenants until one of them is closed.
 func adoptTenantState(old, nt *tenant) {
+	old.mu.Lock()
 	nt.dedup = old.dedup
-	events, total := old.auditSnapshot(0)
-	nt.restoreAudit(events, total)
+	nt.audit = append([]auditEvent(nil), old.audit...)
+	nt.auditTotal = old.auditTotal
+	old.mu.Unlock()
 }
 
 // replayScenarioUpdate re-applies one TypeScenarioUpdate record at boot:
@@ -189,11 +194,10 @@ func (s *Server) replayScenarioUpdate(seq uint64, p walScenarioUpdate) {
 	}
 	adoptTenantState(old, nt)
 	if _, err := s.tenants.Swap(p.ID, nt); err != nil {
-		nt.mon.Close()
 		s.logger.Warn("WAL replay: network update swap failed", "seq", seq, "scenario", p.ID, "error", err)
 		return
 	}
 	s.connsGauge.Add(float64(len(nt.conns) - len(old.conns)))
 	s.setOutageGauges(nt)
-	old.mon.Close()
+	old.close()
 }

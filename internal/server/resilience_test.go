@@ -268,18 +268,16 @@ func TestStaleDiagnosisOnRecomputeError(t *testing.T) {
 // TestStaleWithoutCacheDegradesLikeBefore: with no last good diagnosis
 // the old behavior (inconsistent, no diagnosis) is preserved.
 func TestStaleWithoutCacheDegradesLikeBefore(t *testing.T) {
-	s, ts := newTestServer(t, disjointConfig(t))
+	_, ts := newTestServer(t, disjointConfig(t))
 	// Both connections go down in one batch: no single node explains the
-	// outage it leaves.
+	// outage it leaves. The batch's first report alone was explainable,
+	// but the last good diagnosis is the one a batch leaves, so none is
+	// kept.
 	resp, body := postJSON(t, ts.URL+"/v1/observations",
 		`{"time": 1, "reports": [{"connection": 0, "up": false}, {"connection": 1, "up": false}]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status = %d, body %v", resp.StatusCode, body)
 	}
-	// The batch's first report alone was explainable, and its
-	// outage-started event seeded the cache; empty it so the fallback
-	// genuinely has nothing.
-	s.defaultTenant().lastGood.Store(nil)
 
 	_, body = getJSON(t, ts.URL+"/v1/diagnosis")
 	if body["inconsistent"] != true {

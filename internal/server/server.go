@@ -469,12 +469,18 @@ func (s *Server) Close() error {
 // the one serveDiagnosis serves, against a from-scratch recompute,
 // returning the first divergence. It is a test seam: the chaos soak and crash matrix call it
 // to pin the tentpole invariant — the event-driven O(changed paths)
-// update must stay bit-identical to a full rebuild. Tenants whose
-// monitor already closed (mid-removal) are skipped.
+// update must stay bit-identical to a full rebuild. Closed tenants
+// (mid-removal) are skipped.
 func (s *Server) VerifyIncremental() error {
 	var firstErr error
 	s.tenants.Range(func(id string, t *tenant) bool {
-		if err := t.mon.VerifyIncremental(); err != nil && !errors.Is(err, monitord.ErrClosed) {
+		t.mu.Lock()
+		var err error
+		if !t.closed {
+			err = t.mon.VerifyIncremental()
+		}
+		t.mu.Unlock()
+		if err != nil {
 			firstErr = fmt.Errorf("scenario %q: %w", id, err)
 			return false
 		}
@@ -483,13 +489,13 @@ func (s *Server) VerifyIncremental() error {
 	return firstErr
 }
 
-// closeMonitors closes every tenant's monitor, so a request that
-// outlives the server fails with monitord.ErrClosed instead of changing
-// state nothing will persist. Runs after final persistence: compaction
-// still needs to export monitor state.
+// closeMonitors closes every tenant, so a request that outlives the
+// server gets a conflict instead of changing state nothing will persist.
+// Runs after final persistence: compaction still needs to export
+// monitor state.
 func (s *Server) closeMonitors() {
 	s.tenants.Range(func(id string, t *tenant) bool {
-		t.mon.Close()
+		t.close()
 		return true
 	})
 }
@@ -682,12 +688,11 @@ type connectionJSON struct {
 	State string `json:"state"`
 }
 
-// serveDiagnosis answers from one locked copy of the monitor: the outage
-// flag, the connection states and the diagnosis the last state change
-// computed. A read never localizes, so it holds the monitor's lock only
-// for the copy.
+// serveDiagnosis answers from one locked copy of the tenant: the outage
+// flag, the connection states, the diagnosis the last state change
+// computed and the last good one. A read never localizes and never
+// writes, so it holds the tenant's state lock only for the copy.
 func (s *Server) serveDiagnosis(t *tenant, w http.ResponseWriter, r *http.Request) {
-	snap := t.mon.Snapshot()
 	out := struct {
 		InOutage        bool             `json:"in_outage"`
 		Inconsistent    bool             `json:"inconsistent,omitempty"`
@@ -695,17 +700,30 @@ func (s *Server) serveDiagnosis(t *tenant, w http.ResponseWriter, r *http.Reques
 		StaleAgeSeconds float64          `json:"stale_age_seconds,omitempty"`
 		Connections     []connectionJSON `json:"connections"`
 		Diagnosis       *diagnosisJSON   `json:"diagnosis,omitempty"`
-	}{InOutage: snap.InOutage}
-	for i, c := range t.conns {
-		out.Connections = append(out.Connections, connectionJSON{
-			Connection: c,
-			State:      snap.States[i].String(),
-		})
+	}{Connections: make([]connectionJSON, len(t.conns))}
+	var (
+		diag, lastGood *tomography.Diagnosis
+		diagErr        error
+		lastGoodAt     time.Time
+	)
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		writeError(w, http.StatusConflict, "scenario %q was removed", t.id)
+		return
 	}
-	if snap.InOutage {
-		if snap.DiagnosisErr == nil {
-			out.Diagnosis = diagnosisToJSON(snap.Diagnosis)
-			t.recordGoodDiagnosis(out.Diagnosis)
+	out.InOutage = t.mon.InOutage()
+	for i, c := range t.conns {
+		out.Connections[i] = connectionJSON{Connection: c, State: t.mon.State(i).String()}
+	}
+	if out.InOutage {
+		diag, diagErr = t.mon.Diagnosis()
+		lastGood, lastGoodAt = t.lastGood, t.lastGoodAt
+	}
+	t.mu.Unlock()
+	if out.InOutage {
+		if diagErr == nil {
+			out.Diagnosis = diagnosisToJSON(diag)
 		} else {
 			// More simultaneous failures than the budget k explains, or
 			// conflicting reports: the outage is real but unlocalizable
@@ -713,10 +731,10 @@ func (s *Server) serveDiagnosis(t *tenant, w http.ResponseWriter, r *http.Reques
 			out.Inconsistent = true
 			// Degrade gracefully: a stale localization beats a blank
 			// page during an outage, as long as it is marked as such.
-			if cached, age, ok := t.lastGoodDiagnosis(); ok {
-				out.Diagnosis = cached
+			if lastGood != nil {
+				out.Diagnosis = diagnosisToJSON(lastGood)
 				out.Stale = true
-				out.StaleAgeSeconds = age.Seconds()
+				out.StaleAgeSeconds = time.Since(lastGoodAt).Seconds()
 				s.staleServed.Inc()
 			}
 		}
@@ -776,8 +794,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// Byte-compatible with the single-scenario daemon.
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status":      "ok",
-			"connections": t.mon.NumConnections(),
-			"in_outage":   t.mon.InOutage(),
+			"connections": len(t.conns),
+			"in_outage":   t.inOutage(),
 		})
 		return
 	}
@@ -846,7 +864,7 @@ func (s *Server) scenarioInfo(t *tenant) scenarioInfoJSON {
 	return scenarioInfoJSON{
 		ID:          t.id,
 		Connections: len(t.conns),
-		InOutage:    t.mon.InOutage(),
+		InOutage:    t.inOutage(),
 		Persistent:  s.wlog != nil,
 	}
 }

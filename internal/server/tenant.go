@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/monitord"
 	"repro/internal/registry"
+	"repro/internal/tomography"
 	"repro/internal/trace"
 	"repro/internal/wal"
 )
@@ -51,29 +52,33 @@ type TenantConfig struct {
 type BuildFunc func(id string, spec []byte) (*TenantConfig, error)
 
 // tenant is one scenario's isolated state bundle: its own monitor, dedup
-// window, trace ring, stale-diagnosis cache, and tenant-labeled metrics.
-// Tenants never share mutable state, so requests for different scenarios
-// only meet at the sharded registry lookup and the bounded worker pool.
+// window, trace ring, audit ledger, last good diagnosis, and
+// tenant-labeled metrics. Tenants never share mutable state, so requests
+// for different scenarios only meet at the sharded registry lookup and
+// the bounded worker pool.
 //
-// Lock order: ingestMu → the server's walMu (read) → the leaf locks (the
-// monitor's own, the dedup window's, auditMu). A leaf lock is held only
-// inside its own methods, and nothing takes these locks in the reverse
-// order. The flags (draining, handoff, splice, lastGood) are atomics and
-// take no lock.
+// Two locks, one job each. ingestMu is the ordering point: it sequences
+// the tenant's batches, keeps their WAL order equal to their apply order,
+// and is the migration fence; it is held across a batch's WAL append. mu
+// guards the tenant's mutable state (the fields below it) and is held
+// only to apply a batch or to copy state out, never across an fsync or
+// while taking another of the server's locks. Lock order: ingestMu → the
+// server's walMu (read) → mu. The flags (draining, handoff, splice) are
+// atomics and take no lock.
+//
+// Publication: createScenario, replaceNetwork and adoptScenario make a
+// tenant visible with its ingestMu already held, and release it only once
+// the create, update or migrate-in record that defines the tenant is
+// logged (or the tenant is rolled back and closed), so no batch on the
+// tenant can be applied or logged ahead of that record.
 type tenant struct {
 	id     string
-	mon    *monitord.Guarded
 	conns  []Connection
 	place  PlaceFunc
-	revise ReviseFunc   // nil when the scenario cannot be revised
-	dedup  *dedupWindow // nil when disabled
-	ring   *trace.Ring  // nil when disabled
+	revise ReviseFunc  // nil when the scenario cannot be revised
+	ring   *trace.Ring // nil when disabled
 	// spec is the scenario document the tenant was built from.
 	spec []byte
-
-	// lastGood is the latest successfully computed diagnosis, for the
-	// stale-serving fallback; nil until there is one.
-	lastGood atomic.Pointer[goodDiagnosis]
 
 	// draining is set by whoever claims the tenant to remove, migrate or
 	// replace it (beginDrain), and cleared only when a migration or a
@@ -95,19 +100,28 @@ type tenant struct {
 	// creation.
 	splice atomic.Pointer[auditSplice]
 
-	// ingestMu serializes this tenant's observation batches in every
-	// mode: dedup lookup, apply, WAL append and dedup store happen as one
-	// step, so a batch is applied once however many deliveries race, and
-	// log order equals apply order. Migration fences and network
-	// replacements take it too.
 	ingestMu sync.Mutex
 
-	// Diagnosis audit ledger (WAL mode only): the retained tail of
-	// emitted events, each pinned to its WAL record's sequence number and
-	// chain hash, plus a total count of everything ever emitted.
-	auditMu    sync.Mutex
+	mu sync.Mutex
+	// closed is set once the scenario is removed, migrated away or
+	// replaced, or the server shuts down: a request still holding the
+	// tenant gets a conflict, and compaction skips it.
+	closed bool
+	mon    *monitord.Monitor
+	// dedup is nil when disabled. The pointer is fixed once the tenant is
+	// published; mu guards the window behind it.
+	dedup *dedupWindow
+	// audit is the diagnosis audit ledger (WAL mode only): the retained
+	// tail of emitted events, each pinned to its WAL record's sequence
+	// number and chain hash; auditTotal counts everything ever emitted.
 	audit      []auditEvent
 	auditTotal int
+	// lastGood is the diagnosis the monitor kept after the last applied
+	// batch that left a localizable outage, and lastGoodAt that batch's
+	// wall time: what an inconsistent state serves as stale. Nil until
+	// there is one.
+	lastGood   *tomography.Diagnosis
+	lastGoodAt time.Time
 
 	// Tenant-labeled series. The label value may be the shared "other"
 	// bucket once the cardinality cap is reached.
@@ -120,75 +134,66 @@ type tenant struct {
 // remover got there first.
 func (t *tenant) beginDrain() bool { return t.draining.CompareAndSwap(false, true) }
 
+// close marks the tenant closed; idempotent.
+func (t *tenant) close() {
+	t.mu.Lock()
+	t.closed = true
+	t.mu.Unlock()
+}
+
+// inOutage reports whether the scenario has a reporting connection down;
+// false once the tenant is closed.
+func (t *tenant) inOutage() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return !t.closed && t.mon.InOutage()
+}
+
+// keepGood makes the monitor's kept diagnosis the last good one when the
+// state just applied is an outage the monitor localizes. Caller holds mu.
+func (t *tenant) keepGood() {
+	if !t.mon.InOutage() {
+		return
+	}
+	if d, err := t.mon.Diagnosis(); err == nil {
+		t.lastGood, t.lastGoodAt = d, time.Now()
+	}
+}
+
 // auditRetain bounds the in-memory audit tail per tenant; the full
 // ledger lives in the WAL (and its snapshots' audit_total counters).
 const auditRetain = 1024
 
 // addAudit appends one diagnosis event to the audit ledger, evicting the
-// oldest retained entry beyond the cap.
+// oldest retained entry beyond the cap. Caller holds mu.
 func (t *tenant) addAudit(e auditEvent) {
-	t.auditMu.Lock()
 	t.audit = append(t.audit, e)
 	if len(t.audit) > auditRetain {
 		copy(t.audit, t.audit[len(t.audit)-auditRetain:])
 		t.audit = t.audit[:auditRetain]
 	}
 	t.auditTotal++
-	t.auditMu.Unlock()
 }
 
-// auditSnapshot copies the retained audit tail (the newest limit entries
-// when limit > 0) and the all-time event count.
-func (t *tenant) auditSnapshot(limit int) ([]auditEvent, int) {
-	t.auditMu.Lock()
-	defer t.auditMu.Unlock()
-	events := t.audit
-	if limit > 0 && len(events) > limit {
-		events = events[len(events)-limit:]
+// exportState copies the tenant's replayable state (without the splice),
+// or reports false once the tenant is closed. Callers hold ingestMu or
+// the server's walMu exclusively, so the copy matches the log position.
+func (t *tenant) exportState() (*walTenantState, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return nil, false
 	}
-	return append([]auditEvent(nil), events...), t.auditTotal
-}
-
-// restoreAudit replaces the ledger with a recovered one (boot replay).
-func (t *tenant) restoreAudit(events []auditEvent, total int) {
-	t.auditMu.Lock()
-	t.audit = append([]auditEvent(nil), events...)
-	t.auditTotal = total
-	t.auditMu.Unlock()
-}
-
-// goodDiagnosis is a successfully computed diagnosis and when it was
-// computed, stored as one value so a reader never sees one without the
-// other.
-type goodDiagnosis struct {
-	diag *diagnosisJSON
-	at   time.Time
-}
-
-// recordGoodDiagnosis remembers the latest successfully computed
-// diagnosis for the stale-serving fallback.
-func (t *tenant) recordGoodDiagnosis(d *diagnosisJSON) {
-	t.lastGood.Store(&goodDiagnosis{diag: d, at: time.Now()})
-}
-
-// recordEmitted remembers the last diagnosis a batch's events carry:
-// every diagnosis the daemon emits is by construction fresh and good.
-func (t *tenant) recordEmitted(diags []*diagnosisJSON) {
-	for i := len(diags) - 1; i >= 0; i-- {
-		if diags[i] != nil {
-			t.recordGoodDiagnosis(diags[i])
-			return
-		}
+	ts := &walTenantState{
+		Spec:       t.spec,
+		Monitor:    t.mon.ExportState(),
+		Audit:      append([]auditEvent(nil), t.audit...),
+		AuditTotal: t.auditTotal,
 	}
-}
-
-// lastGoodDiagnosis returns the remembered diagnosis and its age.
-func (t *tenant) lastGoodDiagnosis() (*diagnosisJSON, time.Duration, bool) {
-	g := t.lastGood.Load()
-	if g == nil {
-		return nil, 0, false
+	if t.dedup != nil {
+		ts.Dedup = t.dedup.export()
 	}
-	return g.diag, time.Since(g.at), true
+	return ts, true
 }
 
 // newTenant assembles one scenario's state bundle from its config.
@@ -203,14 +208,14 @@ func (s *Server) newTenant(id string, tc *TenantConfig, spec []byte) (*tenant, e
 	if k <= 0 {
 		k = s.defaultK
 	}
-	core, err := monitord.New(tc.NumNodes, k, tc.Paths)
+	mon, err := monitord.New(tc.NumNodes, k, tc.Paths)
 	if err != nil {
 		return nil, fmt.Errorf("server: scenario %s: %w", id, err)
 	}
 	label := s.labeler.Value(id)
 	t := &tenant{
 		id:     id,
-		mon:    monitord.NewGuarded(core),
+		mon:    mon,
 		conns:  append([]Connection(nil), tc.Connections...),
 		place:  tc.Place,
 		revise: tc.Revise,
@@ -276,8 +281,11 @@ func (s *Server) createScenario(id string, spec []byte, persist bool) error {
 	if err != nil {
 		return err
 	}
+	// Published with its ingest lock held until the create is logged
+	// (see tenant).
+	t.ingestMu.Lock()
+	defer t.ingestMu.Unlock()
 	if err := s.addTenant(t); err != nil {
-		t.mon.Close()
 		return err
 	}
 	if persist && s.wlog != nil {
@@ -286,7 +294,7 @@ func (s *Server) createScenario(id string, spec []byte, persist bool) error {
 		if err := s.walAppendScenario(wal.TypeScenarioCreate,
 			walScenarioCreate{ID: id, Spec: t.spec}); err != nil {
 			s.removeTenantState(t)
-			t.mon.Close()
+			t.close()
 			return err
 		}
 	}
@@ -303,7 +311,10 @@ func (s *Server) removeTenantState(t *tenant) {
 	s.scenarioGauge.Set(float64(s.tenants.Len()))
 	s.connsGauge.Add(-float64(len(t.conns)))
 	if s.dedupGauge != nil && t.dedup != nil {
-		s.dedupGauge.Add(-float64(t.dedup.size()))
+		t.mu.Lock()
+		cached := t.dedup.size()
+		t.mu.Unlock()
+		s.dedupGauge.Add(-float64(cached))
 	}
 }
 
@@ -324,16 +335,17 @@ func (s *Server) RemoveScenario(ctx context.Context, id string) error {
 	dctx, cancel := context.WithTimeout(ctx, s.drainTimeout)
 	defer cancel()
 	drained := s.pool.waitIdle(dctx, id)
+	// Under the ingest lock a batch on the scenario is either logged
+	// before the delete record or finds the tenant closed, so none lands
+	// in the log after it.
+	t.ingestMu.Lock()
 	s.removeTenantState(t)
 	var logErr error
 	if s.wlog != nil {
 		logErr = s.walAppendScenario(wal.TypeScenarioDelete, walScenarioDelete{ID: id})
 	}
-	// Close the scenario's monitor last: WAL compaction may still export
-	// its state while the delete record is being appended, and after
-	// Close a straggling observation fails with monitord.ErrClosed
-	// instead of landing in a deleted scenario.
-	t.mon.Close()
+	t.close()
+	t.ingestMu.Unlock()
 	s.logger.Info("scenario removed", "scenario", id,
 		"drained", drained, "wal_error", logErr != nil)
 	if logErr != nil {

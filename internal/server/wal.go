@@ -122,19 +122,12 @@ type walTenantState struct {
 func (s *Server) buildWALState() *walState {
 	st := &walState{Scenarios: map[string]*walTenantState{}}
 	s.tenants.Range(func(id string, t *tenant) bool {
-		mst, ok := t.mon.ExportState()
-		if !ok {
-			// The monitor is closed: the tenant is mid-removal and its
-			// delete record follows in the log, so skip it here.
-			return true
+		// A closed tenant is mid-removal, and its delete record follows
+		// in the log, so it is skipped here.
+		if ts, ok := t.exportState(); ok {
+			ts.Splice = t.splice.Load()
+			st.Scenarios[id] = ts
 		}
-		ts := &walTenantState{Spec: t.spec, Monitor: mst}
-		if t.dedup != nil {
-			ts.Dedup = t.dedup.export()
-		}
-		ts.Audit, ts.AuditTotal = t.auditSnapshot(0)
-		ts.Splice = t.splice.Load()
-		st.Scenarios[id] = ts
 		return true
 	})
 	if s.cluster != nil {
@@ -219,12 +212,16 @@ func (s *Server) walAppendIngest(t *tenant, batchID string, tm float64, conns []
 		s.enterReadOnly(err)
 		return fmt.Errorf("%w: %v", errWALUnavailable, err)
 	}
-	for i, ev := range events {
-		res := results[i+1]
-		t.addAudit(auditEvent{
-			Seq: res.Seq, Hash: hex.EncodeToString(res.Hash[:]),
-			Time: ev.Time, Kind: ev.Kind.String(), Diagnosis: diags[i],
-		})
+	if len(events) > 0 {
+		t.mu.Lock()
+		for i, ev := range events {
+			res := results[i+1]
+			t.addAudit(auditEvent{
+				Seq: res.Seq, Hash: hex.EncodeToString(res.Hash[:]),
+				Time: ev.Time, Kind: ev.Kind.String(), Diagnosis: diags[i],
+			})
+		}
+		t.mu.Unlock()
 	}
 	s.walAfterAppend(len(ops))
 	return nil
@@ -396,18 +393,22 @@ func (s *Server) restoreWALState(doc []byte) error {
 }
 
 // restoreTenantState loads a snapshot's or a migration document's
-// replayable state into a freshly built tenant: monitor state, dedup
-// window, audit ledger and splice.
+// replayable state into a freshly built tenant: monitor state (and with
+// it the last good diagnosis), dedup window, audit ledger and splice.
 func (s *Server) restoreTenantState(t *tenant, ts *walTenantState) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if err := t.mon.RestoreState(ts.Monitor); err != nil {
 		return err
 	}
+	t.keepGood()
 	if t.dedup != nil && len(ts.Dedup) > 0 {
 		if grew := t.dedup.restore(ts.Dedup); grew > 0 && s.dedupGauge != nil {
 			s.dedupGauge.Add(float64(grew))
 		}
 	}
-	t.restoreAudit(ts.Audit, ts.AuditTotal)
+	t.audit = append([]auditEvent(nil), ts.Audit...)
+	t.auditTotal = ts.AuditTotal
 	t.splice.Store(ts.Splice)
 	return nil
 }
@@ -452,30 +453,35 @@ func (s *Server) replayRecord(r wal.Record) {
 				"seq", r.Seq, "scenario", p.Scenario)
 			return
 		}
-		n := t.mon.NumConnections()
 		for _, c := range p.Conns {
-			if c < 0 || c >= n {
+			if c < 0 || c >= len(t.conns) {
 				s.logger.Warn("WAL replay: observation batch shape mismatch skipped",
 					"seq", r.Seq, "scenario", p.Scenario, "connection", c)
 				return
 			}
 		}
+		// Regenerate exactly what the original handler produced: the
+		// monitor state with its last good diagnosis, the response body
+		// for the dedup window, the outage gauge. (Audit entries come
+		// from the TypeDiagnosis records that follow, not from the
+		// regenerated events.)
+		t.mu.Lock()
 		events, err := t.mon.ReportBatch(p.Time, p.Conns, p.Ups)
+		t.keepGood()
+		t.mu.Unlock()
 		if err != nil {
 			s.logger.Warn("WAL replay: batch re-apply failed", "seq", r.Seq, "scenario", p.Scenario, "error", err)
 			return
 		}
-		// Regenerate exactly what the original handler produced: the
-		// response body for the dedup window, the stale-diagnosis cache,
-		// the outage gauge. (Audit entries come from the TypeDiagnosis
-		// records that follow, not from the regenerated events.)
-		out, diags := buildObsResponse(events)
-		t.recordEmitted(diags)
 		s.setOutageGauges(t)
 		if t.dedup != nil && p.BatchID != "" {
+			out, _ := buildObsResponse(events)
 			if body, err := json.Marshal(out); err == nil {
 				body = append(body, '\n')
-				if t.dedup.store(p.BatchID, dedupEntry{status: http.StatusOK, body: body}) && s.dedupGauge != nil {
+				t.mu.Lock()
+				grew := t.dedup.store(p.BatchID, dedupEntry{status: http.StatusOK, body: body})
+				t.mu.Unlock()
+				if grew && s.dedupGauge != nil {
 					s.dedupGauge.Add(1)
 				}
 			}
@@ -513,10 +519,12 @@ func (s *Server) replayRecord(r wal.Record) {
 				"seq", r.Seq, "scenario", p.Scenario)
 			return
 		}
+		t.mu.Lock()
 		t.addAudit(auditEvent{
 			Seq: r.Seq, Hash: hex.EncodeToString(r.Hash[:]),
 			Time: p.Time, Kind: p.Kind, Diagnosis: p.Diagnosis,
 		})
+		t.mu.Unlock()
 	default:
 		s.logger.Warn("WAL replay: unknown record type skipped", "seq", r.Seq, "type", r.Type)
 	}
@@ -526,7 +534,7 @@ func (s *Server) replayRecord(r wal.Record) {
 // unlabeled gauge for the default tenant).
 func (s *Server) setOutageGauges(t *tenant) {
 	outage := 0.0
-	if t.mon.InOutage() {
+	if t.inOutage() {
 		outage = 1
 	}
 	t.outage.Set(outage)
@@ -574,8 +582,9 @@ type auditChainJSON struct {
 
 // serveAudit answers GET /v1/scenarios/{id}/audit: the scenario's
 // retained diagnosis events (each pinned to its WAL sequence number and
-// chain hash) plus a fresh verification walk of the log on disk. ?limit=N
-// caps the event list to the N newest.
+// chain hash) plus a fresh verification walk of the log on disk, which
+// runs outside the tenant's state lock. ?limit=N caps the event list to
+// the N newest.
 func (s *Server) serveAudit(t *tenant, w http.ResponseWriter, r *http.Request) {
 	if s.wlog == nil {
 		writeError(w, http.StatusNotImplemented, "audit requires the write-ahead log (-wal-dir)")
@@ -585,10 +594,14 @@ func (s *Server) serveAudit(t *tenant, w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	events, total := t.auditSnapshot(limit)
-	if events == nil {
-		events = []auditEvent{}
+	t.mu.Lock()
+	events := t.audit
+	if limit > 0 && len(events) > limit {
+		events = events[len(events)-limit:]
 	}
+	events = append([]auditEvent{}, events...)
+	total := t.auditTotal
+	t.mu.Unlock()
 	out := struct {
 		Scenario    string       `json:"scenario"`
 		TotalEvents int          `json:"total_events"`

@@ -5,7 +5,7 @@ GO ?= go
 # for a quick smoke run.
 BENCHFLAGS ?=
 
-.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-oracles bench-json bench-smoke bench-compare bench-compare-ingest bench-compare-wal bench-compare-routing bench-compare-partition bench-compare-k2 bench-compare-replace bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
+.PHONY: all help build test race check chaos cluster-soak crash-smoke bench bench-check bench-oracles bench-json bench-smoke bench-compare bench-compare-ingest bench-compare-wal bench-compare-routing bench-compare-partition bench-compare-k2 bench-compare-replace bench-compare-build bench-stochastic docs-check fuzz fuzz-smoke experiments paper-runs soak-smoke results serve clean
 
 all: build test
 
@@ -30,6 +30,7 @@ help:
 	@echo "  bench-compare-partition  placement evaluation kernel gated against the archived partition baseline (CI)"
 	@echo "  bench-compare-k2  k = 2 lazy GD placement on the paper workloads gated against the archived k = 2 baseline (CI)"
 	@echo "  bench-compare-replace  one PUT …/network on a ~5 000-node scenario gated against the archived replace baseline (CI)"
+	@echo "  bench-compare-build  one build of an observe-shaped scenario gated against the archived build baseline (CI)"
 	@echo "  bench-stochastic  stochastic-frontier smoke gated against the archived frontier snapshot (CI)"
 	@echo "  docs-check   documentation lint: godoc coverage, markdown links, flag-name drift (CI)"
 	@echo "  fuzz         short fuzz session over the edge-list parser"
@@ -215,16 +216,30 @@ bench-compare-k2:
 # one-link deltas between routers so every iteration removes one link,
 # adds another, re-routes the network from the previous revision's
 # trees, re-places the services with a cold lazy run and builds the
-# tenant, gated against the snapshot archived when a revision began
-# carrying unchanged trees over (about 112 of 185 trees built by search
-# per PUT, the benchmark's trees-built/op). allocs/op and B/op are
-# deterministic to within a few allocations, so their gates are tight:
-# rebuilding every tree (about 3 MB/op more than the archived 11.3 MB),
-# or labels formatted per node again and a path-dedup map per element
-# (27 121 allocs/op against 14 599), fail them. ns/op gets a 100% margin
-# for shared runners.
+# tenant, gated against the snapshot archived when the QoS profile
+# stopped routing a tree per client (about 80 of the 105 candidate-host
+# trees built by search per PUT, the benchmark's trees-built/op).
+# allocs/op and B/op are deterministic to within a few allocations, so
+# their gates are tight: rebuilding every tree (105 by search, 9.83 MB/op
+# against the archived 8.67 MB, +13 %), a tree per client again (11.3
+# MB/op), or labels formatted per node again and a path-dedup map per
+# element (about 27 000 allocs/op against 14 399), fail them. ns/op gets
+# a 100% margin for shared runners.
 bench-compare-replace:
-	$(GO) test -run NONE -bench='ReplaceNetwork$$' -benchmem -benchtime=30x -cpu 1 . | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-19_replace_reroute.json -fail-over 100 -fail-allocs-over 10 -fail-bytes-over 10
+	$(GO) test -run NONE -bench='ReplaceNetwork$$' -benchmem -benchtime=30x -cpu 1 . | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-20_replace_sweep.json -fail-over 100 -fail-allocs-over 10 -fail-bytes-over 10
+
+# One scenario build: the facade's server.BuildFunc on an observe-shaped
+# document (a ~2 000-node hierarchy, 8 services × 32 clients, α = 0.3),
+# the work a scenario's creation, its WAL boot replay and a migration
+# adopting it each pay, gated against the snapshot archived when the QoS
+# profile began sweeping every client set at once instead of routing a
+# tree per client (56 trees per build, one per distinct candidate host,
+# the benchmark's trees-built/op). allocs/op and B/op are deterministic,
+# so their gates are tight: a tree per client again (312 trees, 11.3
+# MB/op against the archived 4.15 MB) fails them. ns/op gets a 100%
+# margin for shared runners.
+bench-compare-build:
+	$(GO) test -run NONE -bench='ScenarioBuild$$' -benchmem -benchtime=30x -cpu 1 . | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-20_build.json -fail-over 100 -fail-allocs-over 10 -fail-bytes-over 10
 
 # Documentation lint (cmd/docscheck): every package and exported
 # package-level identifier has a godoc comment, every relative link in
@@ -255,6 +270,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run NONE -fuzz FuzzShortestPathTree -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run NONE -fuzz FuzzReroute -fuzztime $(FUZZTIME) ./internal/graph/
+	$(GO) test -run NONE -fuzz FuzzMaxHops -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run NONE -fuzz FuzzObservations -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run NONE -fuzz FuzzMembershipParse -fuzztime $(FUZZTIME) ./internal/cluster/

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -35,6 +36,58 @@ func BenchmarkShortestPathTree(b *testing.B) {
 			n := c.g.NumNodes()
 			for i := 0; i < b.N; i++ {
 				treeSink = c.g.Dijkstra(i % n)
+			}
+		})
+	}
+}
+
+var maxHopsSink [][]int32
+
+// BenchmarkMaxHops times the largest hop counts from every node to each
+// of a placement's client sets, over generated hierarchies shaped like
+// the observe benchmark's tenants (~2 000 nodes, 8 sets × 32 clients)
+// and the replan benchmark's large one (~5 000 nodes, 8 × 10). The sweep
+// rows run MaxHops; the trees rows fold one Dijkstra per client by
+// maximum, the path the QoS profile keeps for weighted graphs.
+func BenchmarkMaxHops(b *testing.B) {
+	for _, shape := range []struct {
+		name                 string
+		nodes, sets, clients int
+	}{{"observe", 2000, 8, 32}, {"replan", 5000, 8, 10}} {
+		topo, err := topology.BuildHierarchy(topology.HierarchyForNodes("plan", shape.nodes, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := topo.Graph
+		perm := rand.New(rand.NewSource(1)).Perm(len(topo.CandidateClients))
+		sets := make([][]graph.NodeID, shape.sets)
+		for i := range sets {
+			for j := range shape.clients {
+				sets[i] = append(sets[i], topo.CandidateClients[perm[i*shape.clients+j]])
+			}
+		}
+		b.Run(shape.name+"/sweep", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				maxHopsSink = g.MaxHops(sets)
+			}
+		})
+		b.Run(shape.name+"/trees", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out := make([][]int32, len(sets))
+				for s, set := range sets {
+					out[s] = make([]int32, g.NumNodes())
+					for _, c := range set {
+						t := g.Dijkstra(c)
+						for v, d := range out[s] {
+							if h := int32(t.Dist(v)); d >= 0 && (h < 0 || h > d) {
+								out[s][v] = h
+							}
+						}
+					}
+				}
+				maxHopsSink = out
 			}
 		})
 	}

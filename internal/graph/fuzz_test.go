@@ -120,3 +120,70 @@ func FuzzReroute(f *testing.F) {
 		checkReroute(t, weighGraph(t, n, before, data[1]&2 != 0), weighGraph(t, n, after, data[1]&1 != 0))
 	})
 }
+
+// FuzzMaxHops builds a unit-weight graph and source sets from the input
+// and checks MaxHops against one Dijkstra per source (see checkMaxHops).
+// The first byte sets the node count and the second the edge count; the
+// next byte pairs are the edges, and each byte after them is a source,
+// which starts a new set when its top bit is set.
+func FuzzMaxHops(f *testing.F) {
+	ring := make([][2]int, 100)
+	for i := range ring {
+		ring[i] = [2]int{i, (i + 1) % 100}
+	}
+	ring = append(ring, [2]int{0, 50}, [2]int{25, 75})
+	first, rest := make([]int, 60), make([]int, 10)
+	for i := range first {
+		first[i] = i
+	}
+	for i := range rest {
+		rest[i] = 60 + i
+	}
+	singles := make([][]int, 70)
+	for i := range singles {
+		singles[i] = []int{i * 7 % 100}
+	}
+	f.Add(maxHopsInput(6, [][2]int{{0, 1}, {1, 2}, {3, 4}}, [][]int{{0, 3}, {1}, {5}}))       // disconnected
+	f.Add(maxHopsInput(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}, [][]int{{0, 0, 3}, {3, 0}, {0}})) // repeated sources
+	f.Add(maxHopsInput(100, ring, [][]int{first, append(rest, 0)}))                           // a set straddles the 64-source boundary
+	f.Add(maxHopsInput(100, ring, singles))                                                   // more than 64 sets
+	f.Add(maxHopsInput(1, nil, [][]int{{0}, {0, 0}}))                                         // one node
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(data[0])%128
+		m := min(int(data[1]), (len(data)-2)/2)
+		edges := make([][2]int, m)
+		for i := range edges {
+			edges[i] = [2]int{int(data[2+2*i]) % n, int(data[3+2*i]) % n}
+		}
+		var sets [][]NodeID
+		for _, b := range data[2+2*m:] {
+			if b&0x80 != 0 || sets == nil {
+				sets = append(sets, nil)
+			}
+			sets[len(sets)-1] = append(sets[len(sets)-1], int(b&0x7f)%n)
+		}
+		checkMaxHops(t, unitGraph(t, n, edges), sets)
+	})
+}
+
+// maxHopsInput encodes a graph of n ≤ 128 nodes and fewer than 256 edges,
+// and source sets, in FuzzMaxHops's format.
+func maxHopsInput(n int, edges [][2]int, sets [][]int) []byte {
+	data := []byte{byte(n - 1), byte(len(edges))}
+	for _, e := range edges {
+		data = append(data, byte(e[0]), byte(e[1]))
+	}
+	for _, set := range sets {
+		for j, s := range set {
+			b := byte(s)
+			if j == 0 {
+				b |= 0x80
+			}
+			data = append(data, b)
+		}
+	}
+	return data
+}

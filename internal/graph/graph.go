@@ -1,8 +1,9 @@
 // Package graph implements the undirected service-network graph G = (N, L)
 // of the paper's Section II-A, together with the traversal primitives the
 // routing and placement layers need: shortest-path trees (breadth-first
-// search on hop-count graphs, Dijkstra on weighted ones), connected
-// components, and degree queries.
+// search on hop-count graphs, Dijkstra on weighted ones), the largest hop
+// counts from many source sets in one bit-parallel sweep (MaxHops),
+// connected components, and degree queries.
 //
 // Nodes are dense integer IDs in [0, NumNodes) and carry an optional label
 // (the decimal ID until one is set). Links do not fail (the paper models
@@ -70,6 +71,10 @@ func (g *Graph) NumNodes() int { return len(g.adj) }
 
 // NumEdges returns |L|.
 func (g *Graph) NumEdges() int { return len(g.edges) }
+
+// Weighted reports whether some edge weighs other than 1. Then Dijkstra
+// searches by heap, and hop counts (MaxHops) are not routing distances.
+func (g *Graph) Weighted() bool { return g.weighted }
 
 // Label returns the label of node v: the one SetLabel set, even an empty
 // one, or else v's decimal ID.

@@ -521,3 +521,52 @@ func TestReroute(t *testing.T) {
 	checkReroute(t, unitGraph(t, 5, line), unitGraph(t, 5, cut))
 	checkReroute(t, unitGraph(t, 5, cut), unitGraph(t, 5, line))
 }
+
+// checkMaxHops requires MaxHops to return, for every set, the fold of one
+// Dijkstra per source: at each node the largest hop count, −1 where some
+// source misses the node, and 0 everywhere for an empty set.
+func checkMaxHops(t testing.TB, g *Graph, sets [][]NodeID) {
+	t.Helper()
+	got := g.MaxHops(sets)
+	if len(got) != len(sets) {
+		t.Fatalf("%d results for %d sets", len(got), len(sets))
+	}
+	for i, set := range sets {
+		want := make([]int32, g.NumNodes())
+		for _, s := range set {
+			tree := g.Dijkstra(s)
+			for v := range want {
+				switch d := int32(tree.Dist(v)); {
+				case want[v] < 0 || d < 0:
+					want[v] = -1
+				case d > want[v]:
+					want[v] = d
+				}
+			}
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("set %d %v: MaxHops %v, per-source Dijkstra %v", i, set, got[i], want)
+		}
+	}
+}
+
+// TestMaxHops checks MaxHops on random graphs, some disconnected, with
+// random source sets: up to 150 sources, so sets straddle the 64-source
+// batches, repeated within and across sets, and an empty set.
+func TestMaxHops(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(120)
+		var edges [][2]int
+		for i := rng.Intn(3 * n); i >= 0; i-- {
+			edges = append(edges, [2]int{rng.Intn(n), rng.Intn(n)})
+		}
+		sets := make([][]NodeID, 1+rng.Intn(12))
+		for i := range sets {
+			for j := rng.Intn(25); j > 0; j-- {
+				sets[i] = append(sets[i], rng.Intn(n))
+			}
+		}
+		checkMaxHops(t, unitGraph(t, n, edges), sets)
+	}
+}

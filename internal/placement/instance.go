@@ -100,8 +100,9 @@ type Instance struct {
 	elemIndex [][]int
 }
 
-// NewInstance validates the inputs, computes H_s per Section III-A, and
-// precomputes P(C_s, h) for every candidate pair.
+// NewInstance validates the inputs, computes H_s per Section III-A from
+// one profile sweep over every service (qos.NewProfiles), and precomputes
+// P(C_s, h) for every candidate pair.
 func NewInstance(r *routing.Router, services []Service, alpha float64) (*Instance, error) {
 	if r == nil {
 		return nil, fmt.Errorf("placement: nil router")
@@ -109,7 +110,8 @@ func NewInstance(r *routing.Router, services []Service, alpha float64) (*Instanc
 	if len(services) == 0 {
 		return nil, fmt.Errorf("placement: no services")
 	}
-	if alpha < 0 || alpha > 1 {
+	if !(alpha >= 0 && alpha <= 1) {
+		// The negated comparison also rejects NaN.
 		return nil, fmt.Errorf("placement: alpha %g outside [0, 1]", alpha)
 	}
 	inst := &Instance{
@@ -117,9 +119,9 @@ func NewInstance(r *routing.Router, services []Service, alpha float64) (*Instanc
 		services:   append([]Service(nil), services...),
 		alpha:      alpha,
 		candidates: make([][]graph.NodeID, len(services)),
-		profiles:   make([]*qos.Profile, len(services)),
 		elemIndex:  make([][]int, len(services)),
 	}
+	clientSets := make([][]graph.NodeID, len(services))
 	for s, svc := range services {
 		if len(svc.Clients) == 0 {
 			return nil, fmt.Errorf("placement: service %d (%s) has no clients", s, svc.Name)
@@ -129,12 +131,18 @@ func NewInstance(r *routing.Router, services []Service, alpha float64) (*Instanc
 				return nil, fmt.Errorf("placement: service %d (%s): client %d outside the network's nodes [0, %d)", s, svc.Name, c, r.NumNodes())
 			}
 		}
-		profile, err := qos.NewProfile(r, svc.Clients)
-		if err != nil {
-			return nil, fmt.Errorf("placement: service %d (%s): %w", s, svc.Name, err)
-		}
-		inst.profiles[s] = profile
-		hosts := profile.CandidateHosts(alpha)
+		clientSets[s] = svc.Clients
+	}
+	// One sweep profiles every service. With every client set nonempty it
+	// fails only when the graph is disconnected, and then for every
+	// service alike, so the first service reports it.
+	profiles, err := qos.NewProfiles(r, clientSets)
+	if err != nil {
+		return nil, fmt.Errorf("placement: service 0 (%s): %w", services[0].Name, err)
+	}
+	inst.profiles = profiles
+	for s, svc := range services {
+		hosts := profiles[s].CandidateHosts(alpha)
 		if len(hosts) == 0 {
 			return nil, fmt.Errorf("placement: service %d (%s): empty candidate set", s, svc.Name)
 		}

@@ -2,7 +2,10 @@ package placement
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -67,11 +70,23 @@ func TestNewInstanceErrors(t *testing.T) {
 	if _, err := NewInstance(r, []Service{{Clients: nil}}, 0); err == nil {
 		t.Fatal("clientless service should error")
 	}
-	if _, err := NewInstance(r, []Service{{Clients: clients}}, -0.1); err == nil {
-		t.Fatal("negative alpha should error")
+	for _, alpha := range []float64{-0.1, 1.1, math.Inf(1), math.NaN()} {
+		_, err := NewInstance(r, []Service{{Clients: clients}}, alpha)
+		if want := fmt.Sprintf("placement: alpha %g outside [0, 1]", alpha); err == nil || err.Error() != want {
+			t.Fatalf("alpha %g: err = %v, want %q", alpha, err, want)
+		}
 	}
-	if _, err := NewInstance(r, []Service{{Clients: clients}}, 1.1); err == nil {
-		t.Fatal("alpha > 1 should error")
+	split := graph.New(3)
+	if err := split.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := routing.New(split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewInstance(rs, []Service{{Name: "a", Clients: []graph.NodeID{0}}, {Name: "b", Clients: []graph.NodeID{1}}}, 0.5)
+	if want := "placement: service 0 (a): qos: host 2 cannot reach every client"; err == nil || err.Error() != want {
+		t.Fatalf("disconnected graph: err = %v, want %q", err, want)
 	}
 	for _, bad := range []graph.NodeID{graph.NodeID(r.NumNodes()), -1} {
 		_, err := NewInstance(r, []Service{{Name: "probe", Clients: append([]graph.NodeID{clients[0]}, bad)}}, 0.5)
@@ -212,5 +227,69 @@ func TestInstanceAccessors(t *testing.T) {
 	}
 	if inst.Profile(0) == nil || inst.Router() == nil {
 		t.Fatal("profile/router accessor broken")
+	}
+}
+
+// TestNewInstanceConcurrent builds instances from several goroutines at
+// once over one lazy router, as concurrent placement jobs on one network
+// do, on a hop-count graph (one profile sweep, host trees built on
+// demand) and on a weighted one (client trees too). Each must equal the
+// instance built alone on a fresh router: the same candidate sets,
+// profiles and paths. Run it under -race -count=10.
+func TestNewInstanceConcurrent(t *testing.T) {
+	topo, err := topology.BuildHierarchy(topology.HierarchyForNodes("plan", 300, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	weighted := graph.New(topo.Graph.NumNodes())
+	for _, e := range topo.Graph.Edges() {
+		if err := weighted.AddWeightedEdge(e.U, e.V, float64(1+(e.U+e.V)%3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	services := make([]Service, 4)
+	for s := range services {
+		services[s].Name = fmt.Sprint("svc-", s)
+		for i := range 8 {
+			services[s].Clients = append(services[s].Clients, topo.CandidateClients[(s*8+i)*3%len(topo.CandidateClients)])
+		}
+	}
+	alphas := []float64{0.2, 0.5}
+	for _, g := range []*graph.Graph{topo.Graph, weighted} {
+		want := make([]*Instance, len(alphas))
+		for i, alpha := range alphas {
+			fresh, err := routing.NewLazy(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want[i], err = NewInstance(fresh, services, alpha); err != nil {
+				t.Fatal(err)
+			}
+		}
+		shared, err := routing.NewLazy(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*Instance, 3*len(alphas))
+		errs := make([]error, len(got))
+		var wg sync.WaitGroup
+		for w := range got {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				got[w], errs[w] = NewInstance(shared, services, alphas[w%len(alphas)])
+			}(w)
+		}
+		wg.Wait()
+		for w, inst := range got {
+			if errs[w] != nil {
+				t.Fatalf("weighted %t, goroutine %d: %v", g.Weighted(), w, errs[w])
+			}
+			ref := want[w%len(alphas)]
+			if !reflect.DeepEqual(inst.candidates, ref.candidates) || !reflect.DeepEqual(inst.profiles, ref.profiles) ||
+				!reflect.DeepEqual(inst.elements, ref.elements) {
+				t.Fatalf("weighted %t, goroutine %d: the instance differs from one built alone at α %g", g.Weighted(), w, alphas[w%len(alphas)])
+			}
+		}
 	}
 }

@@ -7,6 +7,10 @@
 //
 // normalizes the degradation against the best and worst possible hosts.
 // The candidate set H(α) = {h : d̄(C, h) ≤ α} is nonempty for any α ≥ 0.
+//
+// d(C, h) comes, for every client set at once, from one bit-parallel
+// breadth-first sweep on a hop-count graph (graph.MaxHops), and from one
+// routed shortest-path tree per client on a weighted graph (NewProfiles).
 package qos
 
 import (
@@ -28,40 +32,88 @@ type Profile struct {
 // NewProfile computes the distance profile for a client set over every
 // possible host in the routed graph. It returns an error when a client is
 // unreachable from some host (the graph should be connected) or when no
-// clients are given.
-//
-// The sweep is client-rooted: Dist[h] = max_c d(c, h) is accumulated
-// from one shortest-path tree per client, so the cost is O(|C|)
-// Dijkstras instead of O(N) — on a lazy router this is what lets
-// candidate computation scale to 10k–100k-node topologies. Distances on
-// an undirected graph are symmetric, so the values match the host-rooted
-// formulation (on unit-weight graphs exactly; on arbitrary float weights
-// up to summation order, which the CandidateHosts boundary tolerance
-// absorbs).
+// clients are given. It is NewProfiles for one set.
 func NewProfile(r *routing.Router, clients []graph.NodeID) (*Profile, error) {
-	if len(clients) == 0 {
-		return nil, fmt.Errorf("qos: no clients")
+	ps, err := NewProfiles(r, [][]graph.NodeID{clients})
+	if err != nil {
+		return nil, err
 	}
-	n := r.NumNodes()
-	p := &Profile{Dist: make([]float64, n)}
-	for _, c := range clients {
-		t := r.Tree(c)
-		for h := range p.Dist {
-			switch d := t.Dist(h); {
-			case p.Dist[h] < 0 || d < 0:
-				p.Dist[h] = -1 // some client cannot reach h
-			case d > p.Dist[h]:
-				p.Dist[h] = d
+	return ps[0], nil
+}
+
+// NewProfiles computes the distance profile of every client set in
+// clientSets, indexed like it. It returns an error when a set is empty,
+// or when some host cannot reach every client of a set. Some host misses
+// a client of a nonempty set exactly when the graph is disconnected, so
+// then every set fails, and the error names the first set's first such
+// host.
+//
+// Dist[h] = max_c d(c, h) is the same on either path the graph's weights
+// choose. On a hop-count graph all the sets share one bit-parallel sweep
+// (graph.MaxHops), which routes and keeps no tree: the router then holds
+// trees only for the hosts placement reads paths from. On a weighted
+// graph the value is folded from one router tree per client, which the
+// router keeps; distances on an undirected graph are symmetric, so a
+// client-rooted tree gives d(c, h) up to float summation order, which the
+// CandidateHosts boundary tolerance absorbs.
+func NewProfiles(r *routing.Router, clientSets [][]graph.NodeID) ([]*Profile, error) {
+	for i, clients := range clientSets {
+		if len(clients) == 0 {
+			return nil, fmt.Errorf("qos: client set %d has no clients", i)
+		}
+	}
+	dists := make([][]float64, len(clientSets))
+	if g := r.Graph(); g.Weighted() {
+		for i, clients := range clientSets {
+			dists[i] = treeFold(r, clients)
+		}
+	} else {
+		for i, hops := range g.MaxHops(clientSets) {
+			dists[i] = make([]float64, len(hops))
+			for h, d := range hops {
+				dists[i][h] = float64(d)
 			}
 		}
 	}
-	for h := 0; h < n; h++ {
-		if p.Dist[h] < 0 {
+	profiles := make([]*Profile, len(dists))
+	for i, dist := range dists {
+		p, err := newProfile(dist)
+		if err != nil {
+			return nil, err
+		}
+		profiles[i] = p
+	}
+	return profiles, nil
+}
+
+// treeFold returns max_c d(c, h) at every host h, from the router's tree
+// of each client, or −1 at a host that misses some client.
+func treeFold(r *routing.Router, clients []graph.NodeID) []float64 {
+	dist := make([]float64, r.NumNodes())
+	for _, c := range clients {
+		t := r.Tree(c)
+		for h := range dist {
+			switch d := t.Dist(h); {
+			case dist[h] < 0 || d < 0:
+				dist[h] = -1 // some client cannot reach h
+			case d > dist[h]:
+				dist[h] = d
+			}
+		}
+	}
+	return dist
+}
+
+// newProfile is the profile of the per-host distances dist, or an error
+// naming the first host that misses a client (dist −1).
+func newProfile(dist []float64) (*Profile, error) {
+	for h, d := range dist {
+		if d < 0 {
 			return nil, fmt.Errorf("qos: host %d cannot reach every client", h)
 		}
 	}
-	p.DMin, p.DMax = p.Dist[0], p.Dist[0]
-	for _, d := range p.Dist[1:] {
+	p := &Profile{Dist: dist, DMin: dist[0], DMax: dist[0]}
+	for _, d := range dist[1:] {
 		if d < p.DMin {
 			p.DMin = d
 		}
@@ -109,20 +161,4 @@ func (p *Profile) BestHost() graph.NodeID {
 		}
 	}
 	return best
-}
-
-// Candidates computes candidate host sets for many client sets at once,
-// matching the two-step procedure of Section III-A (per-host distances,
-// then per-service thresholds). The returned slice is indexed like
-// clientSets.
-func Candidates(r *routing.Router, clientSets [][]graph.NodeID, alpha float64) ([][]graph.NodeID, error) {
-	out := make([][]graph.NodeID, len(clientSets))
-	for i, clients := range clientSets {
-		p, err := NewProfile(r, clients)
-		if err != nil {
-			return nil, fmt.Errorf("qos: service %d: %w", i, err)
-		}
-		out[i] = p.CandidateHosts(alpha)
-	}
-	return out, nil
 }

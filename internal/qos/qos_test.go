@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -154,17 +155,78 @@ func TestBestHost(t *testing.T) {
 
 func TestCandidatesBatch(t *testing.T) {
 	r := lineRouter(t, 5)
-	sets, err := Candidates(r, [][]graph.NodeID{{0, 4}, {0}}, 0)
+	ps, err := NewProfiles(r, [][]graph.NodeID{{0, 4}, {0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sets[0], []graph.NodeID{2}) {
-		t.Fatalf("H_0 = %v", sets[0])
+	if got := ps[0].CandidateHosts(0); !reflect.DeepEqual(got, []graph.NodeID{2}) {
+		t.Fatalf("H_0 = %v", got)
 	}
-	if !reflect.DeepEqual(sets[1], []graph.NodeID{0}) {
-		t.Fatalf("H_1 = %v", sets[1])
+	if got := ps[1].CandidateHosts(0); !reflect.DeepEqual(got, []graph.NodeID{0}) {
+		t.Fatalf("H_1 = %v", got)
 	}
-	if _, err := Candidates(r, [][]graph.NodeID{nil}, 0); err == nil {
+	if _, err := NewProfiles(r, [][]graph.NodeID{{0}, nil}); err == nil {
 		t.Fatal("empty client set should error")
+	}
+}
+
+// TestSweptProfilesMatchTreeFold requires the profiles NewProfiles sweeps
+// on random hop-count graphs to equal the per-client tree fold, the path
+// weighted graphs take, set for set and value for value; on a
+// disconnected graph both must fail with the same error. The sweep must
+// build no tree.
+func TestSweptProfilesMatchTreeFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	split := 0
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + rng.Intn(150)
+		g := graph.New(n)
+		// A random tree keeps most graphs connected; extra edges add
+		// cycles, and a few graphs skip a tree edge and split.
+		for v := 1; v < n; v++ {
+			if trial%10 != 9 || rng.Intn(8) != 0 {
+				if err := g.AddEdge(v, rng.Intn(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := rng.Intn(n); i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v && !g.HasEdge(u, v) {
+				if err := g.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		sets := make([][]graph.NodeID, 1+rng.Intn(10))
+		for i := range sets {
+			for j := 1 + rng.Intn(40); j > 0; j-- {
+				sets[i] = append(sets[i], rng.Intn(n))
+			}
+		}
+		r, err := routing.NewLazy(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		searches := graph.Searches()
+		swept, err := NewProfiles(r, sets)
+		if built := graph.Searches() - searches; built != 0 {
+			t.Fatalf("trial %d: the sweep built %d trees", trial, built)
+		}
+		for i, clients := range sets {
+			folded, ferr := newProfile(treeFold(r, clients))
+			if err != nil || ferr != nil {
+				if err == nil || ferr == nil || i > 0 || err.Error() != ferr.Error() {
+					t.Fatalf("trial %d set %d: sweep error %v, fold error %v", trial, i, err, ferr)
+				}
+				split++
+				break
+			}
+			if !reflect.DeepEqual(swept[i], folded) {
+				t.Fatalf("trial %d set %d %v: swept %+v, folded %+v", trial, i, clients, swept[i], folded)
+			}
+		}
+	}
+	if split == 0 {
+		t.Fatal("no trial drew a disconnected graph")
 	}
 }

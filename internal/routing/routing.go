@@ -20,7 +20,9 @@ import (
 // tree per node, the Section III-A complexity budget — fine up to a few
 // thousand nodes); NewLazy computes each root's tree on first use
 // instead, so memory and CPU scale with the number of distinct roots
-// actually queried (clients plus candidate hosts) rather than N². Both
+// actually queried rather than N²: the candidate hosts placement reads
+// paths from, plus the clients the QoS profile folds trees from on a
+// weighted graph (a hop-count graph's profile routes no tree). Both
 // variants produce identical paths and distances and are safe for
 // concurrent use. Each tree is a graph.Dijkstra: a breadth-first search
 // on hop-count graphs, a binary-heap Dijkstra on weighted ones. A lazy
@@ -68,7 +70,8 @@ func New(g *graph.Graph) (*Router, error) {
 // only the construction cost moves. Use it for large generated
 // topologies where all-pairs precomputation (O(N) trees, O(N²)
 // distance memory) is the bottleneck and only a small subset of nodes
-// ever roots a query.
+// ever roots a query: on a hop-count graph, placement roots queries at
+// its candidate hosts only.
 func NewLazy(g *graph.Graph) (*Router, error) {
 	if g.NumNodes() == 0 {
 		return nil, graph.ErrEmptyGraph
@@ -169,9 +172,9 @@ func (r *Router) Distance(u, v graph.NodeID) float64 {
 // Tree returns the shortest-path tree rooted at v: its Dist(u) is
 // d(v, u), or -1 if unreachable. It is the router's own memoized tree,
 // read-only like every graph.ShortestPathTree. One call costs one tree
-// in lazy mode and nothing afterwards, which is what makes the
-// client-rooted QoS sweep (one tree per client instead of one per host)
-// scale to 10k–100k nodes.
+// in lazy mode and nothing afterwards. The QoS profile of a weighted
+// graph folds one such tree per client; a hop-count graph's profile
+// comes from graph.MaxHops and asks for none.
 func (r *Router) Tree(v graph.NodeID) *graph.ShortestPathTree {
 	r.mustHave(v)
 	return r.tree(v)

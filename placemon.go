@@ -128,8 +128,9 @@ func finishNetwork(g *graph.Graph, prev *Network) (*Network, error) {
 	}
 	// Lazy routing: shortest-path trees are built (and memoized) per
 	// queried root, so a 100k-node custom network costs memory and time
-	// proportional to the clients and candidate hosts actually routed,
-	// not O(N²) for all-pairs. Results are identical to eager routing.
+	// proportional to the roots actually routed (the candidate hosts, on
+	// a hop-count network), not O(N²) for all-pairs. Results are
+	// identical to eager routing.
 	var from *routing.Router
 	if prev != nil {
 		from = prev.router

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -398,7 +399,8 @@ func TestCapacityRequiresGreedy(t *testing.T) {
 // before any evaluation, in process and as a 400 from POST …/placements;
 // at 4 904 nodes |F_3| = 19 656 229 965, whose pairs number about
 // 1.9·10^20. A job naming the deleted parallel lazy engine gets the
-// unknown-algorithm 400.
+// unknown-algorithm 400. An α of NaN gets the range error from Place and
+// CandidateHosts alike.
 func TestPlacementsRefuseBeforeEvaluating(t *testing.T) {
 	spec, _ := hierarchySpec(t, 5000, 8, 10, 1)
 	if spec.Nodes != 4904 {
@@ -409,11 +411,21 @@ func TestPlacementsRefuseBeforeEvaluating(t *testing.T) {
 		t.Fatal(err)
 	}
 	services := spec.Placement.ToServices()
-	for _, obj := range []ObjectiveKind{ObjectiveDistinguishability, ObjectiveIdentifiability} {
-		res, err := nw.Place(services, PlaceConfig{Alpha: 0.3, Objective: obj, K: 3})
-		if err == nil || !strings.Contains(err.Error(), "overflow") {
-			t.Fatalf("%s K = 3: got (%v, %v), want an overflow error", obj, res, err)
+	for _, tc := range []struct {
+		cfg  PlaceConfig
+		want string
+	}{
+		{PlaceConfig{Alpha: 0.3, Objective: ObjectiveDistinguishability, K: 3}, "overflow"},
+		{PlaceConfig{Alpha: 0.3, Objective: ObjectiveIdentifiability, K: 3}, "overflow"},
+		{PlaceConfig{Alpha: math.NaN()}, "alpha NaN outside [0, 1]"},
+	} {
+		res, err := nw.Place(services, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%+v: got (%v, %v), want an error naming %q", tc.cfg, res, err, tc.want)
 		}
+	}
+	if hosts, err := nw.CandidateHosts(services[0].Clients, math.NaN()); err == nil || !strings.Contains(err.Error(), "alpha NaN outside [0, 1]") {
+		t.Fatalf("CandidateHosts at alpha NaN: got (%v, %v), want the range error", hosts, err)
 	}
 
 	srv, err := NewScenarioServer(ServerConfig{})

@@ -169,12 +169,14 @@ bench-stochastic:
 # against the snapshot archived when group commit became
 # leader/follower. fsync-bound ns/op swings ±2x run-to-run on shared
 # disks at small iteration counts, so the gate averages over 1000
-# iterations and allows a 100% margin: it catches order-of-magnitude
+# iterations, runs each benchmark five times (benchjson folds the five
+# rows to their median, so one run slowed by a neighbour does not fail
+# the gate) and allows a 100% margin: it catches order-of-magnitude
 # regressions (a commit window returning to serial group appends, an
 # accidental fsync per record in group mode, a quadratic recovery
 # scan), not microsecond drift.
 bench-compare-wal:
-	$(GO) test -run NONE -bench='WALAppend|Recovery' -benchmem -benchtime=1000x -cpu 1 ./internal/wal/ | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-17_wal.json -fail-over 100
+	$(GO) test -run NONE -bench='WALAppend|Recovery' -benchmem -benchtime=1000x -count 5 -cpu 1 ./internal/wal/ | $(GO) run ./cmd/benchjson -compare BENCH_2026-10-17_wal.json -fail-over 100
 
 # The routing kernel: one shortest-path tree over a ~5 000-node
 # hierarchy, unit weights (breadth-first path) and the same edges at
@@ -272,6 +274,7 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzReroute -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run NONE -fuzz FuzzMaxHops -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run NONE -fuzz FuzzObservations -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run NONE -fuzz FuzzKeptBody -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run NONE -fuzz FuzzMembershipParse -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run NONE -fuzz FuzzGreedyLazyEquivalence -fuzztime $(FUZZTIME) ./internal/placement/

@@ -34,6 +34,10 @@
 //
 // -fail-bytes-over N gates the B/op column the same way, which catches
 // allocations that grow without growing in number.
+//
+// Rows that repeat one benchmark name, as `go test -count N` prints them,
+// are folded into one row holding each unit's median before a snapshot
+// is written or compared.
 package main
 
 import (
@@ -290,7 +294,62 @@ func parse(r io.Reader, now time.Time) (*Summary, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	sum.Benchmarks = foldRepeats(sum.Benchmarks)
 	return sum, nil
+}
+
+// foldRepeats folds the rows one benchmark name repeats (`go test -count
+// N` prints N) into one row at the first row's place, holding each
+// unit's median over the rows that report it, and the median iteration
+// count. A gate then compares typical runs instead of whichever run
+// came last, so one run slowed by a noisy neighbour does not fail it.
+func foldRepeats(rows []Benchmark) []Benchmark {
+	byName := map[string][]Benchmark{}
+	var names []string
+	for _, b := range rows {
+		if _, ok := byName[b.Name]; !ok {
+			names = append(names, b.Name)
+		}
+		byName[b.Name] = append(byName[b.Name], b)
+	}
+	if len(names) == len(rows) {
+		return rows
+	}
+	out := make([]Benchmark, 0, len(names))
+	for _, name := range names {
+		reps := byName[name]
+		if len(reps) == 1 {
+			out = append(out, reps[0])
+			continue
+		}
+		b := Benchmark{Name: name, Metrics: map[string]float64{}}
+		iters := make([]float64, len(reps))
+		values := map[string][]float64{}
+		for i, r := range reps {
+			iters[i] = float64(r.Iterations)
+			for unit, v := range r.Metrics {
+				values[unit] = append(values[unit], v)
+			}
+		}
+		b.Iterations = int64(median(iters))
+		for unit, vs := range values {
+			b.Metrics[unit] = median(vs)
+		}
+		b.NsPerOp = b.Metrics["ns/op"]
+		out = append(out, b)
+	}
+	return out
+}
+
+// median returns the middle of vs, or the mean of the two middle values
+// when there is an even number; it sorts vs.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseBenchLine parses one result line of the form

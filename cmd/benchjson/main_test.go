@@ -353,3 +353,40 @@ func TestReadSummaryArchiveFallback(t *testing.T) {
 		t.Fatal("pathed name fell back to the archive")
 	}
 }
+
+// TestParseFoldsRepeats: the rows `go test -count N` repeats for one
+// name fold into one row, in the first row's place, holding each unit's
+// median, so one slow run among five does not move the gated value.
+func TestParseFoldsRepeats(t *testing.T) {
+	in := `BenchmarkWALAppend/none    1000    3100 ns/op    400 B/op    4 allocs/op
+BenchmarkWALAppend/always  1000   90000 ns/op    500 B/op    6 allocs/op
+BenchmarkWALAppend/none    1000    6535 ns/op    400 B/op    4 allocs/op
+BenchmarkWALAppend/none    1000    3200 ns/op    410 B/op    4 allocs/op
+BenchmarkWALAppend/none    2000    2900 ns/op    400 B/op    5 allocs/op
+BenchmarkWALAppend/always  1000   70000 ns/op    500 B/op    6 allocs/op
+`
+	sum, err := parse(strings.NewReader(in), time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Benchmarks) != 2 || sum.Benchmarks[0].Name != "BenchmarkWALAppend/none" {
+		t.Fatalf("folded rows = %+v", sum.Benchmarks)
+	}
+	none, always := sum.Benchmarks[0], sum.Benchmarks[1]
+	// Four rows: the median is the mean of the two middle values.
+	if none.NsPerOp != 3150 || none.Metrics["ns/op"] != 3150 || none.Metrics["B/op"] != 400 ||
+		none.Metrics["allocs/op"] != 4 || none.Iterations != 1000 {
+		t.Fatalf("none folded to %+v", none)
+	}
+	if always.NsPerOp != 80000 || always.Metrics["allocs/op"] != 6 {
+		t.Fatalf("always folded to %+v", always)
+	}
+	// A single row passes through untouched.
+	one, err := parse(strings.NewReader(sample), time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one.Benchmarks) != 3 || one.Benchmarks[0].NsPerOp != 11093907 {
+		t.Fatalf("unrepeated rows changed: %+v", one.Benchmarks)
+	}
+}

@@ -120,6 +120,11 @@ type Monitor struct {
 	upCount   []int
 	downCount []int
 	downTotal int
+	// unobserved is the k = 1 diagnosis's list of nodes on no reporting
+	// path while unobservedOK. Only a connection's first report changes
+	// it, so every diagnosis in between shares one list.
+	unobserved   []int
+	unobservedOK bool
 }
 
 // New creates a monitor for a fixed set of monitored connections, each
@@ -351,6 +356,7 @@ func (m *Monitor) applyTransition(conn int, old ConnState, up bool) {
 	p := m.paths[conn]
 	if old == StateUnknown {
 		// First report: the connection's path joins the reporting set.
+		m.unobservedOK = false
 		// ps.Add cannot fail here — the path was validated by New against
 		// the same universe ps was built over.
 		_ = m.ps.Add(p)
@@ -438,11 +444,25 @@ func (m *Monitor) diagnoseK1() (*tomography.Diagnosis, error) {
 	d.DefinitelyFailed = inAll.Indices()
 	d.PossiblyFailed = inAny.Indices()
 	d.Healthy = healthy.Indices()
-	for v := 0; v < n; v++ {
-		if m.upCount[v] == 0 && m.downCount[v] == 0 {
-			d.Unobserved = append(d.Unobserved, v)
+	if !m.unobservedOK {
+		// nil when every node is observed, as tomography.Localize leaves it.
+		m.unobserved, m.unobservedOK = nil, true
+		count := 0
+		for v := 0; v < n; v++ {
+			if m.upCount[v] == 0 && m.downCount[v] == 0 {
+				count++
+			}
+		}
+		if count > 0 {
+			m.unobserved = make([]int, 0, count)
+			for v := 0; v < n; v++ {
+				if m.upCount[v] == 0 && m.downCount[v] == 0 {
+					m.unobserved = append(m.unobserved, v)
+				}
+			}
 		}
 	}
+	d.Unobserved = m.unobserved
 	return d, nil
 }
 

@@ -65,6 +65,7 @@ func (m *Monitor) RestoreState(st State) error {
 // equivalence tests pin.
 func (m *Monitor) rebuildIncremental() {
 	m.ps = monitor.NewPathSet(m.numNodes)
+	m.unobservedOK = false
 	m.failed = m.failed[:0]
 	m.downTotal = 0
 	for v := 0; v < m.numNodes; v++ {

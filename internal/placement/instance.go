@@ -104,49 +104,20 @@ type Instance struct {
 // one profile sweep over every service (qos.NewProfiles), and precomputes
 // P(C_s, h) for every candidate pair.
 func NewInstance(r *routing.Router, services []Service, alpha float64) (*Instance, error) {
-	if r == nil {
-		return nil, fmt.Errorf("placement: nil router")
-	}
-	if len(services) == 0 {
-		return nil, fmt.Errorf("placement: no services")
-	}
-	if !(alpha >= 0 && alpha <= 1) {
-		// The negated comparison also rejects NaN.
-		return nil, fmt.Errorf("placement: alpha %g outside [0, 1]", alpha)
+	profiles, candidates, err := profileServices(r, services, alpha)
+	if err != nil {
+		return nil, err
 	}
 	inst := &Instance{
 		router:     r,
 		services:   append([]Service(nil), services...),
 		alpha:      alpha,
-		candidates: make([][]graph.NodeID, len(services)),
+		candidates: candidates,
+		profiles:   profiles,
 		elemIndex:  make([][]int, len(services)),
 	}
-	clientSets := make([][]graph.NodeID, len(services))
 	for s, svc := range services {
-		if len(svc.Clients) == 0 {
-			return nil, fmt.Errorf("placement: service %d (%s) has no clients", s, svc.Name)
-		}
-		for _, c := range svc.Clients {
-			if c < 0 || c >= r.NumNodes() {
-				return nil, fmt.Errorf("placement: service %d (%s): client %d outside the network's nodes [0, %d)", s, svc.Name, c, r.NumNodes())
-			}
-		}
-		clientSets[s] = svc.Clients
-	}
-	// One sweep profiles every service. With every client set nonempty it
-	// fails only when the graph is disconnected, and then for every
-	// service alike, so the first service reports it.
-	profiles, err := qos.NewProfiles(r, clientSets)
-	if err != nil {
-		return nil, fmt.Errorf("placement: service 0 (%s): %w", services[0].Name, err)
-	}
-	inst.profiles = profiles
-	for s, svc := range services {
-		hosts := profiles[s].CandidateHosts(alpha)
-		if len(hosts) == 0 {
-			return nil, fmt.Errorf("placement: service %d (%s): empty candidate set", s, svc.Name)
-		}
-		inst.candidates[s] = hosts
+		hosts := candidates[s]
 		inst.elemIndex[s] = make([]int, len(hosts))
 		for i, h := range hosts {
 			paths, err := r.SparsePathSet(svc.Clients, h)
@@ -158,6 +129,57 @@ func NewInstance(r *routing.Router, services []Service, alpha float64) (*Instanc
 		}
 	}
 	return inst, nil
+}
+
+// CandidateHosts returns H_s for every service at slack alpha, validated
+// as NewInstance validates them, from the profile sweep alone: it routes
+// no path and, on a hop-count network, searches no tree.
+func CandidateHosts(r *routing.Router, services []Service, alpha float64) ([][]graph.NodeID, error) {
+	_, candidates, err := profileServices(r, services, alpha)
+	return candidates, err
+}
+
+// profileServices validates the inputs of NewInstance and CandidateHosts
+// and profiles every service from one sweep, returning the profiles and
+// each service's nonempty candidate set.
+func profileServices(r *routing.Router, services []Service, alpha float64) ([]*qos.Profile, [][]graph.NodeID, error) {
+	if r == nil {
+		return nil, nil, fmt.Errorf("placement: nil router")
+	}
+	if len(services) == 0 {
+		return nil, nil, fmt.Errorf("placement: no services")
+	}
+	if !(alpha >= 0 && alpha <= 1) {
+		// The negated comparison also rejects NaN.
+		return nil, nil, fmt.Errorf("placement: alpha %g outside [0, 1]", alpha)
+	}
+	clientSets := make([][]graph.NodeID, len(services))
+	for s, svc := range services {
+		if len(svc.Clients) == 0 {
+			return nil, nil, fmt.Errorf("placement: service %d (%s) has no clients", s, svc.Name)
+		}
+		for _, c := range svc.Clients {
+			if c < 0 || c >= r.NumNodes() {
+				return nil, nil, fmt.Errorf("placement: service %d (%s): client %d outside the network's nodes [0, %d)", s, svc.Name, c, r.NumNodes())
+			}
+		}
+		clientSets[s] = svc.Clients
+	}
+	// One sweep profiles every service. With every client set nonempty it
+	// fails only when the graph is disconnected, and then for every
+	// service alike, so the first service reports it.
+	profiles, err := qos.NewProfiles(r, clientSets)
+	if err != nil {
+		return nil, nil, fmt.Errorf("placement: service 0 (%s): %w", services[0].Name, err)
+	}
+	candidates := make([][]graph.NodeID, len(services))
+	for s, svc := range services {
+		candidates[s] = profiles[s].CandidateHosts(alpha)
+		if len(candidates[s]) == 0 {
+			return nil, nil, fmt.Errorf("placement: service %d (%s): empty candidate set", s, svc.Name)
+		}
+	}
+	return profiles, candidates, nil
 }
 
 // NumNodes returns |N| of the underlying graph.

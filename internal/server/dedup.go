@@ -1,11 +1,13 @@
 package server
 
 // dedupWindow makes observation ingest idempotent under at-least-once
-// delivery: it remembers the full responses of the last `capacity`
-// successfully ingested batches by their client-supplied batch ID, so a
-// retried or duplicated delivery replays the original answer — same
-// events, same status — instead of re-applying the batch and emitting a
-// divergent (usually empty) event list.
+// delivery: it remembers the status and the emitted events of the last
+// `capacity` successfully ingested batches by their client-supplied
+// batch ID, so a retried or duplicated delivery replays the original
+// answer — same events, same status, the same bytes re-encoded from the
+// kept events — instead of re-applying the batch and emitting a
+// divergent (usually empty) event list. The events are kept in compact
+// form (see compactEvent), shared with the audit ledger in WAL mode.
 //
 // The window is bounded FIFO: once capacity is exceeded the oldest entry
 // is evicted, which keeps memory constant and matches the retry horizon —
@@ -21,10 +23,11 @@ type dedupWindow struct {
 	byID     map[string]dedupEntry
 }
 
-// dedupEntry is one cached ingest response.
+// dedupEntry is one remembered ingest answer: its status and the events
+// its body carried (nil when it carried none).
 type dedupEntry struct {
 	status int
-	body   []byte
+	events []compactEvent
 }
 
 // newDedupWindow creates a window remembering the last capacity batches;
@@ -75,45 +78,29 @@ func (d *dedupWindow) size() int {
 // dedupRecord is one exported window entry, in insertion order, so a
 // restored window evicts in exactly the order the original would have —
 // the property that makes WAL-recovered dedup state byte-identical to a
-// never-crashed daemon's.
+// never-crashed daemon's. Body is the response body the entry replays.
 type dedupRecord struct {
 	ID     string `json:"id"`
 	Status int    `json:"status"`
 	Body   []byte `json:"body"`
 }
 
-// export captures the window's entries oldest first.
-func (d *dedupWindow) export() []dedupRecord {
-	out := make([]dedupRecord, 0, len(d.order))
-	emit := func(id string) {
-		e := d.byID[id]
-		out = append(out, dedupRecord{ID: id, Status: e.status, Body: e.body})
-	}
-	if len(d.order) < d.capacity {
-		// Not yet wrapped: order is already insertion order.
-		for _, id := range d.order {
-			emit(id)
-		}
-		return out
-	}
-	// Wrapped ring: the write cursor points at the oldest entry.
-	for _, id := range d.order[d.next:] {
-		emit(id)
-	}
-	for _, id := range d.order[:d.next] {
-		emit(id)
-	}
-	return out
+// dedupItem is one window entry with its ID.
+type dedupItem struct {
+	id    string
+	entry dedupEntry
 }
 
-// restore replays exported entries (oldest first) into an empty window
-// and returns how many entries it now holds.
-func (d *dedupWindow) restore(recs []dedupRecord) int {
-	grew := 0
-	for _, r := range recs {
-		if d.store(r.ID, dedupEntry{status: r.Status, body: r.Body}) {
-			grew++
-		}
+// entries copies the window's entries oldest first.
+func (d *dedupWindow) entries() []dedupItem {
+	out := make([]dedupItem, 0, len(d.order))
+	// Until the ring wraps, order is insertion order; after, the write
+	// cursor points at the oldest entry.
+	for _, id := range d.order[d.next:] {
+		out = append(out, dedupItem{id, d.byID[id]})
 	}
-	return grew
+	for _, id := range d.order[:d.next] {
+		out = append(out, dedupItem{id, d.byID[id]})
+	}
+	return out
 }

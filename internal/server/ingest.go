@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
+	"repro/internal/monitord"
 	"repro/internal/trace"
 )
 
@@ -27,23 +29,35 @@ const maxObsBody = 1 << 20
 // emptyObsBody is the response body for a batch that emitted no events —
 // byte-identical to json.Marshal(obsResponse{Events: []eventJSON{}})
 // plus the trailing newline json.Encoder appends. The slice is shared
-// (responses and dedup entries reference it); it must never be mutated.
+// (responses and exported dedup entries reference it); it must never be
+// mutated.
 var emptyObsBody = []byte("{\"events\":[]}\n")
 
-// obsScratch is the pooled per-request ingest state: the buffered body
-// and the decoded batch. Everything is reused across requests; only the
-// batch ID (when present) is materialized as a string, because the dedup
-// window keys on it.
+// obsScratch is the pooled per-request ingest state: the buffered body,
+// the decoded batch, the wire form of the emitted events and the encoded
+// response. Everything is reused across requests; only the batch ID (when
+// present) is materialized as a string, because the dedup window keys on
+// it. Nothing the window or the ledger keeps points into it.
 type obsScratch struct {
 	buf     []byte
 	batchID string
 	time    float64
 	conns   []int
 	ups     []bool
+
+	events  []eventJSON
+	diags   []diagnosisJSON
+	healthy []int
+	out     bytes.Buffer
+	enc     *json.Encoder
 }
 
 var obsScratchPool = sync.Pool{
-	New: func() any { return &obsScratch{buf: make([]byte, 0, 4096)} },
+	New: func() any {
+		sc := &obsScratch{buf: make([]byte, 0, 4096)}
+		sc.enc = json.NewEncoder(&sc.out)
+		return sc
+	},
 }
 
 func getObsScratch() *obsScratch {
@@ -61,7 +75,40 @@ func putObsScratch(sc *obsScratch) {
 		// Don't let one huge batch pin a megabyte per pooled entry.
 		sc.buf = make([]byte, 0, 4096)
 	}
+	if sc.out.Cap() > maxObsBody/4 {
+		sc.out = bytes.Buffer{}
+	}
+	// Drop the references to the monitor's diagnoses.
+	clear(sc.events)
+	clear(sc.diags)
 	obsScratchPool.Put(sc)
+}
+
+// wire fills sc with the wire form of events and returns the response
+// that carries them. Both the live handler and WAL boot replay build the
+// events they keep from it.
+func (sc *obsScratch) wire(events []monitord.Event) obsResponse {
+	sc.events = slices.Grow(sc.events[:0], len(events))
+	sc.diags = slices.Grow(sc.diags[:0], len(events))[:len(events)]
+	for i, ev := range events {
+		var d *diagnosisJSON
+		if ev.Diagnosis != nil {
+			sc.diags[i] = wireDiagnosis(ev.Diagnosis)
+			d = &sc.diags[i]
+		}
+		sc.events = append(sc.events, eventJSON{Time: ev.Time, Kind: ev.Kind.String(), Diagnosis: d})
+	}
+	return obsResponse{Events: sc.events}
+}
+
+// encode renders out as a response body into sc's buffer: the bytes
+// json.Marshal gives plus a newline. They are valid until sc is reused.
+func (sc *obsScratch) encode(out obsResponse) ([]byte, error) {
+	sc.out.Reset()
+	if err := sc.enc.Encode(out); err != nil {
+		return nil, err
+	}
+	return sc.out.Bytes(), nil
 }
 
 // readBody buffers the whole request body into sc.buf, enforcing the
@@ -519,9 +566,14 @@ func (s *Server) serveObservations(t *tenant, w http.ResponseWriter, r *http.Req
 			s.obsReplayed.Inc()
 			sp.Annotate("replayed", true)
 			w.Header().Set("Placemond-Replayed", "true")
+			body := emptyObsBody
+			if len(cached.events) > 0 {
+				// Cannot fail: the same events encoded when first served.
+				body, _ = sc.encode(sc.wireKept(cached.events))
+			}
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(cached.status)
-			w.Write(cached.body)
+			w.Write(body)
 			return
 		}
 	}
@@ -547,12 +599,18 @@ func (s *Server) serveObservations(t *tenant, w http.ResponseWriter, r *http.Req
 		writeError(w, http.StatusInternalServerError, "ingest: %v", err)
 		return
 	}
+	// The window and the ledger keep the batch's events once, in compact
+	// form, built from the wire form the response encodes.
 	var (
-		out   obsResponse
-		diags []*diagnosisJSON
+		out  obsResponse
+		kept []compactEvent
 	)
+	dedup := t.dedup != nil && sc.batchID != ""
 	if len(events) > 0 {
-		out, diags = buildObsResponse(events)
+		out = sc.wire(events)
+		if dedup || s.wlog != nil {
+			kept = compactEvents(out.Events, &t.unobserved)
+		}
 	}
 	if s.wlog != nil {
 		// Append-before-ack: the batch (and each emitted diagnosis) must
@@ -562,7 +620,7 @@ func (s *Server) serveObservations(t *tenant, w http.ResponseWriter, r *http.Req
 		// this one unacknowledged batch, which the client will retry
 		// after the restart that recovers pre-batch state.
 		walStage := sp.StartStage("wal")
-		err := s.walAppendIngest(t, sc.batchID, sc.time, sc.conns, sc.ups, events, diags)
+		err := s.walAppendIngest(t, sc.batchID, sc.time, sc.conns, sc.ups, out.Events, kept)
 		walStage.EndDetail("records=%d ok=%t", 1+len(events), err == nil)
 		if err != nil {
 			ingest.EndDetail("wal append failed")
@@ -584,16 +642,14 @@ func (s *Server) serveObservations(t *tenant, w http.ResponseWriter, r *http.Req
 	ingest.EndCount("events", len(events))
 	body := emptyObsBody
 	if len(events) > 0 {
-		b, err := json.Marshal(out)
-		if err != nil {
+		if body, err = sc.encode(out); err != nil {
 			writeJSON(w, http.StatusOK, out)
 			return
 		}
-		body = append(b, '\n')
 	}
-	if t.dedup != nil && sc.batchID != "" {
+	if dedup {
 		t.mu.Lock()
-		grew := t.dedup.store(sc.batchID, dedupEntry{status: http.StatusOK, body: body})
+		grew := t.dedup.store(sc.batchID, dedupEntry{status: http.StatusOK, events: kept})
 		t.mu.Unlock()
 		if grew {
 			s.dedupGauge.Add(1)

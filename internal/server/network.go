@@ -167,7 +167,7 @@ func (s *Server) replaceNetwork(sp *trace.Span, old *tenant, change []byte) (*te
 func adoptTenantState(old, nt *tenant) {
 	old.mu.Lock()
 	nt.dedup = old.dedup
-	nt.audit = append([]auditEvent(nil), old.audit...)
+	nt.audit = append([]auditEntry(nil), old.audit...)
 	nt.auditTotal = old.auditTotal
 	old.mu.Unlock()
 }

@@ -189,7 +189,7 @@ func TestDedupDisabled(t *testing.T) {
 func TestDedupWindowEviction(t *testing.T) {
 	d := newDedupWindow(2)
 	for i := 0; i < 3; i++ {
-		d.store(fmt.Sprintf("b-%d", i), dedupEntry{status: 200, body: []byte{byte(i)}})
+		d.store(fmt.Sprintf("b-%d", i), dedupEntry{status: 200, events: []compactEvent{{time: float64(i)}}})
 	}
 	if _, ok := d.lookup("b-0"); ok {
 		t.Fatalf("oldest entry not evicted at capacity 2")
@@ -203,11 +203,11 @@ func TestDedupWindowEviction(t *testing.T) {
 		t.Fatalf("size = %d, want 2", d.size())
 	}
 	// Refreshing a present ID must not grow the window.
-	d.store("b-2", dedupEntry{status: 200, body: []byte("new")})
+	d.store("b-2", dedupEntry{status: 200, events: []compactEvent{{time: 7}}})
 	if d.size() != 2 {
 		t.Fatalf("size after refresh = %d, want 2", d.size())
 	}
-	if e, _ := d.lookup("b-2"); string(e.body) != "new" {
+	if e, _ := d.lookup("b-2"); e.events[0].time != 7 {
 		t.Fatalf("refresh did not update payload")
 	}
 }

@@ -662,24 +662,6 @@ type obsResponse struct {
 	Events []eventJSON `json:"events"`
 }
 
-// buildObsResponse turns emitted events into the wire response plus the
-// index-aligned diagnosis documents. Both the live handler and WAL boot
-// replay use it, which is what keeps recovered dedup-window bodies
-// byte-identical to the originally served ones.
-func buildObsResponse(events []monitord.Event) (obsResponse, []*diagnosisJSON) {
-	out := obsResponse{Events: make([]eventJSON, 0, len(events))}
-	diags := make([]*diagnosisJSON, len(events))
-	for i, ev := range events {
-		diags[i] = diagnosisToJSON(ev.Diagnosis)
-		out.Events = append(out.Events, eventJSON{
-			Time:      ev.Time,
-			Kind:      ev.Kind.String(),
-			Diagnosis: diags[i],
-		})
-	}
-	return out, diags
-}
-
 // serveObservations (the ingest hot path) lives in ingest.go.
 
 // connectionJSON is one row of GET /v1/diagnosis's connection table.
@@ -980,11 +962,18 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// diagnosisToJSON is the wire form of d, nil for nil.
 func diagnosisToJSON(d *tomography.Diagnosis) *diagnosisJSON {
 	if d == nil {
 		return nil
 	}
-	return &diagnosisJSON{
+	w := wireDiagnosis(d)
+	return &w
+}
+
+// wireDiagnosis is the wire form of d. Its lists are d's own.
+func wireDiagnosis(d *tomography.Diagnosis) diagnosisJSON {
+	return diagnosisJSON{
 		Candidates:       d.Consistent,
 		DefinitelyFailed: d.DefinitelyFailed,
 		PossiblyFailed:   d.PossiblyFailed,

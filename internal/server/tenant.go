@@ -101,6 +101,10 @@ type tenant struct {
 	splice atomic.Pointer[auditSplice]
 
 	ingestMu sync.Mutex
+	// unobserved interns the unobserved lists of the events the tenant
+	// keeps. Guarded by ingestMu; boot recovery and adoption use it before
+	// the tenant serves.
+	unobserved unobservedSet
 
 	mu sync.Mutex
 	// closed is set once the scenario is removed, migrated away or
@@ -113,8 +117,9 @@ type tenant struct {
 	dedup *dedupWindow
 	// audit is the diagnosis audit ledger (WAL mode only): the retained
 	// tail of emitted events, each pinned to its WAL record's sequence
-	// number and chain hash; auditTotal counts everything ever emitted.
-	audit      []auditEvent
+	// number and chain hash and sharing its compact form with the dedup
+	// window; auditTotal counts everything ever emitted.
+	audit      []auditEntry
 	auditTotal int
 	// lastGood is the diagnosis the monitor kept after the last applied
 	// batch that left a localizable outage, and lastGoodAt that batch's
@@ -166,7 +171,7 @@ const auditRetain = 1024
 
 // addAudit appends one diagnosis event to the audit ledger, evicting the
 // oldest retained entry beyond the cap. Caller holds mu.
-func (t *tenant) addAudit(e auditEvent) {
+func (t *tenant) addAudit(e auditEntry) {
 	t.audit = append(t.audit, e)
 	if len(t.audit) > auditRetain {
 		copy(t.audit, t.audit[len(t.audit)-auditRetain:])
@@ -178,21 +183,27 @@ func (t *tenant) addAudit(e auditEvent) {
 // exportState copies the tenant's replayable state (without the splice),
 // or reports false once the tenant is closed. Callers hold ingestMu or
 // the server's walMu exclusively, so the copy matches the log position.
+// The kept events are immutable, so they are rendered after mu is
+// released.
 func (t *tenant) exportState() (*walTenantState, bool) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.closed {
+		t.mu.Unlock()
 		return nil, false
 	}
 	ts := &walTenantState{
 		Spec:       t.spec,
 		Monitor:    t.mon.ExportState(),
-		Audit:      append([]auditEvent(nil), t.audit...),
 		AuditTotal: t.auditTotal,
 	}
+	audit := append([]auditEntry(nil), t.audit...)
+	var window []dedupItem
 	if t.dedup != nil {
-		ts.Dedup = t.dedup.export()
+		window = t.dedup.entries()
 	}
+	t.mu.Unlock()
+	ts.Audit = wireAudit(audit)
+	ts.Dedup = exportDedup(window)
 	return ts, true
 }
 

@@ -186,21 +186,22 @@ func (s *Server) rejectReadOnly(w http.ResponseWriter) bool {
 // --- append paths ---
 
 // walAppendIngest appends one accepted observation batch plus one
-// diagnosis record per emitted event, durably, in one fsync. Called with
+// diagnosis record per emitted event (evs, the wire form; kept, the same
+// events as the ledger keeps them), durably, in one fsync. Called with
 // t.ingestMu held and s.walMu read-locked; on failure the daemon goes
 // read-only and the caller must not acknowledge the batch.
-func (s *Server) walAppendIngest(t *tenant, batchID string, tm float64, conns []int, ups []bool, events []monitord.Event, diags []*diagnosisJSON) error {
+func (s *Server) walAppendIngest(t *tenant, batchID string, tm float64, conns []int, ups []bool, evs []eventJSON, kept []compactEvent) error {
 	obsPayload, err := json.Marshal(walObservations{
 		Scenario: t.id, BatchID: batchID, Time: tm, Conns: conns, Ups: ups,
 	})
 	if err != nil {
 		return fmt.Errorf("%w: encode: %v", errWALUnavailable, err)
 	}
-	ops := make([]wal.Op, 0, 1+len(events))
+	ops := make([]wal.Op, 0, 1+len(evs))
 	ops = append(ops, wal.Op{Type: wal.TypeObservations, Payload: obsPayload})
-	for i, ev := range events {
+	for _, ev := range evs {
 		p, err := json.Marshal(walDiagnosis{
-			Scenario: t.id, Time: ev.Time, Kind: ev.Kind.String(), Diagnosis: diags[i],
+			Scenario: t.id, Time: ev.Time, Kind: ev.Kind, Diagnosis: ev.Diagnosis,
 		})
 		if err != nil {
 			return fmt.Errorf("%w: encode: %v", errWALUnavailable, err)
@@ -212,14 +213,11 @@ func (s *Server) walAppendIngest(t *tenant, batchID string, tm float64, conns []
 		s.enterReadOnly(err)
 		return fmt.Errorf("%w: %v", errWALUnavailable, err)
 	}
-	if len(events) > 0 {
+	if len(kept) > 0 {
 		t.mu.Lock()
-		for i, ev := range events {
+		for i, ev := range kept {
 			res := results[i+1]
-			t.addAudit(auditEvent{
-				Seq: res.Seq, Hash: hex.EncodeToString(res.Hash[:]),
-				Time: ev.Time, Kind: ev.Kind.String(), Diagnosis: diags[i],
-			})
+			t.addAudit(auditEntry{seq: res.Seq, hash: hex.EncodeToString(res.Hash[:]), ev: ev})
 		}
 		t.mu.Unlock()
 	}
@@ -334,8 +332,9 @@ func (s *Server) openWAL(wc *WALConfig) error {
 			return err
 		}
 	}
+	var last replayedBatch
 	for _, r := range rec.Records {
-		s.replayRecord(r)
+		s.replayRecord(r, &last)
 	}
 	s.walReplayed.Add(float64(len(rec.Records)))
 	s.walSegments.Set(float64(l.SegmentCount()))
@@ -395,6 +394,9 @@ func (s *Server) restoreWALState(doc []byte) error {
 // restoreTenantState loads a snapshot's or a migration document's
 // replayable state into a freshly built tenant: monitor state (and with
 // it the last good diagnosis), dedup window, audit ledger and splice.
+// Each stored response body is decoded once and kept in compact form, and
+// a ledger row whose diagnosis equals one of a window entry's keeps that
+// entry's record.
 func (s *Server) restoreTenantState(t *tenant, ts *walTenantState) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -402,22 +404,51 @@ func (s *Server) restoreTenantState(t *tenant, ts *walTenantState) error {
 		return err
 	}
 	t.keepGood()
+	byTime := map[float64][]compactEvent{}
 	if t.dedup != nil && len(ts.Dedup) > 0 {
-		if grew := t.dedup.restore(ts.Dedup); grew > 0 && s.dedupGauge != nil {
+		grew := 0
+		var p keptBodyParser
+		for _, r := range ts.Dedup {
+			kept, err := decodeObsBody(r.Body, &t.unobserved, &p)
+			if err != nil {
+				return fmt.Errorf("dedup entry %q: %w", r.ID, err)
+			}
+			if t.dedup.store(r.ID, dedupEntry{status: r.Status, events: kept}) {
+				grew++
+			}
+			if len(kept) > 0 {
+				byTime[kept[0].time] = append(byTime[kept[0].time], kept...)
+			}
+		}
+		if grew > 0 && s.dedupGauge != nil {
 			s.dedupGauge.Add(float64(grew))
 		}
 	}
-	t.audit = append([]auditEvent(nil), ts.Audit...)
+	t.audit = make([]auditEntry, len(ts.Audit))
+	for i, e := range ts.Audit {
+		a := auditEntry{seq: e.Seq, hash: e.Hash,
+			ev: compactEvent{time: e.Time, kind: e.Kind, diag: compactDiagnosisOf(e.Diagnosis, &t.unobserved)}}
+		shareKept(&a.ev, byTime[e.Time])
+		t.audit[i] = a
+	}
 	t.auditTotal = ts.AuditTotal
 	t.splice.Store(ts.Splice)
 	return nil
+}
+
+// replayedBatch is the last observation batch boot replay re-applied:
+// its tenant and the events it keeps, which the diagnosis records that
+// follow it in the log share.
+type replayedBatch struct {
+	t    *tenant
+	kept []compactEvent
 }
 
 // replayRecord applies one recovered WAL-tail record. Records for
 // scenarios this boot cannot host are skipped with a warning — one stale
 // record must not take the fleet down — while everything else re-applies
 // exactly as the original request did.
-func (s *Server) replayRecord(r wal.Record) {
+func (s *Server) replayRecord(r wal.Record, last *replayedBatch) {
 	switch r.Type {
 	case wal.TypeScenarioCreate:
 		var p walScenarioCreate
@@ -461,29 +492,30 @@ func (s *Server) replayRecord(r wal.Record) {
 			}
 		}
 		// Regenerate exactly what the original handler produced: the
-		// monitor state with its last good diagnosis, the response body
-		// for the dedup window, the outage gauge. (Audit entries come
-		// from the TypeDiagnosis records that follow, not from the
-		// regenerated events.)
+		// monitor state with its last good diagnosis, the events the
+		// dedup window keeps, the outage gauge. (Audit entries come from
+		// the TypeDiagnosis records that follow, not from the regenerated
+		// events; they share the regenerated records they equal.)
 		t.mu.Lock()
 		events, err := t.mon.ReportBatch(p.Time, p.Conns, p.Ups)
 		t.keepGood()
 		t.mu.Unlock()
+		*last = replayedBatch{}
 		if err != nil {
 			s.logger.Warn("WAL replay: batch re-apply failed", "seq", r.Seq, "scenario", p.Scenario, "error", err)
 			return
 		}
 		s.setOutageGauges(t)
+		sc := getObsScratch()
+		kept := compactEvents(sc.wire(events).Events, &t.unobserved)
+		putObsScratch(sc)
+		*last = replayedBatch{t: t, kept: kept}
 		if t.dedup != nil && p.BatchID != "" {
-			out, _ := buildObsResponse(events)
-			if body, err := json.Marshal(out); err == nil {
-				body = append(body, '\n')
-				t.mu.Lock()
-				grew := t.dedup.store(p.BatchID, dedupEntry{status: http.StatusOK, body: body})
-				t.mu.Unlock()
-				if grew && s.dedupGauge != nil {
-					s.dedupGauge.Add(1)
-				}
+			t.mu.Lock()
+			grew := t.dedup.store(p.BatchID, dedupEntry{status: http.StatusOK, events: kept})
+			t.mu.Unlock()
+			if grew && s.dedupGauge != nil {
+				s.dedupGauge.Add(1)
 			}
 		}
 	case wal.TypeScenarioUpdate:
@@ -519,11 +551,12 @@ func (s *Server) replayRecord(r wal.Record) {
 				"seq", r.Seq, "scenario", p.Scenario)
 			return
 		}
+		ev := compactEvent{time: p.Time, kind: p.Kind, diag: compactDiagnosisOf(p.Diagnosis, &t.unobserved)}
+		if last.t == t {
+			shareKept(&ev, last.kept)
+		}
 		t.mu.Lock()
-		t.addAudit(auditEvent{
-			Seq: r.Seq, Hash: hex.EncodeToString(r.Hash[:]),
-			Time: p.Time, Kind: p.Kind, Diagnosis: p.Diagnosis,
-		})
+		t.addAudit(auditEntry{seq: r.Seq, hash: hex.EncodeToString(r.Hash[:]), ev: ev})
 		t.mu.Unlock()
 	default:
 		s.logger.Warn("WAL replay: unknown record type skipped", "seq", r.Seq, "type", r.Type)
@@ -545,14 +578,49 @@ func (s *Server) setOutageGauges(t *tenant) {
 
 // --- the audit endpoint ---
 
-// auditEvent is one row of the diagnosis audit ledger: the WAL record's
-// position and chain hash plus the decoded event.
+// auditEvent is the wire form of one row of the diagnosis audit ledger:
+// the WAL record's position and chain hash plus the decoded event.
 type auditEvent struct {
 	Seq       uint64         `json:"seq"`
 	Hash      string         `json:"hash"`
 	Time      float64        `json:"time"`
 	Kind      string         `json:"kind"`
 	Diagnosis *diagnosisJSON `json:"diagnosis,omitempty"`
+}
+
+// auditEntry is one row of the ledger as a tenant keeps it: the event in
+// the compact form the dedup window shares.
+type auditEntry struct {
+	seq  uint64
+	hash string
+	ev   compactEvent
+}
+
+// wireAudit renders ledger rows in their wire form, nil for none. The
+// rows, their diagnoses and every healthy list take one allocation each.
+func wireAudit(rows []auditEntry) []auditEvent {
+	if len(rows) == 0 {
+		return nil
+	}
+	nd, nh := 0, 0
+	for _, e := range rows {
+		if e.ev.diag != nil {
+			nd++
+			nh += e.ev.diag.healthyLen()
+		}
+	}
+	out := make([]auditEvent, len(rows))
+	diags := make([]diagnosisJSON, nd)
+	healthy := make([]int, 0, nh)
+	for i, e := range rows {
+		out[i] = auditEvent{Seq: e.seq, Hash: e.hash, Time: e.ev.time, Kind: e.ev.kind}
+		if e.ev.diag != nil {
+			healthy = e.ev.diag.wireInto(&diags[0], healthy)
+			out[i].Diagnosis = &diags[0]
+			diags = diags[1:]
+		}
+	}
+	return out
 }
 
 // auditSplice links a migrated scenario's audit chain across logs: the
@@ -595,13 +663,17 @@ func (s *Server) serveAudit(t *tenant, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t.mu.Lock()
-	events := t.audit
-	if limit > 0 && len(events) > limit {
-		events = events[len(events)-limit:]
+	rows := t.audit
+	if limit > 0 && len(rows) > limit {
+		rows = rows[len(rows)-limit:]
 	}
-	events = append([]auditEvent{}, events...)
+	rows = append([]auditEntry(nil), rows...)
 	total := t.auditTotal
 	t.mu.Unlock()
+	events := wireAudit(rows)
+	if events == nil {
+		events = []auditEvent{}
+	}
 	out := struct {
 		Scenario    string       `json:"scenario"`
 		TotalEvents int          `json:"total_events"`

@@ -394,13 +394,14 @@ func (nw *Network) Place(services []Service, cfg PlaceConfig) (*Result, error) {
 }
 
 // CandidateHosts returns the QoS-feasible hosts H_s for a client set at
-// slack α (Section III-A).
+// slack α (Section III-A), from the QoS profile alone: no measurement
+// path is routed.
 func (nw *Network) CandidateHosts(clients []int, alpha float64) ([]int, error) {
-	inst, _, err := nw.prepare([]Service{{Name: "probe", Clients: clients}}, PlaceConfig{Alpha: alpha})
+	hosts, err := placement.CandidateHosts(nw.router, []placement.Service{{Name: "probe", Clients: clients}}, alpha)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("placemon: %w", err)
 	}
-	return append([]int(nil), inst.Candidates(0)...), nil
+	return hosts[0], nil
 }
 
 // Evaluate computes the three k=1 monitoring measures of an arbitrary

@@ -67,3 +67,26 @@ func BenchmarkScenarioBuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(graph.Searches()-searches)/float64(b.N), "trees-built/op")
 }
+
+// TestCandidateHostsSearchesNoTree requires Network.CandidateHosts to
+// read the candidate list off the QoS profile: on the hop-count
+// replan-shaped network (4 904 nodes) at α 1, where every node is a
+// candidate, a call searches no shortest-path tree.
+func TestCandidateHostsSearchesNoTree(t *testing.T) {
+	spec, _ := hierarchySpec(t, 5000, 8, 10, 0)
+	nw, err := spec.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	searches := graph.Searches()
+	hosts, err := nw.CandidateHosts(spec.Placement.ToServices()[0].Clients, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hosts) != spec.Nodes {
+		t.Fatalf("%d candidate hosts at α 1, want all %d nodes", len(hosts), spec.Nodes)
+	}
+	if n := graph.Searches() - searches; n != 0 {
+		t.Fatalf("CandidateHosts searched %d trees, want none", n)
+	}
+}

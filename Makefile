@@ -274,7 +274,6 @@ fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzReroute -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run NONE -fuzz FuzzMaxHops -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run NONE -fuzz FuzzObservations -fuzztime $(FUZZTIME) ./internal/server/
-	$(GO) test -run NONE -fuzz FuzzKeptBody -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run NONE -fuzz FuzzMembershipParse -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run NONE -fuzz FuzzGreedyLazyEquivalence -fuzztime $(FUZZTIME) ./internal/placement/

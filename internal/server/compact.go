@@ -5,9 +5,6 @@ import (
 	"encoding/json"
 	"math/bits"
 	"slices"
-	"unicode/utf8"
-
-	"repro/internal/monitord"
 )
 
 // The compact form of emitted events. The dedup window and the audit
@@ -226,8 +223,8 @@ func (sc *obsScratch) wireKept(kept []compactEvent) obsResponse {
 }
 
 // exportDedup renders window entries as the records a snapshot or a
-// migration document carries: each body is the bytes the entry replays.
-// Every body is encoded through one scratch into one shared buffer.
+// migration document carries: each body is the bytes the entry replays,
+// encoded through one scratch.
 func exportDedup(items []dedupItem) []dedupRecord {
 	if len(items) == 0 {
 		return nil
@@ -235,7 +232,6 @@ func exportDedup(items []dedupItem) []dedupRecord {
 	sc := getObsScratch()
 	defer putObsScratch(sc)
 	out := make([]dedupRecord, len(items))
-	var bodies []byte
 	for i, it := range items {
 		out[i] = dedupRecord{ID: it.id, Status: it.entry.status, Body: emptyObsBody}
 		if len(it.entry.events) == 0 {
@@ -243,224 +239,115 @@ func exportDedup(items []dedupItem) []dedupRecord {
 		}
 		// Cannot fail: every kept time was a JSON number, so it is finite.
 		b, _ := sc.encode(sc.wireKept(it.entry.events))
-		start := len(bodies)
-		bodies = append(bodies, b...)
-		out[i].Body = bodies[start:len(bodies):len(bodies)]
+		out[i].Body = bytes.Clone(b)
 	}
 	return out
 }
 
-// decodeObsBody compacts a stored response body (a snapshot's or a
-// migration document's dedup entry), decoding it once: with p's scanner,
-// or with encoding/json when the scanner does not take the body.
-func decodeObsBody(body []byte, u *unobservedSet, p *keptBodyParser) ([]compactEvent, error) {
-	if evs, ok := p.body(body); ok {
-		return compactEvents(evs, u), nil
+// storedDiagnosis is a diagnosis as restore decodes it from a stored
+// response body or ledger row: the wire struct, with the unobserved list
+// still JSON text. Stored events repeat one unobserved list event after
+// event, and it is most of their bytes, so storedLists decodes each run
+// of equal texts once.
+type storedDiagnosis struct {
+	diagnosisJSON
+	Unobserved json.RawMessage `json:"unobserved"`
+}
+
+// storedLists decodes the unobserved texts of one document's stored
+// diagnoses in order; a text equal to the one before is not decoded
+// again, and its events share the list.
+type storedLists struct {
+	text []byte
+	list []int
+}
+
+// wire is d's wire struct, nil for nil.
+func (l *storedLists) wire(d *storedDiagnosis) (*diagnosisJSON, error) {
+	if d == nil {
+		return nil, nil
 	}
-	var out obsResponse
-	if err := json.Unmarshal(body, &out); err != nil {
+	if !bytes.Equal(d.Unobserved, l.text) {
+		l.text, l.list = d.Unobserved, nil
+		if len(l.text) > 0 { // a missing list decodes as nil
+			if err := json.Unmarshal(l.text, &l.list); err != nil {
+				return nil, err
+			}
+		}
+	}
+	w := d.diagnosisJSON
+	w.Unobserved = l.list
+	return &w, nil
+}
+
+// decodeObsBody compacts a stored response body (a snapshot's or a
+// migration document's dedup entry), decoding it once with
+// encoding/json; it decodes to the events json.Unmarshal into obsResponse
+// gives.
+func decodeObsBody(body []byte, u *unobservedSet, lists *storedLists) ([]compactEvent, error) {
+	var stored struct {
+		Events []struct {
+			eventJSON
+			Diagnosis *storedDiagnosis `json:"diagnosis"`
+		} `json:"events"`
+	}
+	if err := json.Unmarshal(body, &stored); err != nil {
 		return nil, err
 	}
-	return compactEvents(out.Events, u), nil
+	evs := make([]eventJSON, len(stored.Events))
+	for i, e := range stored.Events {
+		d, err := lists.wire(e.Diagnosis)
+		if err != nil {
+			return nil, err
+		}
+		evs[i] = e.eventJSON
+		evs[i].Diagnosis = d
+	}
+	return compactEvents(evs, u), nil
 }
 
-// keptBodyParser scans stored response bodies as encoding/json wrote
-// them: obsResponse's, eventJSON's and diagnosisJSON's fields in
-// declaration order, strings without escapes. A restore decodes up to a
-// window's worth of bodies per scenario, which through encoding/json's
-// reflection took a large share of a boot. Any other shape reports false
-// and goes to encoding/json, so both decode a body to the same events.
-type keptBodyParser struct {
-	obsParser
-	events   []eventJSON
-	diags    []diagnosisJSON
-	withDiag []int // the events that carry diags, in order
-	ints     []int
-	// prevRaw is the last unobserved array scanned and prevList its
-	// list: the array repeats body after body, so it is parsed once.
-	prevRaw  []byte
-	prevList []int
+// storedAudit is the ledger rows a snapshot or a migration document
+// carries. It encodes as the wire rows do and decodes them through
+// storedDiagnosis, so a ledger whose rows repeat one unobserved list
+// decodes that list once.
+type storedAudit []auditEvent
+
+func (a *storedAudit) UnmarshalJSON(b []byte) error {
+	var rows []struct {
+		auditEvent
+		Diagnosis *storedDiagnosis `json:"diagnosis"`
+	}
+	if err := json.Unmarshal(b, &rows); err != nil {
+		return err
+	}
+	var lists storedLists
+	out := make(storedAudit, len(rows))
+	for i, r := range rows {
+		d, err := lists.wire(r.Diagnosis)
+		if err != nil {
+			return err
+		}
+		out[i] = r.auditEvent
+		out[i].Diagnosis = d
+	}
+	*a = out
+	return nil
 }
 
-// body scans one body; the events are valid until the next call.
-func (p *keptBodyParser) body(b []byte) ([]eventJSON, bool) {
-	p.obsParser = obsParser{b: b}
-	if p.events == nil {
-		p.events = make([]eventJSON, 0, 4) // "events":[] is not null
-	}
-	p.events, p.diags, p.withDiag = p.events[:0], p.diags[:0], p.withDiag[:0]
-	if !p.eat('{') || !p.key("events") || !p.eat('[') {
-		return nil, false
-	}
-	for more := !p.eat(']'); more; {
-		if !p.event() {
-			return nil, false
-		}
-		c, ok := p.peek()
-		if !ok || (c != ',' && c != ']') {
-			return nil, false
-		}
-		p.i++
-		more = c == ','
-	}
-	if !p.eat('}') {
-		return nil, false
-	}
-	p.skipWS()
-	for j, i := range p.withDiag {
-		p.events[i].Diagnosis = &p.diags[j]
-	}
-	return p.events, p.i == len(p.b)
-}
-
-// key consumes `"name":`.
-func (p *keptBodyParser) key(name string) bool {
-	k, ok := p.str()
-	return ok && string(k) == name && p.eat(':')
-}
-
-func (p *keptBodyParser) event() bool {
-	var (
-		ev eventJSON
-		d  diagnosisJSON
-		ok bool
-	)
-	if !p.eat('{') || !p.key("time") {
-		return false
-	}
-	if ev.Time, ok = p.float(); !ok || !p.eat(',') || !p.key("kind") {
-		return false
-	}
-	kind, ok := p.str()
-	if !ok || !utf8.Valid(kind) {
-		return false // encoding/json replaces invalid UTF-8; leave it to it
-	}
-	for k := monitord.EventOutageStarted; k <= monitord.EventInconsistent && ev.Kind == ""; k++ {
-		if k.String() == string(kind) {
-			ev.Kind = k.String() // one copy of each kind's name
-		}
-	}
-	if ev.Kind == "" {
-		ev.Kind = string(kind)
-	}
-	if p.eat('}') {
-		p.events = append(p.events, ev)
-		return true
-	}
-	if !p.eat(',') || !p.key("diagnosis") || !p.eat('{') || !p.key("candidates") {
-		return false
-	}
-	if d.Candidates, ok = p.lists(); !ok || !p.eat(',') || !p.key("definitely_failed") {
-		return false
-	}
-	if d.DefinitelyFailed, ok = p.intList(); !ok || !p.eat(',') || !p.key("possibly_failed") {
-		return false
-	}
-	if d.PossiblyFailed, ok = p.intList(); !ok || !p.eat(',') || !p.key("healthy") {
-		return false
-	}
-	if d.Healthy, ok = p.intList(); !ok || !p.eat(',') || !p.key("unobserved") {
-		return false
-	}
-	p.skipWS()
-	if rest := p.b[p.i:]; len(p.prevRaw) > 0 && bytes.HasPrefix(rest, p.prevRaw) {
-		// The same array token again (it ends in ']' or "null").
-		p.i += len(p.prevRaw)
-		d.Unobserved = p.prevList
-	} else {
-		start := p.i
-		if d.Unobserved, ok = p.intList(); !ok {
-			return false
-		}
-		p.prevRaw, p.prevList = p.b[start:p.i], d.Unobserved
-	}
-	if !p.eat('}') || !p.eat('}') {
-		return false
-	}
-	p.withDiag = append(p.withDiag, len(p.events))
-	p.events = append(p.events, ev)
-	p.diags = append(p.diags, d)
-	return true
-}
-
-// intList scans an int array into a list of its own, or null into nil.
-func (p *keptBodyParser) intList() ([]int, bool) {
-	if p.null() {
-		return nil, true
-	}
-	if !p.eat('[') {
-		return nil, false
-	}
-	if p.eat(']') {
-		return []int{}, true
-	}
-	p.ints = p.ints[:0]
-	for {
-		v, ok := p.intTok()
-		if !ok {
-			return nil, false
-		}
-		p.ints = append(p.ints, v)
-		c, ok := p.peek()
-		if !ok || (c != ',' && c != ']') {
-			return nil, false
-		}
-		p.i++
-		if c == ']' {
-			return slices.Clone(p.ints), true
-		}
-	}
-}
-
-// lists scans an array of int arrays, or null into nil.
-func (p *keptBodyParser) lists() ([][]int, bool) {
-	if p.null() {
-		return nil, true
-	}
-	if !p.eat('[') {
-		return nil, false
-	}
-	out := [][]int{}
-	for more := !p.eat(']'); more; {
-		l, ok := p.intList()
-		if !ok {
-			return nil, false
-		}
-		out = append(out, l)
-		c, ok := p.peek()
-		if !ok || (c != ',' && c != ']') {
-			return nil, false
-		}
-		p.i++
-		more = c == ','
-	}
-	return out, true
-}
-
-// null consumes a null literal.
-func (p *keptBodyParser) null() bool {
-	p.skipWS()
-	if !bytes.HasPrefix(p.b[p.i:], []byte("null")) {
-		return false
-	}
-	p.i += 4
-	return true
-}
-
-// unobservedSet interns one tenant's unobserved lists: every kept event
-// whose list is equal shares one copy. The lists only shrink while
-// connections first report and never grow back, so a tenant holds at
-// most one per connection plus one, and the lists of restored entries.
-// A tenant built by a network replacement starts a set of its own, and
-// the entries it adopts keep pointing at the old network's lists.
+// unobservedSet interns one tenant's unobserved lists: a kept event whose
+// list equals the last one kept shares its copy. A monitor's lists only
+// shrink while connections first report and then stay equal, so equal
+// lists arrive one after another, and a tenant holds at most one per
+// connection plus one, and the lists of restored entries. A tenant built
+// by a network replacement starts a set of its own, and the entries it
+// adopts keep pointing at the old network's lists.
 type unobservedSet struct {
-	last   []int
-	byHash map[uint64][][]int
+	last []int
 }
 
-// intern returns the set's copy of list, adding list itself when it has
-// none; the lists are immutable. Empty lists, nil or not, come back as
-// they are.
+// intern returns the set's copy of list when it equals the last list
+// kept, and list itself otherwise; the lists are immutable. Empty lists,
+// nil or not, come back as they are.
 func (u *unobservedSet) intern(list []int) []int {
 	if len(list) == 0 {
 		return list
@@ -469,20 +356,6 @@ func (u *unobservedSet) intern(list []int) []int {
 	if len(u.last) == len(list) && &u.last[0] == &list[0] || slices.Equal(u.last, list) {
 		return u.last
 	}
-	h := uint64(14695981039346656037) // FNV-1a over the node IDs
-	for _, v := range list {
-		h = (h ^ uint64(v)) * 1099511628211
-	}
-	for _, l := range u.byHash[h] {
-		if slices.Equal(l, list) {
-			u.last = l
-			return l
-		}
-	}
-	if u.byHash == nil {
-		u.byHash = map[uint64][][]int{}
-	}
-	u.byHash[h] = append(u.byHash[h], list)
 	u.last = list
 	return list
 }

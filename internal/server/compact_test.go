@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
@@ -17,9 +18,11 @@ import (
 // TestCompactRoundTripEmitted drives random monitors at k = 1 and k = 2
 // and requires every diagnosis they emit to come back from its compact
 // record as the same bytes diagnosisToJSON gives, through the one-record
-// pair and through a batch's events. The runs must reach connections that
-// have not reported yet (so unobserved changes between events), a state
-// with no healthy node, and a diagnosis whose unobserved list is nil.
+// pair and through a batch's events, and stored bodies and ledger rows to
+// decode as encoding/json decodes them into the wire structs. The runs
+// must reach connections that have not reported yet (so unobserved
+// changes between events), a state with no healthy node, and a diagnosis
+// whose unobserved list is nil.
 func TestCompactRoundTripEmitted(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var sawK2, sawNoHealthy, sawNilUnobserved, sawUnobservedChange bool
@@ -42,7 +45,8 @@ func TestCompactRoundTripEmitted(t *testing.T) {
 		}
 		var (
 			u              unobservedSet
-			parser         keptBodyParser
+			lists          storedLists
+			rows           []auditEvent
 			prevUnobserved []int
 		)
 		for step := 0; step < 3*conns; step++ {
@@ -54,6 +58,7 @@ func TestCompactRoundTripEmitted(t *testing.T) {
 			for _, ev := range events {
 				d := diagnosisToJSON(ev.Diagnosis)
 				wires = append(wires, eventJSON{Time: ev.Time, Kind: ev.Kind.String(), Diagnosis: d})
+				rows = append(rows, auditEvent{Seq: uint64(len(rows)), Time: ev.Time, Kind: ev.Kind.String(), Diagnosis: d})
 				if d == nil {
 					continue
 				}
@@ -73,56 +78,41 @@ func TestCompactRoundTripEmitted(t *testing.T) {
 				continue
 			}
 			want := mustJSON(t, obsResponse{Events: wires})
-			if got, ok := parser.body(append(want, '\n')); !ok || !reflect.DeepEqual(got, wires) {
-				t.Fatalf("trial %d step %d: scanned %s to %v (ok %t)", trial, step, want, got, ok)
+			var plain obsResponse
+			if err := json.Unmarshal(want, &plain); err != nil {
+				t.Fatal(err)
+			}
+			stored, err := decodeObsBody(append(want, '\n'), &u, &lists)
+			if err != nil {
+				t.Fatal(err)
 			}
 			sc := getObsScratch()
+			if got := sc.wireKept(stored); !reflect.DeepEqual(got, plain) {
+				t.Fatalf("trial %d step %d: stored body %s decoded to %+v, encoding/json gives %+v", trial, step, want, got, plain)
+			}
 			got := mustJSON(t, sc.wireKept(compactEvents(wires, &u)))
 			putObsScratch(sc)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("trial %d step %d: batch round trip\n got %s\nwant %s", trial, step, got, want)
 			}
 		}
+		doc := mustJSON(t, rows)
+		var stored storedAudit
+		var plain []auditEvent
+		if err := json.Unmarshal(doc, &stored); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(doc, &plain); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual([]auditEvent(stored), plain) {
+			t.Fatalf("trial %d: ledger rows %s decoded to %+v, encoding/json gives %+v", trial, doc, stored, plain)
+		}
 	}
 	if !sawK2 || !sawNoHealthy || !sawNilUnobserved || !sawUnobservedChange {
 		t.Fatalf("coverage: k=2 %t, no healthy node %t, nil unobserved %t, unobserved changed %t",
 			sawK2, sawNoHealthy, sawNilUnobserved, sawUnobservedChange)
 	}
-}
-
-// FuzzKeptBody requires the stored-body scanner to decode every body it
-// takes to exactly what encoding/json decodes it to, and to take the
-// bodies the server writes.
-func FuzzKeptBody(f *testing.F) {
-	for _, s := range []string{
-		`{"events":[]}` + "\n",
-		`{"events":[{"time":1,"kind":"outage-started","diagnosis":{"candidates":[[0],[1]],"definitely_failed":[],"possibly_failed":[0,1],"healthy":[2,3],"unobserved":[4]}},{"time":1,"kind":"outage-cleared"}]}` + "\n",
-		`{"events":[{"time":2.5e-3,"kind":"diagnosis-changed","diagnosis":{"candidates":null,"definitely_failed":null,"possibly_failed":null,"healthy":null,"unobserved":null}}]}`,
-		`{"events":[{"time":1,"kind":"x","diagnosis":{"candidates":[[1,2],[3]],"definitely_failed":[],"possibly_failed":[],"healthy":[5,1],"unobserved":[4]}},{"time":2,"kind":"x","diagnosis":{"candidates":[],"definitely_failed":[],"possibly_failed":[],"healthy":[],"unobserved":[4]}}]}`,
-		` { "events" : [ { "time" : 1 , "kind" : "inconsistent" } ] } `,
-		`{"events":[{"kind":"inconsistent","time":1}]}`,
-		`{"events":[{"time":1e400,"kind":"x"}]}`,
-		`{"events":[{"time":1,"kind":"\u0041"}]}`,
-	} {
-		f.Add([]byte(s))
-	}
-	// One scanner for every input, so a later body can take the cached
-	// unobserved array of an earlier one, whose bytes stay as they were.
-	var p keptBodyParser
-	f.Fuzz(func(t *testing.T, body []byte) {
-		body = bytes.Clone(body)
-		got, ok := p.body(body)
-		if !ok {
-			return
-		}
-		var want obsResponse
-		if err := json.Unmarshal(body, &want); err != nil {
-			t.Fatalf("scanned %q, which encoding/json rejects: %v", body, err)
-		}
-		if !reflect.DeepEqual(got, want.Events) {
-			t.Fatalf("%q scanned to %+v, encoding/json decodes %+v", body, got, want.Events)
-		}
-	})
 }
 
 // TestCompactRoundTripShapes covers wire structs no monitor emits but a
@@ -155,14 +145,65 @@ func TestCompactRoundTripShapes(t *testing.T) {
 	}
 }
 
-// TestUnobservedInterned requires equal unobserved lists of one tenant to
-// share one copy, whatever slice they arrived in.
+// TestStoredDecodeShapes decodes stored bodies and ledger rows the server
+// does not write, one document after another through one storedLists,
+// and requires the events encoding/json decodes them to: an unobserved
+// list that goes missing or null after a present one, comes back, or is
+// spaced differently.
+func TestStoredDecodeShapes(t *testing.T) {
+	diags := []string{
+		`{"candidates":[[1]],"healthy":[0],"unobserved":[2,3]}`,
+		`{"candidates":[[1]],"healthy":[0]}`,
+		`{"candidates":[[1]],"unobserved":[2,3]}`,
+		`{"candidates":[[1]],"unobserved":null}`,
+		`{"candidates":[[1]],"unobserved":[ 2, 3 ]}`,
+		`{"candidates":[[1]],"unobserved":[]}`,
+		`{"unobserved":[2,3],"candidates":null}`,
+	}
+	var (
+		u     unobservedSet
+		lists storedLists
+		rows  []string
+	)
+	for i, d := range diags {
+		body := []byte(`{"events":[{"time":1,"kind":"x","diagnosis":` + d + `},{"time":1,"kind":"y"}]}`)
+		var plain obsResponse
+		if err := json.Unmarshal(body, &plain); err != nil {
+			t.Fatal(err)
+		}
+		kept, err := decodeObsBody(body, &u, &lists)
+		if err != nil {
+			t.Fatalf("body %d: %v", i, err)
+		}
+		sc := getObsScratch()
+		if got := sc.wireKept(kept); !reflect.DeepEqual(got, plain) {
+			t.Fatalf("body %d decoded to %+v, encoding/json gives %+v", i, got, plain)
+		}
+		putObsScratch(sc)
+		rows = append(rows, `{"seq":1,"hash":"h","time":1,"kind":"x","diagnosis":`+d+`}`, `{"seq":2,"time":2}`)
+	}
+	for _, doc := range []string{"[" + strings.Join(rows, ",") + "]", "[]", "null"} {
+		var stored storedAudit
+		var plain []auditEvent
+		if err := json.Unmarshal([]byte(doc), &stored); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(doc), &plain); err != nil {
+			t.Fatal(err)
+		}
+		if len(stored) != len(plain) || len(plain) > 0 && !reflect.DeepEqual([]auditEvent(stored), plain) {
+			t.Fatalf("ledger rows %s decoded to %+v, encoding/json gives %+v", doc, stored, plain)
+		}
+	}
+}
+
+// TestUnobservedInterned requires equal unobserved lists of one tenant
+// that arrive one after another to share one copy, whatever slice they
+// arrived in.
 func TestUnobservedInterned(t *testing.T) {
 	var u unobservedSet
 	a := u.intern([]int{1, 2, 3})
-	u.intern([]int{4})
-	b := u.intern([]int{1, 2, 3})
-	if &a[0] != &b[0] {
+	if b := u.intern([]int{1, 2, 3}); &a[0] != &b[0] {
 		t.Fatal("equal lists were kept twice")
 	}
 	if c := u.intern([]int{1, 2}); &c[0] == &a[0] {

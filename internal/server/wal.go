@@ -108,8 +108,8 @@ type walTenantState struct {
 	Dedup []dedupRecord `json:"dedup,omitempty"`
 	// Audit is the retained tail of the diagnosis audit ledger;
 	// AuditTotal counts every event ever appended.
-	Audit      []auditEvent `json:"audit,omitempty"`
-	AuditTotal int          `json:"audit_total,omitempty"`
+	Audit      storedAudit `json:"audit,omitempty"`
+	AuditTotal int         `json:"audit_total,omitempty"`
 	// Splice, for a scenario adopted from another node, records the
 	// source log's chain head at the migration fence — where this
 	// scenario's audit chain verifiably continues from.
@@ -407,9 +407,9 @@ func (s *Server) restoreTenantState(t *tenant, ts *walTenantState) error {
 	byTime := map[float64][]compactEvent{}
 	if t.dedup != nil && len(ts.Dedup) > 0 {
 		grew := 0
-		var p keptBodyParser
+		var lists storedLists
 		for _, r := range ts.Dedup {
-			kept, err := decodeObsBody(r.Body, &t.unobserved, &p)
+			kept, err := decodeObsBody(r.Body, &t.unobserved, &lists)
 			if err != nil {
 				return fmt.Errorf("dedup entry %q: %w", r.ID, err)
 			}
